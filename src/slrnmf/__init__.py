@@ -24,14 +24,6 @@ from .metrics import (
     match_columns,
     spectral_angle,
 )
-from .model import (
-    Objective,
-    cost_smooth,
-    cost_total,
-    grad_phi,
-    grad_w,
-    joint_column_norms,
-)
 from .solver import (
     DEFAULT_DELTA,
     DEFAULT_LAMBDA1,
@@ -39,16 +31,7 @@ from .solver import (
     SolverDiverged,
     SolverReport,
     SolverState,
-    default_eta,
-    extrapolate,
-    line_search,
-    project_nonneg,
-    prune_and_report_rank,
-    soft_threshold,
     solve,
-    update_abundances,
-    update_endmembers,
-    update_penalty_diag,
     with_defaults,
 )
 from .synth import (
@@ -63,28 +46,13 @@ from .synth import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Objective",
-    "cost_smooth",
-    "cost_total",
-    "grad_phi",
-    "grad_w",
-    "joint_column_norms",
     "DEFAULT_DELTA",
     "DEFAULT_LAMBDA1",
     "SolverConfig",
     "SolverDiverged",
     "SolverReport",
     "SolverState",
-    "default_eta",
     "solve",
-    "soft_threshold",
-    "project_nonneg",
-    "update_abundances",
-    "update_endmembers",
-    "update_penalty_diag",
-    "extrapolate",
-    "line_search",
-    "prune_and_report_rank",
     "with_defaults",
     "init_uniform",
     "init_vca",

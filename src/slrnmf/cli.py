@@ -10,6 +10,7 @@ Exit codes: 0 on success, 2 when flags or input data fail validation,
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -24,8 +25,7 @@ SYNTH_ENDMEMBERS = "endmembers_true.csv"
 SYNTH_ABUNDANCES = "abundances_true.csv"
 SYNTH_REPORT = "truth.txt"
 
-_CONFIG_KEYS = ("r", "delta", "lambda1", "eta", "max_iter", "tol_rel_cost",
-                "prune_tol", "beta_init", "shrink", "max_backtracks", "seed")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(solver.SolverConfig))
 
 
 class ValidationError(Exception):
@@ -367,7 +367,7 @@ def cmd_repro_sim(args):
             os.path.join(seed_dir, "synth"), args.L, args.K, args.N,
             args.density, args.sigma, s, args.source, args.library,
             clamp=not args.allow_negative)
-        run_config = solver.SolverConfig(**{**_config_kwargs(config), "seed": s})
+        run_config = dataclasses.replace(config, seed=s)
         phi, w, report, _ = _do_unmix(
             y, run_config, init, os.path.join(seed_dir, "unmix"),
             extra_report={"config.clamp_negatives": False})
@@ -422,10 +422,6 @@ def cmd_repro_sim(args):
     io.write_report(os.path.join(args.out_dir, "aggregate.txt"), aggregate)
     print("wrote %s" % os.path.join(args.out_dir, "aggregate.txt"))
     return 0
-
-
-def _config_kwargs(config):
-    return {key: getattr(config, key) for key in _CONFIG_KEYS}
 
 
 def run(argv=None):

@@ -275,20 +275,10 @@ def report_values(report):
     if isinstance(report, dict):
         return dict(report)
     if dataclasses.is_dataclass(report):
-        config = report.config
-        values = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "config.r": config.r,
-            "config.delta": config.delta,
-            "config.lambda1": config.lambda1,
-            "config.eta": config.eta,
-            "config.max_iter": config.max_iter,
-            "config.tol_rel_cost": config.tol_rel_cost,
-            "config.prune_tol": config.prune_tol,
-            "config.beta_init": config.beta_init,
-            "config.shrink": config.shrink,
-            "config.max_backtracks": config.max_backtracks,
-            "config.seed": config.seed,
+        values = {"schema_version": REPORT_SCHEMA_VERSION}
+        for field in dataclasses.fields(report.config):
+            values["config." + field.name] = getattr(report.config, field.name)
+        values.update({
             "result.iterations": report.iterations,
             "result.initial_cost": report.initial_cost,
             "result.final_cost": report.final_cost,
@@ -301,7 +291,7 @@ def report_values(report):
             "trace.beta_w": report.beta_w_trace,
             "trace.beta_phi": report.beta_phi_trace,
             "timing.wall_time_s": report.wall_time,
-        }
+        })
         return values
     raise TypeError("report must be a dict or a solver report dataclass")
 

@@ -26,7 +26,6 @@ __all__ = [
     "check_nonneg",
     "check_dims",
     "joint_column_norms",
-    "cost_smooth",
     "cost_total",
     "grad_w",
     "grad_phi",
@@ -73,50 +72,33 @@ def _as_diag(d, r):
     return d
 
 
+def _column_energy(phi, w):
+    """Per-column ||phi_i||^2 + ||w_i||^2, the squared joint column energies."""
+    return (phi * phi).sum(axis=0) + (w * w).sum(axis=0)
+
+
 def joint_column_norms(phi, w):
     """Per-column sqrt(||phi_i||^2 + ||w_i||^2), the joint column energies."""
-    return np.sqrt((phi * phi).sum(axis=0) + (w * w).sum(axis=0))
+    return np.sqrt(_column_energy(phi, w))
 
 
-def _cost_smooth(y, phi, w, delta, eta):
-    resid = y - phi @ w.T
-    fit = 0.5 * float(np.vdot(resid, resid))
-    energy = (phi * phi).sum(axis=0) + (w * w).sum(axis=0)
-    return fit + delta * float(np.sum(np.sqrt(energy + eta * eta)))
-
-
-def cost_smooth(y, phi, w, delta, eta):
-    """Smooth part of the objective: half squared fit plus smoothed group penalty.
-
-    Parameters
-    ----------
-    y : (L, K) array
-        Observed spectra, bands by pixels.
-    phi : (L, r) array
-        Candidate endmembers.
-    w : (K, r) array
-        Abundances.
-    delta : float
-        Group-penalty weight, >= 0.
-    eta : float
-        Smoothing constant, > 0 (keeps the penalty differentiable and
-        bounds the reweighting diagonal).
-
-    Returns
-    -------
-    float
-        0.5*||Y - Phi W^T||_F^2 + delta * sum_i sqrt(||phi_i||^2 + ||w_i||^2 + eta^2).
-    """
+def _validated(y, phi, w):
     y = as_matrix(y, "y")
     phi = as_matrix(phi, "phi")
     w = as_matrix(w, "w")
     check_dims(y, phi, w)
-    return _cost_smooth(y, phi, w, float(delta), float(eta))
+    return y, phi, w
 
 
 def cost_total(y, phi, w, delta, lambda1, eta):
-    """Full objective: smooth part plus the elementwise l1 penalty on ``w``."""
-    return cost_smooth(y, phi, w, delta, eta) + float(lambda1) * float(np.abs(w).sum())
+    """Full objective at (phi, w) after validating shapes and weights.
+
+    ``y`` (L, K), ``phi`` (L, r), ``w`` (K, r); ``delta`` >= 0,
+    ``lambda1`` >= 0 and ``eta`` > 0 as in :class:`Objective`.  With
+    ``lambda1 = 0`` the result is the smooth part of the objective.
+    """
+    y, phi, w = _validated(y, phi, w)
+    return Objective(y, delta, lambda1, eta).total(phi, w)
 
 
 def grad_w(y, phi, w, d):
@@ -126,20 +108,14 @@ def grad_w(y, phi, w, d):
     pair; then the result W(Phi^T Phi) - Y^T Phi + W D is the exact
     gradient of the smoothed objective.
     """
-    y = as_matrix(y, "y")
-    phi = as_matrix(phi, "phi")
-    w = as_matrix(w, "w")
-    check_dims(y, phi, w)
+    y, phi, w = _validated(y, phi, w)
     d = _as_diag(d, phi.shape[1])
     return w @ (phi.T @ phi) - y.T @ phi + w * d
 
 
 def grad_phi(y, phi, w, d):
     """Gradient of the smooth cost with respect to ``phi`` (mirror of grad_w)."""
-    y = as_matrix(y, "y")
-    phi = as_matrix(phi, "phi")
-    w = as_matrix(w, "w")
-    check_dims(y, phi, w)
+    y, phi, w = _validated(y, phi, w)
     d = _as_diag(d, phi.shape[1])
     return phi @ (w.T @ w) - y @ w + phi * d
 
@@ -168,8 +144,10 @@ class Objective:
         self.lambda1 = lambda1
         self.eta = eta
 
-    def smooth(self, phi, w):
-        return _cost_smooth(self.y, phi, w, self.delta, self.eta)
-
     def total(self, phi, w):
-        return self.smooth(phi, w) + self.lambda1 * float(np.abs(w).sum())
+        """Objective at (phi, w); the residual needs one L-by-K temporary."""
+        resid = phi @ w.T
+        np.subtract(self.y, resid, out=resid)
+        fit = 0.5 * float(np.vdot(resid, resid))
+        penalty = float(np.sum(np.sqrt(_column_energy(phi, w) + self.eta * self.eta)))
+        return fit + self.delta * penalty + self.lambda1 * float(np.abs(w).sum())

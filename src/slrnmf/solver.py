@@ -25,6 +25,7 @@ import scipy.linalg
 from .model import (
     Objective,
     _as_diag,
+    _column_energy,
     as_matrix,
     check_nonneg,
     joint_column_norms,
@@ -194,8 +195,7 @@ def update_penalty_diag(phi, w, delta, eta):
     w = as_matrix(w, "w")
     if phi.shape[1] != w.shape[1]:
         raise ValueError("phi and w disagree on the number of columns")
-    nsq = (phi * phi).sum(axis=0) + (w * w).sum(axis=0)
-    return delta / np.sqrt(nsq + eta * eta)
+    return delta / np.sqrt(_column_energy(phi, w) + eta * eta)
 
 
 def _spd_solve(a, b, context):

@@ -126,7 +126,7 @@ def test_monotone_descent_on_random_instances():
 
 
 def test_gradients_match_finite_differences():
-    from slrnmf.model import cost_smooth, grad_phi, grad_w
+    from slrnmf.model import cost_total, grad_phi, grad_w
 
     worst = 0.0
     for t in range(20):
@@ -142,8 +142,8 @@ def test_gradients_match_finite_differences():
         d = update_penalty_diag(phi, w, delta, eta)
         gw = grad_w(y, phi, w, d)
         gp = grad_phi(y, phi, w, d)
-        fw = oracles.fd_gradient(lambda v: cost_smooth(y, phi, v, delta, eta), w)
-        fp = oracles.fd_gradient(lambda v: cost_smooth(y, v, w, delta, eta), phi)
+        fw = oracles.fd_gradient(lambda v: cost_total(y, phi, v, delta, 0.0, eta), w)
+        fp = oracles.fd_gradient(lambda v: cost_total(y, v, w, delta, 0.0, eta), phi)
         err_w = np.linalg.norm(gw - fw) / max(np.linalg.norm(fw), 1e-12)
         err_p = np.linalg.norm(gp - fp) / max(np.linalg.norm(fp), 1e-12)
         worst = max(worst, err_w, err_p)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, defaults, reproducibility."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from slrnmf.cli import run
-from slrnmf.io import load_matrix, read_report
+from slrnmf.io import load_matrix, read_report, write_report
+from slrnmf.solver import SolverConfig
 
 SYNTH_FLAGS = ["--L", "40", "--K", "60", "--N", "2", "--density", "0.5",
                "--sigma", "1e-3", "--source", "synthetic-smooth"]
@@ -111,6 +113,25 @@ def test_unmix_from_report_reproduces_run(tmp_path):
                 "--from-report", str(out_a / "report.txt"),
                 "--delta", "0.7", "--out-dir", str(out_c)]) == 0
     assert read_report(out_c / "report.txt")["config.delta"] == 0.7
+
+
+def test_unmix_from_report_carries_every_config_field(tmp_path):
+    chosen = {"r": 3, "delta": 0.25, "lambda1": 0.02, "eta": 0.04,
+              "max_iter": 7, "tol_rel_cost": 1e-5, "prune_tol": 1e-3,
+              "beta_init": 0.75, "shrink": 0.25, "max_backtracks": 6,
+              "seed": 11}
+    fields = dataclasses.fields(SolverConfig)
+    # a new SolverConfig field needs a non-default value here
+    assert [f.name for f in fields] == list(chosen)
+    assert all(chosen[f.name] != f.default for f in fields)
+    source = tmp_path / "source.txt"
+    write_report(source, {"config." + k: v for k, v in chosen.items()})
+    synth_dir = make_synth(tmp_path)
+    out = tmp_path / "fit"
+    assert run(["unmix", "--input", str(synth_dir / "observations.csv"),
+                "--from-report", str(source), "--out-dir", str(out)]) == 0
+    values = read_report(out / "report.txt")
+    assert {k: values["config." + k] for k in chosen} == chosen
 
 
 def test_unmix_requires_rank(tmp_path):

@@ -1,5 +1,7 @@
 """File formats: delimited matrices, key-value reports, PGM maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,14 @@ def test_report_values_flattens_solver_report():
     assert passthrough == {"x": 1}
     with pytest.raises(TypeError, match="dict or a solver report"):
         report_values(42)
+
+
+def test_report_config_block_follows_solver_config_fields():
+    _, _, report = _tiny_solve()
+    keys = list(report_values(report))
+    config_keys = ["config." + f.name for f in dataclasses.fields(SolverConfig)]
+    assert keys[:1 + len(config_keys)] == ["schema_version"] + config_keys
+    assert [k for k in keys if k.startswith("config.")] == config_keys
 
 
 def test_save_results_writes_everything(tmp_path):

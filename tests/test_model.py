@@ -1,5 +1,7 @@
 """Cost and gradient arithmetic against naive loop-based references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from slrnmf.model import (
     as_matrix,
     check_dims,
     check_nonneg,
-    cost_smooth,
     cost_total,
     grad_phi,
     grad_w,
@@ -72,7 +73,7 @@ def test_joint_column_norms_matches_loops():
 def test_cost_smooth_matches_naive(seed):
     y, phi, w = random_instance(seed)
     delta, eta = 0.37, 0.09
-    ours = cost_smooth(y, phi, w, delta, eta)
+    ours = cost_total(y, phi, w, delta, 0.0, eta)
     ref = oracles.naive_cost_smooth(y, phi, w, delta, eta)
     assert ours == pytest.approx(ref, rel=1e-12)
 
@@ -99,7 +100,7 @@ def test_grad_w_matches_finite_differences(seed):
     delta, eta = 0.4, 0.15
     d = update_penalty_diag(phi, w, delta, eta)
     g = grad_w(y, phi, w, d)
-    fd = oracles.fd_gradient(lambda v: cost_smooth(y, phi, v, delta, eta), w)
+    fd = oracles.fd_gradient(lambda v: cost_total(y, phi, v, delta, 0.0, eta), w)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
 
 
@@ -109,7 +110,7 @@ def test_grad_phi_matches_finite_differences(seed):
     delta, eta = 0.4, 0.15
     d = update_penalty_diag(phi, w, delta, eta)
     g = grad_phi(y, phi, w, d)
-    fd = oracles.fd_gradient(lambda v: cost_smooth(y, v, w, delta, eta), phi)
+    fd = oracles.fd_gradient(lambda v: cost_total(y, v, w, delta, 0.0, eta), phi)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
 
 
@@ -126,8 +127,21 @@ def test_objective_matches_free_functions():
     obj = Objective(y, 0.6, 0.02, 0.1)
     assert obj.total(phi, w) == pytest.approx(
         cost_total(y, phi, w, 0.6, 0.02, 0.1), rel=1e-14)
-    assert obj.smooth(phi, w) == pytest.approx(
-        cost_smooth(y, phi, w, 0.6, 0.1), rel=1e-14)
+
+
+def test_objective_total_allocates_one_residual():
+    # The residual is formed in place: one L-by-K temporary, not two.
+    rng = np.random.default_rng(0)
+    y = rng.uniform(0.0, 1.0, size=(224, 500))
+    phi = rng.uniform(0.0, 1.0, size=(224, 10))
+    w = rng.uniform(0.0, 1.0, size=(500, 10))
+    tracemalloc.start()
+    try:
+        Objective(y, 0.5, 0.01, 0.1).total(phi, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * y.nbytes, "peak %.2f x y.nbytes" % (peak / y.nbytes)
 
 
 def test_objective_validates_weights():
