@@ -134,20 +134,12 @@ def build_parser():
     return parser
 
 
-def _check_synth_flags(args):
-    if args.L < 1 or args.K < 1 or args.N < 1:
-        raise ValidationError("--L, --K and --N must all be >= 1")
-    if not 0.0 < args.density <= 1.0:
-        raise ValidationError("--density must be in (0, 1], got %g" % args.density)
-    if args.sigma < 0.0:
-        raise ValidationError("--sigma must be >= 0, got %g" % args.sigma)
-    if args.library is not None and not os.path.exists(args.library):
-        raise ValidationError("library file not found: %s" % args.library)
-
-
 def _do_synth(out_dir, l, k, n, density, sigma, seed, source, library, clamp):
-    y, truth = synth.simulate(l, k, n, density, sigma, seed, source=source,
-                              library_path=library, clamp=clamp)
+    try:
+        y, truth = synth.simulate(l, k, n, density, sigma, seed, source=source,
+                                  library_path=library, clamp=clamp)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(str(exc)) from None
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "observations": os.path.join(out_dir, SYNTH_OBSERVATIONS),
@@ -172,7 +164,6 @@ def _do_synth(out_dir, l, k, n, density, sigma, seed, source, library, clamp):
 
 
 def cmd_synth(args):
-    _check_synth_flags(args)
     y, _, paths = _do_synth(args.out_dir, args.L, args.K, args.N, args.density,
                             args.sigma, args.seed, args.source, args.library,
                             clamp=not args.allow_negative)
@@ -257,14 +248,12 @@ def cmd_unmix(args):
         raise ValidationError(
             "--height * --width = %d does not match %d pixels"
             % (args.height * args.width, y.shape[1]))
-    if init == "vca" and config.r > min(y.shape):
-        raise ValidationError(
-            "--r %d exceeds min(bands, pixels) = %d required by vca init"
-            % (config.r, min(y.shape)))
     try:
         phi, w, report, paths = _do_unmix(
             y, config, init, args.out_dir, height=args.height, width=args.width,
             extra_report={"config.clamp_negatives": clamp})
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure, not bad input
     except ValueError as exc:
         # remaining ValueErrors here are input-contract violations
         raise ValidationError(str(exc)) from None
@@ -289,10 +278,6 @@ def _load_for_eval(path, what):
 def cmd_eval(args):
     phi_est = _load_for_eval(args.estimated, "estimated endmembers")
     phi_ref = _load_for_eval(args.reference, "reference endmembers")
-    if phi_est.shape[0] != phi_ref.shape[0]:
-        raise ValidationError(
-            "band counts differ: estimated has %d, reference has %d"
-            % (phi_est.shape[0], phi_ref.shape[0]))
     if (args.est_abundances is None) != (args.ref_abundances is None):
         raise ValidationError(
             "--est-abundances and --ref-abundances must be given together")
@@ -300,18 +285,6 @@ def cmd_eval(args):
     if args.est_abundances is not None:
         w_est = _load_for_eval(args.est_abundances, "estimated abundances")
         w_ref = _load_for_eval(args.ref_abundances, "reference abundances")
-        if w_est.shape[1] != phi_est.shape[1]:
-            raise ValidationError(
-                "estimated abundances have %d columns but endmembers have %d"
-                % (w_est.shape[1], phi_est.shape[1]))
-        if w_ref.shape[1] != phi_ref.shape[1]:
-            raise ValidationError(
-                "reference abundances have %d columns but endmembers have %d"
-                % (w_ref.shape[1], phi_ref.shape[1]))
-        if w_est.shape[0] != w_ref.shape[0]:
-            raise ValidationError(
-                "pixel counts differ: estimated has %d, reference has %d"
-                % (w_est.shape[0], w_ref.shape[0]))
     try:
         result = metrics.evaluate_unmixing(phi_est, phi_ref, w_est, w_ref)
     except ValueError as exc:
@@ -352,7 +325,6 @@ def _print_eval(result, n_est, n_ref):
 
 
 def cmd_repro_sim(args):
-    _check_synth_flags(args)
     if args.n_seeds < 1:
         raise ValidationError("--n-seeds must be >= 1, got %d" % args.n_seeds)
     if args.r is None:

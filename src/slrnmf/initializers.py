@@ -44,11 +44,9 @@ def _check_spanned(svals, needed, what):
                 "%.6e (tolerance %.6e)" % (what, i + 1, needed, s, cutoff))
 
 
-def _estimate_snr(y, y_centered, y_mean, r):
-    # Power split between an r-dimensional principal subspace and the rest.
+def _estimate_snr(y, y_centered, y_mean, u, r):
+    # Power split between the principal subspace u[:, :r] and the rest.
     l, k = y.shape
-    u, svals, _ = scipy.linalg.svd(y_centered, full_matrices=False,
-                                   check_finite=False)
     x_p = u[:, :r].T @ y_centered
     p_y = float((y * y).sum()) / k
     p_x = float((x_p * x_p).sum()) / k + float(y_mean @ y_mean)
@@ -106,7 +104,9 @@ def init_vca(y, r, seed):
 
     y_mean = y.mean(axis=1)
     y_centered = y - y_mean[:, None]
-    snr = _estimate_snr(y, y_centered, y_mean, r)
+    u_c, svals_c = scipy.linalg.svd(y_centered, full_matrices=False,
+                                    check_finite=False)[:2]
+    snr = _estimate_snr(y, y_centered, y_mean, u_c, r)
     snr_threshold = 15.0 + 10.0 * np.log10(r)
 
     if snr > snr_threshold:
@@ -125,10 +125,8 @@ def init_vca(y, r, seed):
     else:
         # Affine projection: r-1 principal components of the centered
         # data plus a constant lift sized to the largest projection.
-        u, svals, _ = scipy.linalg.svd(y_centered, full_matrices=False,
-                                       check_finite=False)
-        _check_spanned(svals, r - 1, "projected centered data")
-        x_p = u[:, :r - 1].T @ y_centered
+        _check_spanned(svals_c, r - 1, "projected centered data")
+        x_p = u_c[:, :r - 1].T @ y_centered
         c = float(np.sqrt((x_p * x_p).sum(axis=0)).max())
         points = np.vstack([x_p, np.full((1, k), c)])
 

@@ -104,7 +104,7 @@ def save_matrix(path, matrix, delimiter=",", comments=()):
     An empty matrix (zero rows or columns) produces a comment-only file
     recording the shape.
     """
-    matrix = as_matrix(np.asarray(matrix, dtype=np.float64), "matrix")
+    matrix = as_matrix(matrix, "matrix")
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write("# %s\n" % line)
@@ -304,8 +304,8 @@ def save_results(phi, w, report, out_dir, height=None, width=None):
     as well, with each map's raw min/max recorded in the report under
     ``maps.map_<i>``.  Returns a dict of the written paths.
     """
-    phi = as_matrix(np.asarray(phi, dtype=np.float64), "phi")
-    w = as_matrix(np.asarray(w, dtype=np.float64), "w")
+    phi = as_matrix(phi, "phi")
+    w = as_matrix(w, "w")
     if phi.shape[1] != w.shape[1]:
         raise ValueError("phi and w disagree on the number of columns")
     os.makedirs(out_dir, exist_ok=True)

@@ -33,12 +33,12 @@ __all__ = [
 ]
 
 
-def as_matrix(a, name="matrix", require_finite=True):
+def as_matrix(a, name="matrix"):
     """Coerce to a float64 2-D array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("%s must be a 2-D array, got shape %s" % (name, (m.shape,)))
-    if require_finite and m.size and not np.isfinite(m).all():
+    if m.size and not np.isfinite(m).all():
         raise ValueError("%s contains non-finite entries" % name)
     return m
 

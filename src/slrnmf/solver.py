@@ -211,15 +211,16 @@ def _spd_solve(a, b, context):
     return scipy.linalg.cho_solve(cf, b, check_finite=False)
 
 
-def update_abundances(y, phi_hat, d_hat, lambda1):
+def update_abundances(objective, phi_hat, d_hat):
     """One inexact proximal Newton step for the abundance block.
 
-    Solves (Phi^T Phi + D) X = Phi^T Y for the r-by-K Newton target,
-    transposes to K-by-r, soft-thresholds at ``lambda1`` and projects
-    onto the nonnegative orthant.  The r-by-r system is solved by a
-    Cholesky factorization, never an explicit inverse.
+    Solves (Phi^T Phi + D) X = Phi^T Y, Y = ``objective.y``, for the r-by-K
+    Newton target, transposes to K-by-r, soft-thresholds at
+    ``objective.lambda1`` and projects onto the nonnegative orthant.  The
+    r-by-r system is solved by a Cholesky factorization, never an
+    explicit inverse.
     """
-    y = as_matrix(y, "y")
+    y = objective.y
     phi = as_matrix(phi_hat, "phi_hat")
     if phi.shape[0] != y.shape[0]:
         raise ValueError("phi_hat has %d rows, expected L=%d"
@@ -228,15 +229,16 @@ def update_abundances(y, phi_hat, d_hat, lambda1):
     a = phi.T @ phi
     a[np.diag_indices_from(a)] += d
     x = _spd_solve(a, phi.T @ y, "abundance update")
-    return project_nonneg(soft_threshold(x.T, lambda1))
+    return project_nonneg(soft_threshold(x.T, objective.lambda1))
 
 
-def update_endmembers(y, w_hat, d_hat):
+def update_endmembers(objective, w_hat, d_hat):
     """One Newton step for the endmember block, projected onto the orthant.
 
-    Solves (W^T W + D) X = W^T Y^T and transposes back to L-by-r.
+    Solves (W^T W + D) X = W^T Y^T, with ``Y`` the already validated
+    ``objective.y``, and transposes back to L-by-r.
     """
-    y = as_matrix(y, "y")
+    y = objective.y
     w = as_matrix(w_hat, "w_hat")
     if w.shape[0] != y.shape[1]:
         raise ValueError("w_hat has %d rows, expected K=%d"
@@ -412,10 +414,10 @@ def solve(y, init_phi, init_w, config, callback=None):
         )
 
     for k in range(1, config.max_iter + 1):
-        w_cand = update_abundances(y, phi, d, config.lambda1)
+        w_cand = update_abundances(objective, phi, d)
         w, beta_w, cost_after_w = line_search(
             objective, phi, w, w_cand, "w", config, cost_prev)
-        phi_cand = update_endmembers(y, w, d)
+        phi_cand = update_endmembers(objective, w, d)
         phi, beta_phi, cost_k = line_search(
             objective, phi, w, phi_cand, "phi", config, cost_after_w)
         d = update_penalty_diag(phi, w, config.delta, config.eta)

@@ -15,6 +15,7 @@ import oracles
 from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
 from slrnmf.io import load_matrix, read_report, report_values, save_matrix, write_report
 from slrnmf.metrics import evaluate_unmixing
+from slrnmf.model import Objective
 from slrnmf.cli import run
 from slrnmf.solver import (
     SolverConfig,
@@ -191,13 +192,14 @@ def test_block_updates_near_subproblem_oracles():
         w_hat = np.maximum(w_t + 0.05 * rng.normal(size=w_t.shape), 0)
         d = update_penalty_diag(phi_hat, w_hat, delta, eta)
 
-        w_step = update_abundances(y, phi_hat, d, lam)
+        objective = Objective(y, 1.0, lam, 1.0)
+        w_step = update_abundances(objective, phi_hat, d)
         m_step = oracles.subproblem_w_value(y, phi_hat, d, lam, w_step)
         m_opt = oracles.subproblem_w_value(
             y, phi_hat, d, lam, oracles.cd_w_oracle(y, phi_hat, d, lam))
         worst_w = max(worst_w, m_step / m_opt)
 
-        phi_step = update_endmembers(y, w_hat, d)
+        phi_step = update_endmembers(objective, w_hat, d)
         p_step = oracles.subproblem_phi_value(y, w_hat, d, phi_step)
         p_opt = oracles.subproblem_phi_value(
             y, w_hat, d, oracles.pg_phi_oracle(y, w_hat, d))

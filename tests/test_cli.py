@@ -51,6 +51,7 @@ def test_synth_rejects_bad_flags(tmp_path):
     assert run(base + ["--L", "0"]) == 2
     assert run(base + ["--sigma", "-1"]) == 2
     assert run(base + ["--library", str(tmp_path / "missing.csv")]) == 2
+    assert run(base + ["--N", "13"]) == 2  # the packaged library has 12 spectra
 
 
 def test_synth_is_deterministic(tmp_path):
@@ -276,6 +277,8 @@ def test_repro_sim_pipeline_matches_standalone_commands(tmp_path):
 def test_repro_sim_validates(tmp_path):
     assert run(["repro-sim", "--n-seeds", "0",
                 "--out-dir", str(tmp_path / "x")]) == 2
+    assert run(["repro-sim", "--density", "1.5",
+                "--out-dir", str(tmp_path / "x")]) == 2
 
 
 def test_runtime_failure_exits_one(tmp_path):
@@ -285,6 +288,17 @@ def test_runtime_failure_exits_one(tmp_path):
     rc = run(["unmix", "--input", str(synth_dir / "observations.csv"),
               *SOLVER_FLAGS, "--out-dir", str(blocker)])
     assert rc == 1
+
+
+def test_numerical_failure_exits_one(tmp_path, capsys):
+    # delta = 0 leaves nothing to keep W^T W positive definite once the
+    # l1 step zeroes an abundance column
+    scene = tmp_path / "scene"
+    assert run(["synth", "--K", "200", "--seed", "0", "--out-dir", str(scene)]) == 0
+    rc = run(["unmix", "--input", str(scene / "observations.csv"), "--r", "10",
+              "--delta", "0", "--out-dir", str(tmp_path / "fit")])
+    assert rc == 1
+    assert "not positive definite" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_two():

@@ -169,8 +169,9 @@ def test_divergence_raises_with_partial_report(monkeypatch):
     phi0, w0 = init_uniform(6, 8, 4, 0)
 
     class BrokenObjective:
-        def __init__(self, *args):
-            pass
+        def __init__(self, y, delta, lambda1, eta):
+            self.y = y
+            self.lambda1 = lambda1
 
         def total(self, phi, w):
             return float("-inf")
@@ -181,3 +182,27 @@ def test_divergence_raises_with_partial_report(monkeypatch):
     assert "non-finite cost" in str(err.value)
     assert err.value.report is not None
     assert err.value.report.iterations == 0
+
+
+def test_loop_does_not_rescan_y(monkeypatch):
+    """``y`` is validated before the first iteration, not in every one."""
+    phi_t, w_t = tiny_truth(0)
+    y = phi_t @ w_t.T
+    phi0, w0 = init_uniform(6, 8, 4, 0)
+    as_matrix = slrnmf.solver.as_matrix
+    names = []
+
+    def counting_as_matrix(a, name="matrix"):
+        names.append(name)
+        return as_matrix(a, name)
+
+    monkeypatch.setattr(slrnmf.solver, "as_matrix", counting_as_matrix)
+    y_scans = []
+    for max_iter in (1, 5):
+        names.clear()
+        config = SolverConfig(r=4, delta=0.1, lambda1=0.005,
+                              max_iter=max_iter, tol_rel_cost=0.0)
+        _, _, report = solve(y, phi0, w0, config)
+        assert report.iterations == max_iter
+        y_scans.append(names.count("y"))
+    assert y_scans[0] == y_scans[1]

@@ -87,7 +87,7 @@ def test_update_abundances_solves_the_newton_system():
     phi = rng.uniform(0, 1, size=(8, 3))
     d = rng.uniform(0.1, 1.0, size=3)
     lam = 0.02
-    out = update_abundances(y, phi, d, lam)
+    out = update_abundances(Objective(y, 1.0, lam, 1.0), phi, d)
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     expected = np.maximum(np.sign(target) * np.maximum(np.abs(target) - lam, 0.0), 0.0)
     assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
@@ -99,7 +99,7 @@ def test_update_abundances_zero_l1_is_projected_ridge():
     y = rng.uniform(0, 1, size=(6, 9))
     phi = rng.uniform(0, 1, size=(6, 2))
     d = np.array([0.3, 0.7])
-    out = update_abundances(y, phi, d, 0.0)
+    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, d)
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10)
 
@@ -108,7 +108,7 @@ def test_update_abundances_reports_bad_pivot():
     y = np.ones((4, 5))
     phi = np.ones((4, 2))  # duplicate columns, singular normal matrix
     with pytest.raises(np.linalg.LinAlgError) as err:
-        update_abundances(y, phi, np.zeros(2), 0.0)
+        update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros(2))
     assert "abundance update" in str(err.value)
     assert "smallest pivot" in str(err.value)
 
@@ -118,16 +118,18 @@ def test_update_endmembers_solves_the_newton_system():
     y = rng.uniform(0, 1, size=(7, 10))
     w = rng.uniform(0, 1, size=(10, 3))
     d = rng.uniform(0.05, 0.5, size=3)
-    out = update_endmembers(y, w, d)
+    out = update_endmembers(Objective(y, 1.0, 0.0, 1.0), w, d)
     target = np.linalg.solve(w.T @ w + np.diag(d), w.T @ y.T).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10, atol=1e-12)
 
 
 def test_update_endmembers_shape_checks():
     with pytest.raises(ValueError, match="expected K="):
-        update_endmembers(np.ones((4, 5)), np.ones((6, 2)), np.ones(2))
+        update_endmembers(Objective(np.ones((4, 5)), 1.0, 0.0, 1.0), np.ones((6, 2)),
+                          np.ones(2))
     with pytest.raises(ValueError, match="expected L="):
-        update_abundances(np.ones((4, 5)), np.ones((3, 2)), np.ones(2), 0.0)
+        update_abundances(Objective(np.ones((4, 5)), 1.0, 0.0, 1.0), np.ones((3, 2)),
+                          np.ones(2))
 
 
 def test_extrapolate_blends():
@@ -154,7 +156,7 @@ def _search_setup(seed=12):
 def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
     d = update_penalty_diag(phi, w, 0.2, 0.1)
-    cand = update_abundances(y, phi, d, 0.01)
+    cand = update_abundances(obj, phi, d)
     accepted, beta, cost = line_search(obj, phi, w, cand, "w", config)
     assert beta == 1.0
     assert np.array_equal(accepted, cand)
@@ -188,7 +190,7 @@ def test_line_search_beta_zero_on_hopeless_candidate():
 def test_line_search_searches_the_named_block():
     y, phi, w, obj, config = _search_setup()
     d = update_penalty_diag(phi, w, 0.2, 0.1)
-    cand = update_endmembers(y, w, d)
+    cand = update_endmembers(obj, w, d)
     accepted, beta, cost = line_search(obj, phi, w, cand, "phi", config)
     assert accepted.shape == phi.shape
     assert cost <= obj.total(phi, w)
