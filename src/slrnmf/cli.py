@@ -215,17 +215,22 @@ def _merge_config(args):
 def _do_unmix(y, config, init, out_dir, height=None, width=None,
               extra_report=None):
     l, k = y.shape
-    if init == "vca":
-        phi0 = initializers.init_vca(y, config.r, config.seed)
-        w0 = initializers.nnls_abundances(y, phi0)
-    else:
-        phi0, w0 = initializers.init_uniform(l, k, config.r, config.seed)
-    phi, w, report = solver.solve(y, phi0, w0, config)
-    values = io.report_values(report)
-    values["config.init"] = init
-    if extra_report:
-        values.update(extra_report)
-    paths = io.save_results(phi, w, values, out_dir, height=height, width=width)
+    try:
+        if init == "vca":
+            phi0 = initializers.init_vca(y, config.r, config.seed)
+            w0 = initializers.nnls_abundances(y, phi0)
+        else:
+            phi0, w0 = initializers.init_uniform(l, k, config.r, config.seed)
+        phi, w, report = solver.solve(y, phi0, w0, config)
+        values = io.report_values(report)
+        values["config.init"] = init
+        if extra_report:
+            values.update(extra_report)
+        paths = io.save_results(phi, w, values, out_dir, height=height, width=width)
+    except ValueError as exc:
+        # input-contract violations; numerical failures arrive as
+        # solver.SolverDiverged, an ArithmeticError, and exit 1
+        raise ValidationError(str(exc)) from None
     return phi, w, report, paths
 
 
@@ -248,15 +253,9 @@ def cmd_unmix(args):
         raise ValidationError(
             "--height * --width = %d does not match %d pixels"
             % (args.height * args.width, y.shape[1]))
-    try:
-        phi, w, report, paths = _do_unmix(
-            y, config, init, args.out_dir, height=args.height, width=args.width,
-            extra_report={"config.clamp_negatives": clamp})
-    except np.linalg.LinAlgError:
-        raise  # a numerical failure, not bad input
-    except ValueError as exc:
-        # remaining ValueErrors here are input-contract violations
-        raise ValidationError(str(exc)) from None
+    phi, w, report, paths = _do_unmix(
+        y, config, init, args.out_dir, height=args.height, width=args.width,
+        extra_report={"config.clamp_negatives": clamp})
     print("input: %d x %d (bands x pixels)" % y.shape)
     print("estimated number of endmembers: %d (from r = %d)"
           % (report.final_effective_rank, report.config.r))

@@ -72,6 +72,11 @@ def _as_diag(d, r):
     return d
 
 
+def _column_dots(a, b):
+    """Per-column inner products <a_i, b_i>, without a full-size temporary."""
+    return np.einsum("ij,ij->j", a, b)
+
+
 def _column_energy(phi, w):
     """Per-column ||phi_i||^2 + ||w_i||^2, the squared joint column energies."""
     return (phi * phi).sum(axis=0) + (w * w).sum(axis=0)
@@ -101,6 +106,16 @@ def cost_total(y, phi, w, delta, lambda1, eta):
     return Objective(y, delta, lambda1, eta).total(phi, w)
 
 
+def _fit_gradient(x, gram, cross):
+    """X P - C, the gradient of 0.5 * ||Y - Phi W^T||_F^2 in the block X.
+
+    P is the Gram matrix of the other block and C the product of Y with
+    it, oriented like X: P = Phi^T Phi and C = Y^T Phi for X = W;
+    P = W^T W and C = Y W for X = Phi.
+    """
+    return x @ gram - cross
+
+
 def grad_w(y, phi, w, d):
     """Gradient of the smooth cost with respect to ``w``.
 
@@ -110,14 +125,14 @@ def grad_w(y, phi, w, d):
     """
     y, phi, w = _validated(y, phi, w)
     d = _as_diag(d, phi.shape[1])
-    return w @ (phi.T @ phi) - y.T @ phi + w * d
+    return _fit_gradient(w, phi.T @ phi, y.T @ phi) + w * d
 
 
 def grad_phi(y, phi, w, d):
     """Gradient of the smooth cost with respect to ``phi`` (mirror of grad_w)."""
     y, phi, w = _validated(y, phi, w)
     d = _as_diag(d, phi.shape[1])
-    return phi @ (w.T @ w) - y @ w + phi * d
+    return _fit_gradient(phi, w.T @ w, y @ w) + phi * d
 
 
 class Objective:
@@ -151,3 +166,66 @@ class Objective:
         fit = 0.5 * float(np.vdot(resid, resid))
         penalty = float(np.sum(np.sqrt(_column_energy(phi, w) + self.eta * self.eta)))
         return fit + self.delta * penalty + self.lambda1 * float(np.abs(w).sum())
+
+    def change_along(self, phi, w, candidate, which, cross):
+        """Cost change f(beta) = total(X + beta*S) - total(X) along one block.
+
+        X is the block named by ``which`` (``"w"`` or ``"phi"``), S =
+        ``candidate`` - X, and the other block F stays fixed.  ``cross`` is
+        the product of Y with F, oriented like X (Y^T Phi for ``w``, Y W
+        for ``phi``), which the block's Newton step has already formed.
+        X and ``candidate`` must be nonnegative.  Setting up costs
+        O((L + K) r^2); the returned function of beta in (0, 1] costs
+        O(r) per call and allocates nothing of size L-by-K::
+
+            f(beta) = beta <G, S> + beta^2 / 2 <S P, S>   (= <P, S^T S>)
+                      + lambda1 beta sum(S)                  (w block only)
+                      + delta sum_i n_i / (sqrt(e_i + n_i) + sqrt(e_i))
+
+        with P = F^T F, G = X P - C the fit gradient, e_i = ||phi_i||^2 +
+        ||w_i||^2 + eta^2 at X, and n_i = beta a_i + beta^2 b_i, a_i =
+        2 <x_i, s_i>, b_i = ||s_i||^2.  The L1 term is exact because both
+        endpoints are nonnegative.  e_i + n_i, the energy at the trial,
+        is summed as ||f_i||^2 + eta^2 + (1 - beta)^2 ||x_i||^2
+        + 2 beta (1 - beta) <x_i, c_i> + beta^2 ||c_i||^2, all terms
+        nonnegative, so it keeps full relative precision even when a
+        column collapses to zero.
+
+        Precision: each term of f multiplies the step S by quantities at
+        X, so f rounds at about n eps times the magnitude of its own terms
+        (n = L + r for ``w``, K + r for ``phi``: the inner dimensions of
+        the products behind C and G), which shrinks with the step and does
+        not grow with the cost.  The direct difference of two ``total``
+        calls rounds at the scale of the costs: about eps (|total| +
+        (r + 1) ||R|| (||Y|| + ||Phi W^T||)) per call, R = Y - Phi W^T.
+        The expanded fit ||Y||^2 - 2 tr(Phi^T Y W) + tr(Phi^T Phi W^T W)
+        would round at eps ||Y||^2, which at sigma = 1e-3 exceeds the
+        line search's 1e-12 relative accept slack; it is not used.  The
+        tests bound |f - direct difference| by the sum of the first two
+        scales.  A cost reported as baseline + f(beta) adds one rounding
+        at eps |cost| per accepted step.
+        """
+        x, fixed = (w, phi) if which == "w" else (phi, w)
+        step = candidate - x
+        gram = fixed.T @ fixed
+        slope = float(np.vdot(_fit_gradient(x, gram, cross), step))
+        if which == "w":
+            slope += self.lambda1 * float(step.sum())
+        step_gram = step.T @ step
+        curvature = 0.5 * float(np.vdot(step_gram, gram))
+        rest = _column_dots(fixed, fixed) + self.eta * self.eta
+        xx = _column_dots(x, x)
+        xc = _column_dots(x, candidate)
+        cc = _column_dots(candidate, candidate)
+        root = np.sqrt(rest + xx)
+        a = 2.0 * _column_dots(x, step)
+        b = np.diagonal(step_gram)
+        delta = self.delta
+
+        def change(beta):
+            keep = 1.0 - beta
+            trial = rest + keep * keep * xx + 2.0 * beta * keep * xc + beta * beta * cc
+            group = np.sum((beta * a + beta * beta * b) / (np.sqrt(trial) + root))
+            return beta * slope + beta * beta * curvature + delta * float(group)
+
+        return change

@@ -7,8 +7,14 @@ One outer iteration does:
 2. backtracked extrapolation toward that target until the total cost
    stops increasing,
 3. endmember block: same Newton-target construction without the
-   soft-threshold,
+   soft-threshold, and the same backtracking,
 4. refresh of the penalty diagonal from the accepted iterates.
+
+The backtracking never forms a residual: each block step hands its
+product of Y with the fixed block to the line search, which prices every
+trial from r-sized Gram terms (:meth:`Objective.change_along`).  The
+full cost is evaluated once per solve, at the initial iterate; every
+reported cost after it is the previous one plus the accepted change.
 
 Columns of (phi, w) whose joint energy collapses below a relative
 tolerance are reported as pruned; the survivor count is the estimated
@@ -158,7 +164,11 @@ class SolverReport:
 
 
 class SolverDiverged(ArithmeticError):
-    """Raised when a non-finite cost is encountered; carries the partial report."""
+    """Raised when the iteration breaks down numerically; carries the partial report.
+
+    Raised for a non-finite cost and for a block step whose normal matrix
+    is not positive definite (the ``LinAlgError`` is chained as the cause).
+    """
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -218,7 +228,8 @@ def update_abundances(objective, phi_hat, d_hat):
     Newton target, transposes to K-by-r, soft-thresholds at
     ``objective.lambda1`` and projects onto the nonnegative orthant.  The
     r-by-r system is solved by a Cholesky factorization, never an
-    explicit inverse.
+    explicit inverse.  Returns the candidate and the product Y^T Phi
+    (K-by-r) it formed, which :func:`line_search` reuses.
     """
     y = objective.y
     phi = as_matrix(phi_hat, "phi_hat")
@@ -228,15 +239,18 @@ def update_abundances(objective, phi_hat, d_hat):
     d = _as_diag(d_hat, phi.shape[1])
     a = phi.T @ phi
     a[np.diag_indices_from(a)] += d
-    x = _spd_solve(a, phi.T @ y, "abundance update")
-    return project_nonneg(soft_threshold(x.T, objective.lambda1))
+    cross = phi.T @ y
+    x = _spd_solve(a, cross, "abundance update")
+    return project_nonneg(soft_threshold(x.T, objective.lambda1)), cross.T
 
 
 def update_endmembers(objective, w_hat, d_hat):
     """One Newton step for the endmember block, projected onto the orthant.
 
     Solves (W^T W + D) X = W^T Y^T, with ``Y`` the already validated
-    ``objective.y``, and transposes back to L-by-r.
+    ``objective.y``, and transposes back to L-by-r.  Returns the
+    candidate and the product Y W (L-by-r) it formed, which
+    :func:`line_search` reuses.
     """
     y = objective.y
     w = as_matrix(w_hat, "w_hat")
@@ -246,8 +260,9 @@ def update_endmembers(objective, w_hat, d_hat):
     d = _as_diag(d_hat, w.shape[1])
     a = w.T @ w
     a[np.diag_indices_from(a)] += d
-    x = _spd_solve(a, (y @ w).T, "endmember update")
-    return project_nonneg(x.T)
+    cross = y @ w
+    x = _spd_solve(a, cross.T, "endmember update")
+    return project_nonneg(x.T), cross
 
 
 def extrapolate(prev, candidate, beta):
@@ -260,15 +275,19 @@ def extrapolate(prev, candidate, beta):
     return prev + beta * (candidate - prev)
 
 
-def line_search(objective, phi_hat, w_hat, candidate, which, config,
+def line_search(objective, phi_hat, w_hat, candidate, cross, which, config,
                 baseline_cost=None):
     """Backtrack over extrapolation weights until the cost stops increasing.
 
     Tries beta in {beta_init, beta_init*shrink, ...} (at most
     ``max_backtracks`` trials) and accepts the first (largest) one whose
-    total cost does not exceed the baseline, up to a relative slack of
-    1e-12.  If no trial is accepted the unchanged block is returned with
-    ``beta = 0.0``.
+    cost change f(beta) = cost(X + beta*(candidate - X)) - cost(X) is at
+    most 1e-12 times the baseline's magnitude.  f is priced in closed
+    form by :meth:`Objective.change_along`: its coefficients are built
+    once per search from r-sized Gram terms, after which each trial costs
+    O(r) and no L-by-K residual is formed.  The accepted cost is reported
+    as ``baseline_cost + f(beta)``.  If no trial is accepted the
+    unchanged block is returned with ``beta = 0.0``.
 
     Parameters
     ----------
@@ -277,7 +296,11 @@ def line_search(objective, phi_hat, w_hat, candidate, which, config,
     phi_hat, w_hat : arrays
         Current iterates; the block not being searched is held fixed.
     candidate : array
-        Proposed iterate for the searched block.
+        Proposed nonnegative iterate for the searched block.
+    cross : array
+        Product of Y with the fixed block, oriented like the searched
+        block (Y^T phi_hat for ``"w"``, Y w_hat for ``"phi"``), as
+        returned by the block step.
     which : {"w", "phi"}
         Which block ``candidate`` replaces.
     baseline_cost : float, optional
@@ -292,16 +315,13 @@ def line_search(objective, phi_hat, w_hat, candidate, which, config,
     prev = w_hat if which == "w" else phi_hat
     if baseline_cost is None:
         baseline_cost = objective.total(phi_hat, w_hat)
-    bound = baseline_cost + _ACCEPT_SLACK * abs(baseline_cost)
+    change = objective.change_along(phi_hat, w_hat, candidate, which, cross)
+    slack = _ACCEPT_SLACK * abs(baseline_cost)
     beta = float(config.beta_init)
     for _ in range(config.max_backtracks):
-        trial = extrapolate(prev, candidate, beta)
-        if which == "w":
-            cost = objective.total(phi_hat, trial)
-        else:
-            cost = objective.total(trial, w_hat)
-        if cost <= bound:
-            return trial, beta, cost
+        gain = change(beta)
+        if gain <= slack:
+            return extrapolate(prev, candidate, beta), beta, baseline_cost + gain
         beta *= config.shrink
     return prev, 0.0, baseline_cost
 
@@ -413,19 +433,27 @@ def solve(y, init_phi, init_w, config, callback=None):
             wall_time=time.perf_counter() - t0,
         )
 
+    def diverged(message):
+        _, report = build_report()
+        return SolverDiverged(message, report)
+
     for k in range(1, config.max_iter + 1):
-        w_cand = update_abundances(objective, phi, d)
+        try:
+            w_cand, cross = update_abundances(objective, phi, d)
+        except np.linalg.LinAlgError as exc:
+            raise diverged("%s at iteration %d" % (exc, k)) from exc
         w, beta_w, cost_after_w = line_search(
-            objective, phi, w, w_cand, "w", config, cost_prev)
-        phi_cand = update_endmembers(objective, w, d)
+            objective, phi, w, w_cand, cross, "w", config, cost_prev)
+        try:
+            phi_cand, cross = update_endmembers(objective, w, d)
+        except np.linalg.LinAlgError as exc:
+            raise diverged("%s at iteration %d" % (exc, k)) from exc
         phi, beta_phi, cost_k = line_search(
-            objective, phi, w, phi_cand, "phi", config, cost_after_w)
+            objective, phi, w, phi_cand, cross, "phi", config, cost_after_w)
         d = update_penalty_diag(phi, w, config.delta, config.eta)
 
         if not np.isfinite(cost_k):
-            _, report = build_report()
-            raise SolverDiverged(
-                "non-finite cost %r at iteration %d" % (cost_k, k), report)
+            raise diverged("non-finite cost %r at iteration %d" % (cost_k, k))
 
         _, eff = prune_and_report_rank(phi, w, config.prune_tol)
         cost_trace.append(cost_k)

@@ -40,6 +40,31 @@ def naive_cost_total(y, phi, w, delta, lambda1, eta):
     return naive_cost_smooth(y, phi, w, delta, eta) + lambda1 * extra
 
 
+def direct_line_search(objective, phi_hat, w_hat, candidate, cross, which,
+                       config, baseline_cost=None):
+    """The backtracking line search priced directly: one full cost per trial.
+
+    Same schedule, accept rule (relative slack 1e-12) and blend as
+    ``slrnmf.solver.line_search``, with the same signature; ``cross`` is
+    not used.
+    """
+    prev = w_hat if which == "w" else phi_hat
+    if baseline_cost is None:
+        baseline_cost = objective.total(phi_hat, w_hat)
+    bound = baseline_cost + 1e-12 * abs(baseline_cost)
+    beta = float(config.beta_init)
+    for _ in range(config.max_backtracks):
+        trial = candidate if beta == 1.0 else prev + beta * (candidate - prev)
+        if which == "w":
+            cost = objective.total(phi_hat, trial)
+        else:
+            cost = objective.total(trial, w_hat)
+        if cost <= bound:
+            return trial, beta, cost
+        beta *= config.shrink
+    return prev, 0.0, baseline_cost
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central finite differences of a scalar function, entry by entry."""
     x = np.asarray(x, dtype=np.float64)

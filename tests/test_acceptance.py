@@ -193,13 +193,13 @@ def test_block_updates_near_subproblem_oracles():
         d = update_penalty_diag(phi_hat, w_hat, delta, eta)
 
         objective = Objective(y, 1.0, lam, 1.0)
-        w_step = update_abundances(objective, phi_hat, d)
+        w_step, _ = update_abundances(objective, phi_hat, d)
         m_step = oracles.subproblem_w_value(y, phi_hat, d, lam, w_step)
         m_opt = oracles.subproblem_w_value(
             y, phi_hat, d, lam, oracles.cd_w_oracle(y, phi_hat, d, lam))
         worst_w = max(worst_w, m_step / m_opt)
 
-        phi_step = update_endmembers(objective, w_hat, d)
+        phi_step, _ = update_endmembers(objective, w_hat, d)
         p_step = oracles.subproblem_phi_value(y, w_hat, d, phi_step)
         p_opt = oracles.subproblem_phi_value(
             y, w_hat, d, oracles.pg_phi_oracle(y, w_hat, d))

@@ -279,6 +279,9 @@ def test_repro_sim_validates(tmp_path):
                 "--out-dir", str(tmp_path / "x")]) == 2
     assert run(["repro-sim", "--density", "1.5",
                 "--out-dir", str(tmp_path / "x")]) == 2
+    # an input error found by the library, inside the seed loop
+    assert run(["repro-sim", "--n-seeds", "1", "--K", "100", "--init", "vca",
+                "--r", "150", "--out-dir", str(tmp_path / "x")]) == 2
 
 
 def test_runtime_failure_exits_one(tmp_path):

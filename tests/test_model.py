@@ -16,7 +16,18 @@ from slrnmf.model import (
     grad_w,
     joint_column_norms,
 )
-from slrnmf.solver import update_penalty_diag
+from slrnmf.initializers import init_uniform
+from slrnmf.solver import (
+    SolverConfig,
+    extrapolate,
+    solve,
+    update_abundances,
+    update_endmembers,
+    update_penalty_diag,
+)
+from slrnmf.synth import simulate
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_instance(seed, l=7, k=9, r=3, negative=False):
@@ -152,3 +163,86 @@ def test_objective_validates_weights():
         Objective(y, 0.0, -0.1, 0.1)
     with pytest.raises(ValueError, match="eta"):
         Objective(y, 0.0, 0.0, 0.0)
+
+
+def _total_rounding_scale(obj, phi, w):
+    """Absolute rounding scale of ``obj.total(phi, w)``.
+
+    Each residual entry carries an error of about (r + 1) eps (|Y| +
+    Phi W^T), so the fit rounds at (r + 1) eps ||R|| (||Y|| + ||Phi W^T||);
+    the sums round at eps |total|.
+    """
+    fit = phi @ w.T
+    return (abs(obj.total(phi, w)) + (phi.shape[1] + 1)
+            * np.linalg.norm(obj.y - fit)
+            * (np.linalg.norm(obj.y) + np.linalg.norm(fit)))
+
+
+def _worst_change_error(obj, phi, w, d, collapse=False):
+    """Largest |f(beta) - (total(trial) - total(base))| over both blocks and
+    the backtracking schedule, in units of the bound the precision argument
+    of ``Objective.change_along`` gives: eps times the two totals' rounding
+    scales plus n times the magnitude of f's own terms, n the inner
+    dimension of the products they come from."""
+    worst = 0.0
+    energy = (phi * phi).sum(axis=0) + (w * w).sum(axis=0) + obj.eta ** 2
+    base = obj.total(phi, w)
+    base_scale = _total_rounding_scale(obj, phi, w)
+    for which in ("w", "phi"):
+        x, fixed = (w, phi) if which == "w" else (phi, w)
+        if which == "w":
+            cand, cross = update_abundances(obj, phi, d)
+        else:
+            cand, cross = update_endmembers(obj, w, d)
+        if collapse:
+            cand = cand.copy()
+            cand[:, 0] = 0.0
+        change = obj.change_along(phi, w, cand, which, cross)
+        step = np.abs(cand - x)
+        gram = fixed.T @ fixed
+        a = np.abs(2.0 * (x * (cand - x)).sum(axis=0))
+        b = (step * step).sum(axis=0)
+        for k in range(20):
+            beta = 0.5 ** k
+            trial = extrapolate(x, cand, beta)
+            pair = (phi, trial) if which == "w" else (trial, w)
+            direct = obj.total(*pair) - base
+            terms = (beta * np.vdot(x @ gram + np.abs(cross), step)
+                     + beta * beta * np.vdot(step @ gram, step)
+                     + obj.lambda1 * beta * step.sum()
+                     + obj.delta * ((beta * a + beta * beta * b)
+                                    / np.sqrt(energy)).sum())
+            bound = EPS * (base_scale + _total_rounding_scale(obj, *pair)
+                           + sum(fixed.shape) * terms)
+            worst = max(worst, abs(change(beta) - direct) / bound)
+    return worst
+
+
+def test_change_along_matches_direct_difference():
+    worst = 0.0
+    for t in range(50):
+        rng = np.random.default_rng(3000 + t)
+        l, k, r = (int(rng.integers(5, 30)), int(rng.integers(6, 50)),
+                   int(rng.integers(2, 7)))
+        y = rng.uniform(0, 1, (l, k))
+        phi = rng.uniform(0, 1, (l, r))
+        w = rng.uniform(0, 1, (k, r))
+        obj = Objective(y, rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.05),
+                        rng.uniform(0.01, 0.3))
+        d = update_penalty_diag(phi, w, obj.delta, obj.eta)
+        worst = max(worst, _worst_change_error(obj, phi, w, d, collapse=t % 2 == 0))
+    assert worst <= 1.0, worst
+
+
+def test_change_along_matches_direct_difference_at_protocol_scale():
+    # sigma = 1e-3: the fit is ~1e-4 of the cost; the last iterate is
+    # near-stationary, where f is tiny and the direct difference is noise.
+    y, _ = simulate(l=224, k=500, n=4, density=0.3, sigma=1e-3, seed=0)
+    phi0, w0 = init_uniform(224, 500, 10, seed=0)
+    states = []
+    _, _, report = solve(y, phi0, w0, SolverConfig(r=10, seed=0),
+                         callback=states.append)
+    c = report.config
+    obj = Objective(y, c.delta, c.lambda1, c.eta)
+    for s in (states[0], states[len(states) // 2], states[-1]):
+        assert _worst_change_error(obj, s.phi_hat, s.w_hat, s.d_hat) <= 1.0, s.k

@@ -1,19 +1,28 @@
 """End-to-end behavior of the alternating solver on small instances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 import slrnmf.solver
-from slrnmf.initializers import init_uniform
+from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
 from slrnmf.metrics import match_columns
+from slrnmf.model import Objective
 from slrnmf.solver import (
     DEFAULT_DELTA,
     DEFAULT_LAMBDA1,
     SolverConfig,
     SolverDiverged,
+    line_search,
     solve,
+    update_abundances,
+    update_endmembers,
+    update_penalty_diag,
+    with_defaults,
 )
+from slrnmf.synth import simulate
 
 TINY = SolverConfig(r=4, delta=0.1, lambda1=0.005, eta=0.05,
                     max_iter=3000, tol_rel_cost=1e-10)
@@ -168,11 +177,7 @@ def test_divergence_raises_with_partial_report(monkeypatch):
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
 
-    class BrokenObjective:
-        def __init__(self, y, delta, lambda1, eta):
-            self.y = y
-            self.lambda1 = lambda1
-
+    class BrokenObjective(Objective):
         def total(self, phi, w):
             return float("-inf")
 
@@ -206,3 +211,89 @@ def test_loop_does_not_rescan_y(monkeypatch):
         assert report.iterations == max_iter
         y_scans.append(names.count("y"))
     assert y_scans[0] == y_scans[1]
+
+
+def test_block_step_failure_raises_diverged_with_partial_report():
+    # delta = 0 and a zero endmember column: Phi^T Phi + D is singular.
+    phi_t, w_t = tiny_truth(0)
+    y = phi_t @ w_t.T
+    phi0, w0 = init_uniform(6, 8, 4, 0)
+    phi0[:, 1] = 0.0
+    config = SolverConfig(r=4, delta=0.0, lambda1=0.005, eta=0.05)
+    with pytest.raises(SolverDiverged) as err:
+        solve(y, phi0, w0, config)
+    assert "normal matrix is not positive definite" in str(err.value)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+    assert err.value.report is not None
+    assert err.value.report.iterations == 0
+
+
+def protocol_scene(kind, seed):
+    """Scene, initial factors and config of one acceptance protocol, or a
+    small scene with a dead endmember column ("dead-column")."""
+    if kind == "uniform":
+        y, _ = simulate(l=224, k=500, n=4, density=0.3, sigma=1e-3, seed=seed)
+        phi0, w0 = init_uniform(224, 500, 10, seed=seed)
+        return y, phi0, w0, SolverConfig(r=10, seed=seed)
+    if kind == "vca":
+        y, _ = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3, seed=seed)
+        phi0 = init_vca(y, 8, seed=seed)
+        return y, phi0, nnls_abundances(y, phi0), SolverConfig(r=8, seed=seed)
+    # A zero endmember column at a tiny eta: when its abundance column
+    # collapses, the column's energy falls from ||w_i||^2 to eta^2 = 1e-18.
+    y = np.random.default_rng(1 + seed).uniform(0, 1, (6, 8))
+    phi0, w0 = init_uniform(6, 8, 4, seed)
+    phi0[:, 1] = 0.0
+    return y, phi0, w0, SolverConfig(r=4, delta=0.5, lambda1=0.05, eta=1e-9,
+                                     max_iter=50)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "vca", "dead-column"])
+def test_closed_form_search_matches_direct_form(monkeypatch, kind):
+    y, phi0, w0, config = protocol_scene(kind, 0)
+    phi_a, w_a, rep_a = solve(y, phi0, w0, config)
+    monkeypatch.setattr(slrnmf.solver, "line_search", oracles.direct_line_search)
+    phi_b, w_b, rep_b = solve(y, phi0, w0, config)
+    assert rep_a.iterations == rep_b.iterations
+    assert np.array_equal(rep_a.beta_w_trace, rep_b.beta_w_trace)
+    assert np.array_equal(rep_a.beta_phi_trace, rep_b.beta_phi_trace)
+    assert np.array_equal(phi_a, phi_b)
+    assert np.array_equal(w_a, w_b)
+    assert rep_a.final_cost == pytest.approx(rep_b.final_cost, rel=1e-10)
+
+
+def test_full_cost_is_evaluated_once_per_solve(monkeypatch):
+    phi_t, w_t = tiny_truth(0)
+    y = phi_t @ w_t.T
+    phi0, w0 = init_uniform(6, 8, 4, 0)
+    total = Objective.total
+    calls = []
+
+    def counting_total(self, phi, w):
+        calls.append(1)
+        return total(self, phi, w)
+
+    monkeypatch.setattr(Objective, "total", counting_total)
+    config = SolverConfig(r=4, delta=0.1, lambda1=0.005, eta=0.05,
+                          max_iter=20, tol_rel_cost=0.0)
+    _, _, report = solve(y, phi0, w0, config)
+    assert report.iterations == 20
+    assert len(calls) == 1
+
+
+def test_line_search_allocates_no_residual():
+    y, phi, w, config = protocol_scene("uniform", 0)
+    config = with_defaults(config, y)
+    obj = Objective(y, config.delta, config.lambda1, config.eta)
+    d = update_penalty_diag(phi, w, config.delta, config.eta)
+    baseline = obj.total(phi, w)
+    steps = {"w": update_abundances(obj, phi, d),
+             "phi": update_endmembers(obj, w, d)}
+    for which, (cand, cross) in steps.items():
+        tracemalloc.start()
+        try:
+            line_search(obj, phi, w, cand, cross, which, config, baseline)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * y.nbytes, (which, peak / y.nbytes)

@@ -87,7 +87,7 @@ def test_update_abundances_solves_the_newton_system():
     phi = rng.uniform(0, 1, size=(8, 3))
     d = rng.uniform(0.1, 1.0, size=3)
     lam = 0.02
-    out = update_abundances(Objective(y, 1.0, lam, 1.0), phi, d)
+    out, _ = update_abundances(Objective(y, 1.0, lam, 1.0), phi, d)
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     expected = np.maximum(np.sign(target) * np.maximum(np.abs(target) - lam, 0.0), 0.0)
     assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
@@ -99,7 +99,7 @@ def test_update_abundances_zero_l1_is_projected_ridge():
     y = rng.uniform(0, 1, size=(6, 9))
     phi = rng.uniform(0, 1, size=(6, 2))
     d = np.array([0.3, 0.7])
-    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, d)
+    out, _ = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, d)
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10)
 
@@ -118,7 +118,7 @@ def test_update_endmembers_solves_the_newton_system():
     y = rng.uniform(0, 1, size=(7, 10))
     w = rng.uniform(0, 1, size=(10, 3))
     d = rng.uniform(0.05, 0.5, size=3)
-    out = update_endmembers(Objective(y, 1.0, 0.0, 1.0), w, d)
+    out, _ = update_endmembers(Objective(y, 1.0, 0.0, 1.0), w, d)
     target = np.linalg.solve(w.T @ w + np.diag(d), w.T @ y.T).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10, atol=1e-12)
 
@@ -156,8 +156,8 @@ def _search_setup(seed=12):
 def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
     d = update_penalty_diag(phi, w, 0.2, 0.1)
-    cand = update_abundances(obj, phi, d)
-    accepted, beta, cost = line_search(obj, phi, w, cand, "w", config)
+    cand, cross = update_abundances(obj, phi, d)
+    accepted, beta, cost = line_search(obj, phi, w, cand, cross, "w", config)
     assert beta == 1.0
     assert np.array_equal(accepted, cand)
     assert cost == pytest.approx(obj.total(phi, cand), rel=1e-14)
@@ -168,7 +168,7 @@ def test_line_search_backs_off_or_stalls_on_bad_candidate():
     y, phi, w, obj, config = _search_setup()
     baseline = obj.total(phi, w)
     bad = w + 100.0  # big uphill move
-    accepted, beta, cost = line_search(obj, phi, w, bad, "w", config)
+    accepted, beta, cost = line_search(obj, phi, w, bad, y.T @ phi, "w", config)
     assert cost <= baseline * (1 + 1e-12)
     if beta == 0.0:
         assert accepted is w
@@ -181,7 +181,7 @@ def test_line_search_beta_zero_on_hopeless_candidate():
     y, phi, w, obj, config = _search_setup()
     # So large that every shrunken blend is still uphill.
     bad = w + 1e9
-    accepted, beta, cost = line_search(obj, phi, w, bad, "w", config)
+    accepted, beta, cost = line_search(obj, phi, w, bad, y.T @ phi, "w", config)
     assert beta == 0.0
     assert accepted is w
     assert cost == obj.total(phi, w)
@@ -190,12 +190,12 @@ def test_line_search_beta_zero_on_hopeless_candidate():
 def test_line_search_searches_the_named_block():
     y, phi, w, obj, config = _search_setup()
     d = update_penalty_diag(phi, w, 0.2, 0.1)
-    cand = update_endmembers(obj, w, d)
-    accepted, beta, cost = line_search(obj, phi, w, cand, "phi", config)
+    cand, cross = update_endmembers(obj, w, d)
+    accepted, beta, cost = line_search(obj, phi, w, cand, cross, "phi", config)
     assert accepted.shape == phi.shape
     assert cost <= obj.total(phi, w)
     with pytest.raises(ValueError, match="which"):
-        line_search(obj, phi, w, cand, "nope", config)
+        line_search(obj, phi, w, cand, cross, "nope", config)
 
 
 def test_prune_keeps_columns_above_relative_cutoff():
