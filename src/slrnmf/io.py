@@ -8,6 +8,7 @@ PGM (P2, 16-bit) so they can be inspected without imaging libraries.
 """
 
 import dataclasses
+import itertools
 import os
 
 import numpy as np
@@ -35,6 +36,13 @@ PGM_MAXVAL = 65535
 def load_matrix(path, layout="bands-by-pixels", delimiter=",", header=False):
     """Parse a delimited numeric text file into a bands-by-pixels matrix.
 
+    Tokens are whatever Python's ``float`` accepts after stripping
+    surrounding whitespace.  The file is parsed by ``np.loadtxt``, which
+    accepts a subset of those tokens and gives bitwise-equal values; any
+    file it rejects, or whose values are not all finite, is parsed again
+    token by token, which accepts the rest or names the offending line
+    and column.
+
     Parameters
     ----------
     path : path-like
@@ -56,18 +64,76 @@ def load_matrix(path, layout="bands-by-pixels", delimiter=",", header=False):
     """
     if layout not in _LAYOUTS:
         raise ValueError("layout must be one of %s, got %r" % (_LAYOUTS, layout))
+    matrix = _parse_numpy(path, delimiter, header)
+    if matrix is None:
+        matrix = _parse_tokens(path, delimiter, header)
+    if layout == "pixels-by-bands":
+        matrix = matrix.T
+    return np.ascontiguousarray(matrix)
+
+
+def _data_lines(fh, header):
+    """(line number, stripped line) for each line that holds values.
+
+    Blank lines and lines starting with '#' are skipped, and so is the
+    first remaining line when ``header`` is set.
+    """
+    skipped_header = not header
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not skipped_header:
+            skipped_header = True
+            continue
+        yield lineno, line
+
+
+def _loadtxt_lines(fh, header):
+    """The data lines for ``np.loadtxt``; a '#' in one raises ValueError.
+
+    '#' is never part of a number, so such a line is the token parser's
+    to report, and ``loadtxt``'s comment rules never come into play.
+    """
+    for _, line in _data_lines(fh, header):
+        if "#" in line:
+            raise ValueError("'#' inside a data line")
+        yield line
+
+
+def _parse_numpy(path, delimiter, header):
+    """The matrix ``np.loadtxt`` reads, or None where it cannot be trusted.
+
+    Streams the data lines without reading the whole file into memory.
+    None means the file needs ``_parse_tokens``: ``loadtxt`` rejected a
+    token or the delimiter (a multi-character one is a TypeError), there
+    were no data lines, or a value is not finite.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _loadtxt_lines(fh, header)
+        try:
+            # Peek so that an empty file never reaches loadtxt, which
+            # warns "input contained no data" instead of raising.
+            first = next(lines, None)
+            if first is None:
+                return None
+            matrix = np.loadtxt(itertools.chain((first,), lines),
+                                delimiter=delimiter, comments=None, ndmin=2,
+                                dtype=np.float64)
+        except (ValueError, TypeError):
+            return None
+    if matrix.size == 0 or not np.isfinite(matrix).all():
+        return None
+    return matrix
+
+
+def _parse_tokens(path, delimiter, header):
+    """Parse token by token with ``float``; errors name line and column."""
     name = str(path)
     rows = []
     width = None
-    skipped_header = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header and not skipped_header:
-                skipped_header = True
-                continue
+        for lineno, line in _data_lines(fh, header):
             values = []
             for col, token in enumerate(line.split(delimiter), start=1):
                 token = token.strip()
@@ -91,10 +157,7 @@ def load_matrix(path, layout="bands-by-pixels", delimiter=",", header=False):
             rows.append(values)
     if not rows:
         raise ValueError("%s: no numeric data" % name)
-    matrix = np.asarray(rows, dtype=np.float64)
-    if layout == "pixels-by-bands":
-        matrix = matrix.T
-    return np.ascontiguousarray(matrix)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_matrix(path, matrix, delimiter=",", comments=()):
@@ -111,9 +174,11 @@ def save_matrix(path, matrix, delimiter=",", comments=()):
         if matrix.size == 0:
             fh.write("# empty matrix: %d rows x %d columns\n" % matrix.shape)
             return
+        # One format string per row; a '%' in the delimiter is literal.
+        fields = ["%.17g"] * matrix.shape[1]
+        line = delimiter.replace("%", "%%").join(fields) + "\n"
         for row in matrix:
-            fh.write(delimiter.join("%.17g" % v for v in row))
-            fh.write("\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def _format_value(value):
@@ -264,9 +329,9 @@ def write_pgm(path, image):
     height, width = image.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("P2\n%d %d\n%d\n" % (width, height, PGM_MAXVAL))
+        line = " ".join(["%d"] * width) + "\n"
         for row in scaled:
-            fh.write(" ".join("%d" % v for v in row))
-            fh.write("\n")
+            fh.write(line % tuple(row.tolist()))
     return lo, hi
 
 

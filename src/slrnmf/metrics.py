@@ -9,7 +9,6 @@ computed after absorbing a per-pair least-squares scalar.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .model import as_matrix
 
@@ -94,6 +93,10 @@ def match_columns(estimated, reference):
                          % (estimated.shape[0], reference.shape[0]))
     if estimated.shape[1] == 0 or reference.shape[1] == 0:
         raise ValueError("cannot match empty matrices")
+    # Imported here, not at module level, so that ``unmix`` (which never
+    # matches columns) does not pay scipy.optimize's import time.
+    import scipy.optimize
+
     angles = _angle_matrix(estimated, reference)
     est_idx, ref_idx = scipy.optimize.linear_sum_assignment(angles)
     order = np.argsort(est_idx)

@@ -103,7 +103,7 @@ def cost_total(y, phi, w, delta, lambda1, eta):
     ``lambda1 = 0`` the result is the smooth part of the objective.
     """
     y, phi, w = _validated(y, phi, w)
-    return Objective(y, delta, lambda1, eta).total(phi, w)
+    return Objective._of_checked(y, delta, lambda1, eta).total(phi, w)
 
 
 def _fit_gradient(x, gram, cross):
@@ -145,7 +145,21 @@ class Objective:
     """
 
     def __init__(self, y, delta, lambda1, eta):
-        self.y = as_matrix(y, "y")
+        self._bind(as_matrix(y, "y"), delta, lambda1, eta)
+
+    @classmethod
+    def _of_checked(cls, y, delta, lambda1, eta):
+        """Bind a ``y`` that :func:`as_matrix` has already returned.
+
+        Skips the constructor's finite-entry scan of ``y``, a full L-by-K
+        pass; the weights are still checked.
+        """
+        objective = cls.__new__(cls)
+        objective._bind(y, delta, lambda1, eta)
+        return objective
+
+    def _bind(self, y, delta, lambda1, eta):
+        self.y = y
         delta = float(delta)
         lambda1 = float(lambda1)
         eta = float(eta)

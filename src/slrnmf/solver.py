@@ -351,9 +351,15 @@ def default_eta(y):
 
 def with_defaults(config, y):
     """Resolve ``None`` hyperparameters; the choices are echoed in reports."""
+    if not config.is_resolved:
+        y = as_matrix(y, "y")
+    return _resolve_defaults(config, y)
+
+
+def _resolve_defaults(config, y):
+    """:func:`with_defaults` for a ``y`` that :func:`as_matrix` returned."""
     if config.is_resolved:
         return config
-    y = as_matrix(y, "y")
     updates = {}
     if config.eta is None:
         updates["eta"] = default_eta(y)
@@ -402,8 +408,10 @@ def solve(y, init_phi, init_w, config, callback=None):
         raise ValueError("init_w has shape %s, expected %s"
                          % (w.shape, (k_pix, config.r)))
 
-    config = with_defaults(config, y)
-    objective = Objective(y, config.delta, config.lambda1, config.eta)
+    # ``y`` was checked above; neither step scans it again.
+    config = _resolve_defaults(config, y)
+    objective = Objective._of_checked(y, config.delta, config.lambda1,
+                                      config.eta)
 
     d = update_penalty_diag(phi, w, config.delta, config.eta)
     cost_prev = objective.total(phi, w)

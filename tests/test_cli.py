@@ -316,3 +316,19 @@ def test_console_entry_point():
     assert proc.returncode == 0
     assert "synth" in proc.stdout
     assert "repro-sim" in proc.stdout
+
+
+def test_unmix_path_does_not_import_scipy_optimize(tmp_path):
+    # Only ``eval`` matches columns; ``unmix`` should not pay for the import.
+    code = "\n".join([
+        "import slrnmf.cli, sys",
+        "assert 'scipy.optimize' not in sys.modules",
+        "out = sys.argv[1]",
+        "assert slrnmf.cli.run(['synth', '--K', '100', '--out-dir', out]) == 0",
+        "assert slrnmf.cli.run(['unmix', '--input', out + '/observations.csv',",
+        "                       '--r', '6', '--out-dir', out + '/fit']) == 0",
+        "assert 'scipy.optimize' not in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

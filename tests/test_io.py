@@ -1,10 +1,13 @@
 """File formats: delimited matrices, key-value reports, PGM maps."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from slrnmf import io
 from slrnmf.io import (
     PGM_MAXVAL,
     load_matrix,
@@ -17,6 +20,7 @@ from slrnmf.io import (
 )
 from slrnmf.initializers import init_uniform
 from slrnmf.solver import SolverConfig, solve
+from slrnmf.synth import default_library_path, simulate
 
 
 def test_matrix_round_trip_is_exact(tmp_path):
@@ -78,6 +82,128 @@ def test_load_rejects_empty(tmp_path):
     path.write_text("# nothing here\n")
     with pytest.raises(ValueError, match="no numeric data"):
         load_matrix(path)
+
+
+# (name, file contents, load_matrix keyword arguments).  Bytes are written
+# as given, so line endings and encodings reach the parser unchanged.
+PARSE_CORPUS = [
+    ("plain", b"1,2,3\n4,5,6\n", {}),
+    ("padded", b" 1 , 2 \n+3,-0\n", {}),
+    ("exponents", b"1e-300,.5,5.,1E3\n4.9e-324,-2.5e17,0,7\n", {}),
+    ("one row", b"1,2,3\n", {}),
+    ("one column", b"1\n2\n3\n", {}),
+    ("header", b"# c\nh1,h2\n1,2\n", {"header": True}),
+    ("comments and blanks", b"# a\n\n1,2\n  \n# b\n3,4\n", {}),
+    ("crlf", b"1,2\r\n3,4\r\n", {}),
+    ("pixels-by-bands", b"1,2,3\n4,5,6\n", {"layout": "pixels-by-bands"}),
+    ("tab", b"1\t2\n3\t 4\n", {"delimiter": "\t"}),
+    ("whitespace runs", b"1  2\n3 4\n", {"delimiter": None}),
+    ("hash delimiter", b"1#2\n3#4\n", {"delimiter": "#"}),
+    ("mid-line hash", b"1,2\n3,4 # note\n", {}),
+    ("trailing delimiter", b"1,2,\n3,4,\n", {}),
+    ("double space", b"1  2\n3  4\n", {"delimiter": " "}),
+    ("two-character delimiter", b"1::2\n3::4\n", {"delimiter": "::"}),
+    ("empty delimiter", b"1,2\n", {"delimiter": ""}),
+    ("underscore", b"1_0,2\n3,4\n", {}),
+    ("arabic-indic digit", "\u0661,2\n3,4\n".encode("utf-8"), {}),
+    ("blank field", b"1, ,2\n", {}),
+    ("quoted", b'"1",2\n', {}),
+    ("hex", b"0x10,2\n", {}),
+    ("nan", b"1,2\nnan,4\n", {}),
+    ("inf", b"1,inf\n", {}),
+    ("Infinity", b"-Infinity,1\n", {}),
+    ("overflow", b"1e400,1\n", {}),
+    ("ragged", b"1,2,3\n4,5\n", {}),
+    ("empty file", b"", {}),
+    ("comment-only", b"# nothing here\n", {}),
+    ("header on comment-only", b"# c\nh1,h2\n", {"header": True}),
+    ("not utf-8", b"1,2\ncaf\xe9,3\n", {}),
+]
+
+
+def _token_reference(path, layout="bands-by-pixels", delimiter=",",
+                     header=False):
+    matrix = io._parse_tokens(path, delimiter, header)
+    if layout == "pixels-by-bands":
+        matrix = matrix.T
+    return np.ascontiguousarray(matrix)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name,data,kwargs", PARSE_CORPUS,
+                         ids=[c[0] for c in PARSE_CORPUS])
+def test_load_matches_token_parser(tmp_path, name, data, kwargs):
+    """The numpy path gives the token parser's bits or its exact error."""
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _outcome(_token_reference, path, **kwargs)
+        got = _outcome(load_matrix, path, **kwargs)
+    _assert_same_outcome(got, want)
+
+
+def test_load_matches_token_parser_on_package_and_synth_files(tmp_path):
+    y, truth = simulate(224, 300, 4, 0.3, 1e-3, 0)
+    save_matrix(tmp_path / "y.csv", y)
+    save_matrix(tmp_path / "w.csv", truth.w_true)
+    paths = [default_library_path(), tmp_path / "y.csv", tmp_path / "w.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            for layout in ("bands-by-pixels", "pixels-by-bands"):
+                # These files take the numpy path, not the fallback.
+                assert io._parse_numpy(path, ",", False) is not None
+                _assert_same_outcome(load_matrix(path, layout=layout),
+                                     _token_reference(path, layout=layout))
+
+
+def test_load_peak_memory_stays_near_result_size(tmp_path):
+    y, _ = simulate(224, 5000, 4, 0.3, 1e-3, 0)
+    path = tmp_path / "y.csv"
+    save_matrix(path, y)
+    del y
+    tracemalloc.start()
+    try:
+        loaded = load_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.shape == (224, 5000)
+    assert peak < 2.0 * loaded.nbytes, peak / loaded.nbytes
+
+
+def _loop_formatted_matrix(matrix, delimiter):
+    return "".join(delimiter.join("%.17g" % v for v in row) + "\n"
+                   for row in matrix)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "%", " %d "])
+def test_save_matrix_bytes_match_per_value_formatting(tmp_path, delimiter):
+    rng = np.random.default_rng(3)
+    m = rng.uniform(-1.0, 1.0, size=(6, 9))
+    m *= 10.0 ** rng.integers(-300, 300, size=(6, 9))
+    m[0, :3] = [0.0, -0.0, 5e-324]
+    path = tmp_path / "m.csv"
+    save_matrix(path, m, delimiter=delimiter)
+    assert path.read_text() == _loop_formatted_matrix(m, delimiter)
 
 
 def test_save_matrix_comments_and_empty(tmp_path):
@@ -164,6 +290,16 @@ def test_write_pgm_constant_image_is_midgray(tmp_path):
     pixels = [int(v) for line in path.read_text().splitlines()[3:]
               for v in line.split()]
     assert set(pixels) == {(PGM_MAXVAL - 1) // 2}
+
+
+def test_write_pgm_bytes_match_per_value_formatting(tmp_path):
+    image = np.random.default_rng(4).uniform(0.0, 1.0, size=(50, 100))
+    path = tmp_path / "m.pgm"
+    write_pgm(path, image)
+    lo = image.min()
+    scaled = np.rint((image - lo) / (image.max() - lo) * PGM_MAXVAL).astype(np.int64)
+    rows = "".join(" ".join("%d" % v for v in row) + "\n" for row in scaled)
+    assert path.read_text() == "P2\n100 50\n%d\n" % PGM_MAXVAL + rows
 
 
 def test_write_pgm_validates(tmp_path):
