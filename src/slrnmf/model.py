@@ -243,3 +243,40 @@ class Objective:
             return beta * slope + beta * beta * curvature + delta * float(group)
 
         return change
+
+    def change_dropping(self, phi, w, dead, cross):
+        """Cost change total(Phi', W') - total(Phi, W) when the columns
+        ``dead`` (a set S) of both blocks are set to zero.
+
+        ``cross`` is Y W_S (L-by-|S|), the product of Y with the dropped
+        abundance columns; ``w`` must be nonnegative.  Costs
+        O((L + K) r |S|) and forms nothing of size L-by-K::
+
+            fit:     tr(Phi_S^T C_S) - <Phi_S^T Phi, W_S^T W>
+                     + 1/2 <Phi_S^T Phi_S, W_S^T W_S>
+            penalty: delta sum_{i in S} (eta - sqrt(e_i + eta^2))
+            l1:      -lambda1 sum(W_S)
+
+        with e_i = ||phi_i||^2 + ||w_i||^2.  The fit term expands
+        1/2 ||R + Phi_S W_S^T||^2 - 1/2 ||R||^2, R = Y - Phi W^T; the
+        penalty term is summed as -e_i / (eta + sqrt(e_i + eta^2)), which
+        keeps full relative precision for e_i far below eta^2 and is exactly
+        0 for a zero column.
+
+        Precision: every term is a product of the dropped columns with
+        quantities at (Phi, W), so the change rounds at about n eps times
+        the magnitude of its own terms (n = L + K + r, the inner dimensions
+        of the products), which vanishes with the dropped columns; the
+        direct difference of two ``total`` calls rounds at the scale of the
+        costs (see :meth:`change_along`).
+        """
+        phi_s = phi[:, dead]
+        w_s = w[:, dead]
+        phi_gram = phi_s.T @ phi
+        w_gram = w_s.T @ w
+        fit = (float(np.vdot(phi_s, cross))
+               - float(np.vdot(phi_gram, w_gram))
+               + 0.5 * float(np.vdot(phi_gram[:, dead], w_gram[:, dead])))
+        energy = _column_energy(phi_s, w_s)
+        penalty = float(np.sum(energy / (self.eta + np.sqrt(energy + self.eta * self.eta))))
+        return fit - self.delta * penalty - self.lambda1 * float(w_s.sum())

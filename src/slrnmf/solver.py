@@ -8,25 +8,32 @@ One outer iteration does:
    stops increasing,
 3. endmember block: same Newton-target construction without the
    soft-threshold, and the same backtracking,
-4. refresh of the penalty diagonal from the accepted iterates.
+4. pruning: column pairs whose joint energy has collapsed below a
+   relative tolerance are dropped,
+5. refresh of the penalty diagonal from the surviving columns.
 
 The backtracking never forms a residual: each block step hands its
 product of Y with the fixed block to the line search, which prices every
 trial from r-sized Gram terms (:meth:`Objective.change_along`).  The
 full cost is evaluated once per solve, at the initial iterate; every
-reported cost after it is the previous one plus the accepted change.
+reported cost after it is the previous one plus the accepted changes.
 
-Columns of (phi, w) whose joint energy collapses below a relative
-tolerance are reported as pruned; the survivor count is the estimated
-number of endmembers.  Pruning is a report-only view while iterating and
-a physical compaction of the returned matrices at termination.
+The survivor count is the estimated number of endmembers.  Pruning also
+runs once on the initial iterate, and a dropped column pair never comes
+back: it counts as exactly zero, where it adds exactly delta * eta to the
+objective and nothing to any gradient, so the block steps and line
+searches work on the surviving columns alone.  Zeroing a pruned column
+that is not yet zero is priced in closed form from r-sized terms
+(:meth:`Objective.change_dropping`).  Reported costs are those of the
+width-r factorization: the working cost plus delta * eta per dropped
+column.
 """
 
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import (
     Objective,
@@ -132,7 +139,9 @@ class SolverState:
     ``d_hat`` the penalty diagonal consistent with them, ``beta_w`` /
     ``beta_phi`` the step weights accepted by the line searches (0.0
     means the block did not move), ``k`` the 1-based iteration counter
-    and ``last_cost`` the total cost at (phi_hat, w_hat).
+    and ``last_cost`` the total cost at (phi_hat, w_hat).  The arrays have
+    all r columns; dropped ones are exactly zero, with ``d_hat`` = delta
+    / eta there.
     """
 
     phi_hat: np.ndarray
@@ -209,16 +218,18 @@ def update_penalty_diag(phi, w, delta, eta):
 
 
 def _spd_solve(a, b, context):
-    """Solve the SPD system a @ x = b by Cholesky; report the bad pivot on failure."""
-    try:
-        cf = scipy.linalg.cho_factor(a, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    """Solve the SPD system a @ x = b by Cholesky; report the bad pivot on failure.
+
+    Calls LAPACK directly: scipy's ``cho_factor``/``cho_solve`` wrappers
+    run the same two routines with tens of microseconds of checks per call.
+    """
+    factor, info = dpotrf(a, lower=0, clean=0)
+    if info:
         pivot = float(np.linalg.eigvalsh(a).min())
         raise np.linalg.LinAlgError(
             "%s: normal matrix is not positive definite (smallest pivot %.6e)"
-            % (context, pivot)
-        ) from exc
-    return scipy.linalg.cho_solve(cf, b, check_finite=False)
+            % (context, pivot))
+    return dpotrs(factor, b, lower=0)[0]
 
 
 def update_abundances(objective, phi_hat, d_hat):
@@ -238,7 +249,7 @@ def update_abundances(objective, phi_hat, d_hat):
                          % (phi.shape[0], y.shape[0]))
     d = _as_diag(d_hat, phi.shape[1])
     a = phi.T @ phi
-    a[np.diag_indices_from(a)] += d
+    a.flat[::a.shape[0] + 1] += d
     cross = phi.T @ y
     x = _spd_solve(a, cross, "abundance update")
     return project_nonneg(soft_threshold(x.T, objective.lambda1)), cross.T
@@ -259,7 +270,7 @@ def update_endmembers(objective, w_hat, d_hat):
                          % (w.shape[0], y.shape[1]))
     d = _as_diag(d_hat, w.shape[1])
     a = w.T @ w
-    a[np.diag_indices_from(a)] += d
+    a.flat[::a.shape[0] + 1] += d
     cross = y @ w
     x = _spd_solve(a, cross.T, "endmember update")
     return project_nonneg(x.T), cross
@@ -343,6 +354,23 @@ def prune_and_report_rank(phi, w, prune_tol):
     return surviving, int(surviving.size)
 
 
+def _drop_pruned(objective, phi, w, cross, prune_tol):
+    """Remove the columns :func:`prune_and_report_rank` rejects.
+
+    ``cross`` is Y W (L-by-r) at this ``w``, or ``None`` to form Y W_S for
+    the dropped columns S alone.  Returns the kept indices, the compacted
+    (phi, w) and the cost change of setting the dropped columns to zero.
+    """
+    keep, n_keep = prune_and_report_rank(phi, w, prune_tol)
+    if n_keep == phi.shape[1]:
+        return keep, phi, w, 0.0
+    dead = np.setdiff1d(np.arange(phi.shape[1]), keep)
+    cross = objective.y @ w[:, dead] if cross is None else cross[:, dead]
+    change = objective.change_dropping(phi, w, dead, cross)
+    # ``np.take`` returns C-ordered copies; ``phi[:, keep]`` would be F-ordered.
+    return keep, np.take(phi, keep, axis=1), np.take(w, keep, axis=1), change
+
+
 def default_eta(y):
     """Smoothing floor: 1e-2 times the mean pixel (column) norm of ``y``."""
     scale = float(np.sqrt((y * y).sum(axis=0)).mean()) if y.size else 0.0
@@ -384,14 +412,18 @@ def solve(y, init_phi, init_w, config, callback=None):
     config : SolverConfig
         Hyperparameters; unresolved entries are filled from the data.
     callback : callable, optional
-        Called with a :class:`SolverState` after every iteration.
+        Called with a :class:`SolverState` after every iteration.  Its
+        arrays always have r columns: once a column has been dropped they
+        are padded with zero columns, and ``d_hat`` with delta / eta.
 
     Returns
     -------
     (phi, w, report)
-        ``phi`` (L, n_eff) and ``w`` (K, n_eff) are compacted to the
-        surviving columns; ``report`` carries the resolved config and
-        the per-iteration traces.  The cost trace is non-increasing.
+        ``phi`` (L, n_eff) and ``w`` (K, n_eff) hold the surviving
+        columns; ``report`` carries the resolved config and the
+        per-iteration traces.  Costs are those of the width-r
+        factorization, dropped columns counted as zero, and the cost trace
+        is non-increasing.
     """
     t0 = time.perf_counter()
     y = as_matrix(y, "y")
@@ -413,9 +445,16 @@ def solve(y, init_phi, init_w, config, callback=None):
     objective = Objective._of_checked(y, config.delta, config.lambda1,
                                       config.eta)
 
+    initial_cost = objective.total(phi, w)
+    # ``alive`` indexes the working columns into the initial r; ``pad`` is
+    # the cost of the dropped (zero) columns, delta * eta each.  Costs
+    # reported and compared include it, the line searches price the
+    # working problem without it.
+    alive, phi, w, dropped = _drop_pruned(objective, phi, w, None,
+                                          config.prune_tol)
+    pad = (config.r - alive.size) * config.delta * config.eta
+    cost_prev = initial_cost + dropped
     d = update_penalty_diag(phi, w, config.delta, config.eta)
-    cost_prev = objective.total(phi, w)
-    initial_cost = cost_prev
 
     cost_trace = []
     rank_trace = []
@@ -424,53 +463,69 @@ def solve(y, init_phi, init_w, config, callback=None):
     converged = False
 
     def build_report():
-        surviving, eff = prune_and_report_rank(phi, w, config.prune_tol)
-        return surviving, SolverReport(
+        return SolverReport(
             config=config,
             iterations=len(cost_trace),
             initial_cost=initial_cost,
-            final_cost=cost_trace[-1] if cost_trace else initial_cost,
+            final_cost=cost_trace[-1] if cost_trace else cost_prev,
             cost_trace=np.asarray(cost_trace, dtype=np.float64),
             effective_rank_trace=np.asarray(rank_trace, dtype=np.int64),
             beta_w_trace=np.asarray(beta_w_trace, dtype=np.float64),
             beta_phi_trace=np.asarray(beta_phi_trace, dtype=np.float64),
-            final_effective_rank=eff,
-            surviving_columns=surviving,
+            final_effective_rank=alive.size,
+            surviving_columns=alive,
             converged=converged,
-            rank_degenerate=(eff == 0),
+            rank_degenerate=(alive.size == 0),
             wall_time=time.perf_counter() - t0,
         )
 
     def diverged(message):
-        _, report = build_report()
-        return SolverDiverged(message, report)
+        return SolverDiverged(message, build_report())
+
+    def full_width(a, fill):
+        if alive.size == config.r:
+            return a
+        full = np.full(a.shape[:-1] + (config.r,), fill)
+        full[..., alive] = a
+        return full
 
     for k in range(1, config.max_iter + 1):
+        if not alive.size:
+            # Nothing is left to move: the zero factorization is stationary.
+            converged = True
+            break
         try:
             w_cand, cross = update_abundances(objective, phi, d)
         except np.linalg.LinAlgError as exc:
             raise diverged("%s at iteration %d" % (exc, k)) from exc
         w, beta_w, cost_after_w = line_search(
-            objective, phi, w, w_cand, cross, "w", config, cost_prev)
+            objective, phi, w, w_cand, cross, "w", config, cost_prev - pad)
         try:
             phi_cand, cross = update_endmembers(objective, w, d)
         except np.linalg.LinAlgError as exc:
             raise diverged("%s at iteration %d" % (exc, k)) from exc
         phi, beta_phi, cost_k = line_search(
             objective, phi, w, phi_cand, cross, "phi", config, cost_after_w)
-        d = update_penalty_diag(phi, w, config.delta, config.eta)
 
         if not np.isfinite(cost_k):
             raise diverged("non-finite cost %r at iteration %d" % (cost_k, k))
 
-        _, eff = prune_and_report_rank(phi, w, config.prune_tol)
+        # ``cross`` = Y W is still current: W has not moved since it was formed.
+        keep, phi, w, dropped = _drop_pruned(objective, phi, w, cross,
+                                             config.prune_tol)
+        alive = alive[keep]
+        cost_k += pad + dropped
+        pad = (config.r - alive.size) * config.delta * config.eta
+        d = update_penalty_diag(phi, w, config.delta, config.eta)
         cost_trace.append(cost_k)
-        rank_trace.append(eff)
+        rank_trace.append(alive.size)
         beta_w_trace.append(beta_w)
         beta_phi_trace.append(beta_phi)
 
         if callback is not None:
-            callback(SolverState(phi_hat=phi, w_hat=w, d_hat=d,
+            callback(SolverState(phi_hat=full_width(phi, 0.0),
+                                 w_hat=full_width(w, 0.0),
+                                 d_hat=full_width(d, config.delta / config.eta),
                                  beta_w=beta_w, beta_phi=beta_phi,
                                  k=k, last_cost=cost_k))
 
@@ -480,5 +535,4 @@ def solve(y, init_phi, init_w, config, callback=None):
             break
         cost_prev = cost_k
 
-    surviving, report = build_report()
-    return phi[:, surviving], w[:, surviving], report
+    return phi, w, build_report()

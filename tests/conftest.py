@@ -1,4 +1,10 @@
+import os
 import sys
+
+# One BLAS thread: default threading oversubscribes small machines, and
+# this must run before the first test module imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

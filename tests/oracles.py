@@ -181,3 +181,53 @@ def total_variation(x):
     """Mean absolute first difference down each column."""
     x = np.asarray(x, dtype=np.float64)
     return np.abs(np.diff(x, axis=0)).mean(axis=0)
+
+
+def full_width_solve(y, init_phi, init_w, config):
+    """The solver loop with every column kept at full width until the end.
+
+    Same block steps, line searches and stopping rule as
+    ``slrnmf.solver.solve``, but pruning only reports the rank while
+    iterating, every cost is one of the width-r problem, and the factors
+    are compacted to the surviving columns at termination.  This is the
+    reference for dropping pruned columns during the solve; it shares the
+    block steps with the package on purpose.  Returns (phi, w, report).
+    """
+    from slrnmf.model import Objective
+    from slrnmf.solver import (SolverReport, line_search, prune_and_report_rank,
+                               update_abundances, update_endmembers,
+                               update_penalty_diag, with_defaults)
+
+    config = with_defaults(config, y)
+    objective = Objective(y, config.delta, config.lambda1, config.eta)
+    phi = np.array(init_phi, dtype=np.float64)
+    w = np.array(init_w, dtype=np.float64)
+    d = update_penalty_diag(phi, w, config.delta, config.eta)
+    initial_cost = cost_prev = objective.total(phi, w)
+    costs, ranks, betas_w, betas_phi = [], [], [], []
+    converged = False
+    for _ in range(config.max_iter):
+        w_cand, cross = update_abundances(objective, phi, d)
+        w, beta_w, cost_w = line_search(objective, phi, w, w_cand, cross, "w",
+                                        config, cost_prev)
+        phi_cand, cross = update_endmembers(objective, w, d)
+        phi, beta_phi, cost_k = line_search(objective, phi, w, phi_cand, cross,
+                                            "phi", config, cost_w)
+        d = update_penalty_diag(phi, w, config.delta, config.eta)
+        costs.append(cost_k)
+        ranks.append(prune_and_report_rank(phi, w, config.prune_tol)[1])
+        betas_w.append(beta_w)
+        betas_phi.append(beta_phi)
+        if abs(cost_prev - cost_k) <= config.tol_rel_cost * max(abs(cost_prev), 1e-300):
+            converged = True
+            break
+        cost_prev = cost_k
+    surviving, rank = prune_and_report_rank(phi, w, config.prune_tol)
+    report = SolverReport(
+        config=config, iterations=len(costs), initial_cost=initial_cost,
+        final_cost=costs[-1] if costs else initial_cost,
+        cost_trace=np.array(costs), effective_rank_trace=np.array(ranks),
+        beta_w_trace=np.array(betas_w), beta_phi_trace=np.array(betas_phi),
+        final_effective_rank=rank, surviving_columns=surviving,
+        converged=converged, rank_degenerate=rank == 0, wall_time=0.0)
+    return phi[:, surviving], w[:, surviving], report

@@ -1,6 +1,7 @@
 """End-to-end behavior of the alternating solver on small instances."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,15 +233,20 @@ def test_block_step_failure_raises_diverged_with_partial_report():
     assert err.value.report.iterations == 0
 
 
+# Scene sizes of the two acceptance protocols.
+PROTOCOLS = {"uniform": dict(l=224, k=500, n=4, density=0.3, sigma=1e-3),
+             "vca": dict(l=224, k=900, n=3, density=0.5, sigma=1e-3)}
+
+
 def protocol_scene(kind, seed):
     """Scene, initial factors and config of one acceptance protocol, or a
     small scene with a dead endmember column ("dead-column")."""
     if kind == "uniform":
-        y, _ = simulate(l=224, k=500, n=4, density=0.3, sigma=1e-3, seed=seed)
+        y, _ = simulate(**PROTOCOLS[kind], seed=seed)
         phi0, w0 = init_uniform(224, 500, 10, seed=seed)
         return y, phi0, w0, SolverConfig(r=10, seed=seed)
     if kind == "vca":
-        y, _ = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3, seed=seed)
+        y, _ = simulate(**PROTOCOLS[kind], seed=seed)
         phi0 = init_vca(y, 8, seed=seed)
         return y, phi0, nnls_abundances(y, phi0), SolverConfig(r=8, seed=seed)
     # A zero endmember column at a tiny eta: when its abundance column
@@ -301,3 +307,89 @@ def test_line_search_allocates_no_residual():
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * y.nbytes, (which, peak / y.nbytes)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "vca"])
+def test_dropping_columns_matches_full_width_oracle(kind):
+    """Dropping pruned columns while iterating changes no decision of the
+    full-width loop on the 10 scenes of each acceptance protocol.
+
+    Dropped columns are exactly zero or below prune_tol of the largest
+    column; a zero column stays zero in the full-width loop, so the two
+    agree up to the rounding of products taken at a different width.
+    """
+    for seed in range(10):
+        y, phi0, w0, config = protocol_scene(kind, seed)
+        _, truth = simulate(**PROTOCOLS[kind], seed=seed)
+        phi_a, w_a, rep_a = solve(y, phi0, w0, config)
+        phi_b, w_b, rep_b = oracles.full_width_solve(y, phi0, w0, config)
+        assert rep_a.iterations == rep_b.iterations, seed
+        assert np.array_equal(rep_a.beta_w_trace, rep_b.beta_w_trace), seed
+        assert np.array_equal(rep_a.beta_phi_trace, rep_b.beta_phi_trace), seed
+        assert np.array_equal(rep_a.effective_rank_trace,
+                              rep_b.effective_rank_trace), seed
+        assert np.array_equal(rep_a.surviving_columns, rep_b.surviving_columns), seed
+        for a, b in ((phi_a, phi_b), (w_a, w_b)):
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b), seed
+        sam_a = match_columns(phi_a, truth.phi_true).mean_sam_degrees
+        sam_b = match_columns(phi_b, truth.phi_true).mean_sam_degrees
+        assert abs(sam_a - sam_b) <= 1e-9, seed
+        assert rep_a.final_cost == pytest.approx(rep_b.final_cost, rel=1e-10), seed
+
+
+def test_callback_state_keeps_width_r_after_drops():
+    y, phi0, w0, config = protocol_scene("uniform", 0)
+    states = []
+    phi, _, report = solve(y, phi0, w0, config, callback=states.append)
+    c = report.config
+    obj = Objective(y, c.delta, c.lambda1, c.eta)
+    assert report.final_effective_rank < c.r  # the scene drops columns
+    for s, rank in zip(states, report.effective_rank_trace):
+        assert s.phi_hat.shape == (224, c.r)
+        assert s.w_hat.shape == (500, c.r)
+        assert s.d_hat.shape == (c.r,)
+        zero = ~(s.phi_hat.any(axis=0) | s.w_hat.any(axis=0))
+        assert zero.sum() >= c.r - rank, s.k
+        assert (s.d_hat[zero] == c.delta / c.eta).all(), s.k
+        assert s.last_cost == pytest.approx(obj.total(s.phi_hat, s.w_hat),
+                                            rel=1e-9), s.k
+    last = states[-1]
+    kept = np.flatnonzero(last.phi_hat.any(axis=0) | last.w_hat.any(axis=0))
+    assert np.array_equal(kept, report.surviving_columns)
+    assert np.array_equal(last.phi_hat[:, kept], phi)
+
+
+def test_zero_init_column_is_dropped_before_iterating():
+    phi_t, w_t = tiny_truth(0)
+    y = phi_t @ w_t.T
+    phi0, w0 = init_uniform(6, 8, 4, 0)
+    phi0[:, 2] = 0.0
+    w0[:, 2] = 0.0
+    config = replace(TINY, max_iter=0)
+    phi, w, report = solve(y, phi0, w0, config)
+    assert np.array_equal(report.surviving_columns, [0, 1, 3])
+    assert np.array_equal(phi, phi0[:, [0, 1, 3]])
+    assert np.array_equal(w, w0[:, [0, 1, 3]])
+    assert report.final_cost == report.initial_cost
+    states = []
+    solve(y, phi0, w0, replace(TINY, max_iter=1), callback=states.append)
+    assert not states[0].phi_hat[:, 2].any() and not states[0].w_hat[:, 2].any()
+    assert states[0].d_hat[2] == TINY.delta / TINY.eta
+
+
+def test_all_zero_observations_never_factor_an_empty_system(monkeypatch):
+    spd_solve = slrnmf.solver._spd_solve
+    sizes = []
+
+    def recording(a, b, context):
+        sizes.append(a.shape[0])
+        return spd_solve(a, b, context)
+
+    monkeypatch.setattr(slrnmf.solver, "_spd_solve", recording)
+    y = np.zeros((5, 7))
+    phi0, w0 = init_uniform(5, 7, 3, 0)
+    phi, w, report = solve(y, phi0, w0, SolverConfig(r=3, max_iter=50))
+    assert report.final_effective_rank == 0
+    assert report.converged
+    assert phi.shape == (5, 0) and w.shape == (7, 0)
+    assert sizes and min(sizes) > 0
