@@ -17,6 +17,11 @@ The middle term is a smoothed group penalty on the stacked columns of
 ``Phi`` and ``W``; driving joint columns to zero is what turns an
 overestimated factorization rank into an estimate of the true number of
 endmembers.  All arithmetic is float64.
+
+Apart from the one-byte mask of :func:`as_matrix`'s finite-entry check,
+nothing here allocates an array of the size of ``y``: the full cost forms
+its residual one block of pixels at a time (at most 8 MiB), and the
+line-search and pruning prices work from r-sized Gram terms.
 """
 
 import numpy as np
@@ -62,6 +67,16 @@ def check_dims(y, phi, w):
         )
 
 
+# Residual bytes per block of pixels in ``Objective.total``: 4,681 pixels
+# at L = 224.  A scene of at most one block is costed in a single pass.
+_RESIDUAL_BLOCK_BYTES = 8 * 2**20
+
+
+def _pixel_block(l):
+    """Pixels per residual block of ``Objective.total`` at L = ``l`` bands."""
+    return max(1, _RESIDUAL_BLOCK_BYTES // (8 * max(l, 1)))
+
+
 def _as_diag(d, r):
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.shape[0] != r:
@@ -75,6 +90,13 @@ def _as_diag(d, r):
 def _column_dots(a, b):
     """Per-column inner products <a_i, b_i>, without a full-size temporary."""
     return np.einsum("ij,ij->j", a, b)
+
+
+def _squared_residual(y, phi, w):
+    """||Y - Phi W^T||_F^2, the residual formed in place."""
+    resid = phi @ w.T
+    np.subtract(y, resid, out=resid)
+    return float(np.vdot(resid, resid))
 
 
 def _column_energy(phi, w):
@@ -174,10 +196,25 @@ class Objective:
         self.eta = eta
 
     def total(self, phi, w):
-        """Objective at (phi, w); the residual needs one L-by-K temporary."""
-        resid = phi @ w.T
-        np.subtract(self.y, resid, out=resid)
-        fit = 0.5 * float(np.vdot(resid, resid))
+        """Objective at (phi, w), the residual formed one pixel block at a time.
+
+        Each block of B pixels (:func:`_pixel_block`, about 8 MiB of
+        residual) is formed in place and reduced by one ``vdot``, so the
+        call holds one block and O((L + K) r) besides ``y``.  A scene of at
+        most one block takes the single pass ``vdot(R, R)``.
+
+        Precision: a block's ``vdot`` sums L B squares and the K / B block
+        sums are added in turn, so the fit's summation rounds at
+        gamma_{L B + K/B} ||R||^2 (gamma_n = n eps / (1 - n eps)), against
+        gamma_{L K} ||R||^2 for a single ``vdot`` over all of R: blocking
+        never loosens the bound once K exceeds B.  Both add to the
+        residual's own rounding, about (r + 1) eps ||R|| (||Y|| +
+        ||Phi W^T||), which is the same in either form.
+        """
+        y = self.y
+        step = _pixel_block(y.shape[0])
+        fit = 0.5 * sum(_squared_residual(y[:, j:j + step], phi, w[j:j + step])
+                        for j in range(0, y.shape[1], step))
         penalty = float(np.sum(np.sqrt(_column_energy(phi, w) + self.eta * self.eta)))
         return fit + self.delta * penalty + self.lambda1 * float(np.abs(w).sum())
 

@@ -27,6 +27,11 @@ that is not yet zero is priced in closed form from r-sized terms
 (:meth:`Objective.change_dropping`).  Reported costs are those of the
 width-r factorization: the working cost plus delta * eta per dropped
 column.
+
+Memory: besides Y, a solve holds O((L + K) r) floats, about six K-by-r
+arrays, and the one residual block of :meth:`Objective.total` (at most
+8 MiB).  Its only L-by-K temporary is the boolean mask of the input's
+finite-entry check, one eighth of Y, freed before the first iteration.
 """
 
 import time
@@ -38,6 +43,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .model import (
     Objective,
     _as_diag,
+    _column_dots,
     _column_energy,
     as_matrix,
     check_nonneg,
@@ -116,8 +122,8 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 0, got %r" % (self.max_iter,))
         if self.tol_rel_cost < 0.0:
             raise ValueError("tol_rel_cost must be >= 0, got %g" % self.tol_rel_cost)
-        if self.prune_tol < 0.0:
-            raise ValueError("prune_tol must be >= 0, got %g" % self.prune_tol)
+        if not 0.0 <= self.prune_tol < 1.0:
+            raise ValueError("prune_tol must be in [0, 1), got %g" % self.prune_tol)
         if not 0.0 < self.beta_init <= 1.0:
             raise ValueError("beta_init must be in (0, 1], got %g" % self.beta_init)
         if not 0.0 < self.shrink < 1.0:
@@ -241,6 +247,10 @@ def update_abundances(objective, phi_hat, d_hat):
     r-by-r system is solved by a Cholesky factorization, never an
     explicit inverse.  Returns the candidate and the product Y^T Phi
     (K-by-r) it formed, which :func:`line_search` reuses.
+
+    The soft threshold and the projection, which together are
+    max(x - lambda1, 0), run in place on LAPACK's solution, so the step
+    holds two K-by-r arrays: the cross product and the solution.
     """
     y = objective.y
     phi = as_matrix(phi_hat, "phi_hat")
@@ -251,8 +261,9 @@ def update_abundances(objective, phi_hat, d_hat):
     a = phi.T @ phi
     a.flat[::a.shape[0] + 1] += d
     cross = phi.T @ y
-    x = _spd_solve(a, cross, "abundance update")
-    return project_nonneg(soft_threshold(x.T, objective.lambda1)), cross.T
+    x = _spd_solve(a, cross, "abundance update").T
+    x -= objective.lambda1
+    return np.maximum(x, 0.0, out=x), cross.T
 
 
 def update_endmembers(objective, w_hat, d_hat):
@@ -346,8 +357,8 @@ def prune_and_report_rank(phi, w, prune_tol):
     yields an empty survivor set (degenerate outcome, rank 0).
     """
     prune_tol = float(prune_tol)
-    if prune_tol < 0.0:
-        raise ValueError("prune_tol must be >= 0, got %g" % prune_tol)
+    if not 0.0 <= prune_tol < 1.0:
+        raise ValueError("prune_tol must be in [0, 1), got %g" % prune_tol)
     norms = joint_column_norms(np.asarray(phi, float), np.asarray(w, float))
     cutoff = prune_tol * (norms.max() if norms.size else 0.0)
     surviving = np.flatnonzero(norms > cutoff)
@@ -373,7 +384,7 @@ def _drop_pruned(objective, phi, w, cross, prune_tol):
 
 def default_eta(y):
     """Smoothing floor: 1e-2 times the mean pixel (column) norm of ``y``."""
-    scale = float(np.sqrt((y * y).sum(axis=0)).mean()) if y.size else 0.0
+    scale = float(np.sqrt(_column_dots(y, y)).mean()) if y.size else 0.0
     return max(1e-2 * scale, _ETA_FLOOR)
 
 

@@ -40,6 +40,22 @@ def naive_cost_total(y, phi, w, delta, lambda1, eta):
     return naive_cost_smooth(y, phi, w, delta, eta) + lambda1 * extra
 
 
+def direct_total(objective, phi, w):
+    """``Objective.total`` with the whole L-by-K residual formed at once.
+
+    The form the package used before costing the residual in pixel
+    blocks, with the same arithmetic, so a scene of at most one block
+    costs bitwise the same; usable as a drop-in for the method.
+    """
+    resid = phi @ w.T
+    np.subtract(objective.y, resid, out=resid)
+    fit = 0.5 * float(np.vdot(resid, resid))
+    energy = (phi * phi).sum(axis=0) + (w * w).sum(axis=0)
+    penalty = float(np.sum(np.sqrt(energy + objective.eta * objective.eta)))
+    return (fit + objective.delta * penalty
+            + objective.lambda1 * float(np.abs(w).sum()))
+
+
 def direct_line_search(objective, phi_hat, w_hat, candidate, cross, which,
                        config, baseline_cost=None):
     """The backtracking line search priced directly: one full cost per trial.

@@ -142,6 +142,16 @@ def test_unmix_requires_rank(tmp_path):
     assert rc == 2
 
 
+def test_unmix_rejects_prune_tol_of_one(tmp_path, capsys):
+    # prune_tol >= 1 would prune every column before the first iteration
+    synth_dir = make_synth(tmp_path)
+    rc = run(["unmix", "--input", str(synth_dir / "observations.csv"),
+              *SOLVER_FLAGS, "--prune-tol", "1", "--out-dir", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "prune_tol must be in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_unmix_negative_entries_need_clamp_flag(tmp_path):
     path = tmp_path / "neg.csv"
     path.write_text("1.0,2.0\n-0.5,1.0\n")

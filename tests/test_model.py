@@ -8,6 +8,7 @@ import pytest
 import oracles
 from slrnmf.model import (
     Objective,
+    _pixel_block,
     as_matrix,
     check_dims,
     check_nonneg,
@@ -19,6 +20,7 @@ from slrnmf.model import (
 from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
 from slrnmf.solver import (
     SolverConfig,
+    default_eta,
     extrapolate,
     solve,
     update_abundances,
@@ -141,7 +143,8 @@ def test_objective_matches_free_functions():
 
 
 def test_objective_total_allocates_one_residual():
-    # The residual is formed in place: one L-by-K temporary, not two.
+    # One block at 224 x 500: the residual is formed in place, one L-by-K
+    # temporary, not two.
     rng = np.random.default_rng(0)
     y = rng.uniform(0.0, 1.0, size=(224, 500))
     phi = rng.uniform(0.0, 1.0, size=(224, 10))
@@ -176,6 +179,62 @@ def _total_rounding_scale(obj, phi, w):
     return (abs(obj.total(phi, w)) + (phi.shape[1] + 1)
             * np.linalg.norm(obj.y - fit)
             * (np.linalg.norm(obj.y) + np.linalg.norm(fit)))
+
+
+def _factor_instance(l, k, r=10, seed=0, sigma=None):
+    """Uniform factors and Y; with ``sigma``, Y = Phi W^T plus noise at that
+    level, so that the residual is small against Y."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0.0, 1.0, (l, r))
+    w = rng.uniform(0.0, 1.0, (k, r))
+    if sigma is None:
+        return rng.uniform(0.0, 1.0, (l, k)), phi, w
+    y = phi @ w.T + rng.normal(0.0, sigma, (l, k))
+    return y, phi, w
+
+
+@pytest.mark.parametrize("sigma", [None, 1e-3])
+def test_blocked_total_matches_direct_form(sigma):
+    block = _pixel_block(224)
+    assert block == 4681
+    for k in (1, 500, 900, block):
+        y, phi, w = _factor_instance(224, k, sigma=sigma)
+        obj = Objective(y, 0.5, 0.01, 0.1)
+        assert obj.total(phi, w) == oracles.direct_total(obj, phi, w), k
+    # a ragged last block: three blocks of 4681, 4681 and 17 pixels
+    y, phi, w = _factor_instance(224, 2 * block + 17, sigma=sigma)
+    obj = Objective(y, 0.5, 0.01, 0.1)
+    gap = abs(obj.total(phi, w) - oracles.direct_total(obj, phi, w))
+    assert gap <= EPS * _total_rounding_scale(obj, phi, w), gap
+
+
+@pytest.mark.parametrize("shape", [(0, 6), (6, 0), (0, 0)])
+def test_blocked_total_of_empty_scenes(shape):
+    l, k = shape
+    y, phi, w = np.zeros((l, k)), np.ones((l, 3)), np.full((k, 3), 0.5)
+    obj = Objective(y, 0.5, 0.01, 0.1)
+    assert obj.total(phi, w) == oracles.direct_total(obj, phi, w)
+
+
+def test_objective_total_holds_one_residual_block():
+    # 224 x 40,000: about 8.5 blocks of 8 MiB, 0.117 of y.nbytes each; the
+    # whole-residual form peaks at 1.0 x y.nbytes.
+    y, phi, w = _factor_instance(224, 40_000)
+    obj = Objective(y, 0.5, 0.01, 0.1)
+    tracemalloc.start()
+    try:
+        obj.total(phi, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.15 * y.nbytes, "peak %.3f x y.nbytes" % (peak / y.nbytes)
+
+
+@pytest.mark.parametrize("k", [500, 900, 5000])
+def test_default_eta_matches_squared_form(k):
+    y, _ = simulate(l=224, k=k, n=4, density=0.3, sigma=1e-3, seed=k)
+    scale = float(np.sqrt((y * y).sum(axis=0)).mean())
+    assert default_eta(y) == max(1e-2 * scale, 1e-12)
 
 
 def _worst_change_error(obj, phi, w, d, collapse=False):

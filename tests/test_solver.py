@@ -10,7 +10,7 @@ import oracles
 import slrnmf.solver
 from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
 from slrnmf.metrics import match_columns
-from slrnmf.model import Objective
+from slrnmf.model import Objective, _pixel_block
 from slrnmf.solver import (
     DEFAULT_DELTA,
     DEFAULT_LAMBDA1,
@@ -239,8 +239,14 @@ PROTOCOLS = {"uniform": dict(l=224, k=500, n=4, density=0.3, sigma=1e-3),
 
 
 def protocol_scene(kind, seed):
-    """Scene, initial factors and config of one acceptance protocol, or a
-    small scene with a dead endmember column ("dead-column")."""
+    """Scene, initial factors and config of one acceptance protocol, a
+    224 x 5000 scene costed in two pixel blocks ("multi-block", the CLI
+    benchmark's settings), or a small scene with a dead endmember column
+    ("dead-column")."""
+    if kind == "multi-block":
+        y, _ = simulate(l=224, k=5000, n=4, density=0.3, sigma=1e-3, seed=seed)
+        phi0, w0 = init_uniform(224, 5000, 10, seed=seed)
+        return y, phi0, w0, SolverConfig(r=10, delta=120.0, seed=seed)
     if kind == "uniform":
         y, _ = simulate(**PROTOCOLS[kind], seed=seed)
         phi0, w0 = init_uniform(224, 500, 10, seed=seed)
@@ -393,3 +399,48 @@ def test_all_zero_observations_never_factor_an_empty_system(monkeypatch):
     assert report.converged
     assert phi.shape == (5, 0) and w.shape == (7, 0)
     assert sizes and min(sizes) > 0
+
+
+@pytest.mark.parametrize("kind", ["uniform", "vca", "multi-block"])
+def test_blocked_total_matches_direct_total_in_solves(monkeypatch, kind):
+    """Costing the residual in pixel blocks changes no decision of a solve.
+
+    A scene of one block costs bitwise the same; past one block only the
+    costs move, in the last digits.
+    """
+    y, phi0, w0, config = protocol_scene(kind, 0)
+    multi = y.shape[1] > _pixel_block(y.shape[0])
+    assert multi == (kind == "multi-block")
+    phi_a, w_a, rep_a = solve(y, phi0, w0, config)
+    monkeypatch.setattr(Objective, "total", oracles.direct_total)
+    phi_b, w_b, rep_b = solve(y, phi0, w0, config)
+    assert rep_a.iterations == rep_b.iterations
+    for name in ("beta_w_trace", "beta_phi_trace", "effective_rank_trace",
+                 "surviving_columns"):
+        assert np.array_equal(getattr(rep_a, name), getattr(rep_b, name)), name
+    assert np.array_equal(phi_a, phi_b)
+    assert np.array_equal(w_a, w_b)
+    costs_a = np.append(rep_a.cost_trace, rep_a.initial_cost)
+    costs_b = np.append(rep_b.cost_trace, rep_b.initial_cost)
+    if multi:
+        assert np.allclose(costs_a, costs_b, rtol=1e-12, atol=0.0)
+    else:
+        assert np.array_equal(costs_a, costs_b)
+
+
+def test_solve_holds_no_full_size_temporary():
+    # 224 x 40,000: Y is 71.7 MB.  The solve holds the finite-check mask
+    # (0.125 x y.nbytes), K-by-r arrays (0.045 each) and one residual block
+    # (0.117); an L-by-K temporary alone would be 1.0.
+    rng = np.random.default_rng(0)
+    y = rng.uniform(0.0, 1.0, (224, 40_000))
+    phi0, w0 = init_uniform(224, 40_000, 10, seed=0)
+    config = SolverConfig(r=10, max_iter=3, tol_rel_cost=0.0)
+    tracemalloc.start()
+    try:
+        _, _, report = solve(y, phi0, w0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 3
+    assert peak < 0.4 * y.nbytes, "peak %.3f x y.nbytes" % (peak / y.nbytes)

@@ -218,6 +218,10 @@ def test_prune_all_zero_reports_rank_zero():
 def test_prune_validates_tolerance():
     with pytest.raises(ValueError, match="prune_tol"):
         prune_and_report_rank(np.ones((2, 2)), np.ones((2, 2)), -1.0)
+    # at prune_tol >= 1 no column can exceed the cutoff, so every one is pruned
+    for tol in (1.0, 2.5):
+        with pytest.raises(ValueError, match=r"prune_tol must be in \[0, 1\)"):
+            prune_and_report_rank(np.ones((2, 2)), np.ones((2, 2)), tol)
 
 
 def test_default_eta_scales_with_column_norms():
@@ -256,3 +260,8 @@ def test_config_validation():
         SolverConfig(r=2, shrink=1.0)
     with pytest.raises(ValueError, match="max_backtracks"):
         SolverConfig(r=2, max_backtracks=0)
+    for tol in (-1e-4, 1.0, 2.5):
+        with pytest.raises(ValueError, match=r"prune_tol must be in \[0, 1\)"):
+            SolverConfig(r=2, prune_tol=tol)
+    assert SolverConfig(r=2, prune_tol=0.0).prune_tol == 0.0
+    assert SolverConfig(r=2, prune_tol=0.999).prune_tol == 0.999
