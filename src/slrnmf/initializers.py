@@ -8,7 +8,6 @@ companion abundances come from a nonnegative least-squares fit.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .model import as_matrix
 
@@ -97,15 +96,14 @@ def init_vca(y, r, seed):
                          % (min(l, k), r))
 
     if r == 1:
-        u, svals, _ = scipy.linalg.svd(y, full_matrices=False, check_finite=False)
+        u, svals, _ = np.linalg.svd(y, full_matrices=False)
         _check_spanned(svals, 1, "projected data")
         scores = u[:, 0] @ y
         return np.maximum(y[:, [int(np.argmax(np.abs(scores)))]], 0.0)
 
     y_mean = y.mean(axis=1)
     y_centered = y - y_mean[:, None]
-    u_c, svals_c = scipy.linalg.svd(y_centered, full_matrices=False,
-                                    check_finite=False)[:2]
+    u_c, svals_c = np.linalg.svd(y_centered, full_matrices=False)[:2]
     snr = _estimate_snr(y, y_centered, y_mean, u_c, r)
     snr_threshold = 15.0 + 10.0 * np.log10(r)
 
@@ -113,7 +111,7 @@ def init_vca(y, r, seed):
         # Projective projection onto the top-r subspace of the raw
         # correlation; pixels are normalized by their inner product with
         # the mean projection (near-zero denominators are zeroed out).
-        u, svals, _ = scipy.linalg.svd(y, full_matrices=False, check_finite=False)
+        u, svals, _ = np.linalg.svd(y, full_matrices=False)
         _check_spanned(svals, r, "projected data")
         x_p = u[:, :r].T @ y
         center = x_p.mean(axis=1)

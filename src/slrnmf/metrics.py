@@ -74,6 +74,58 @@ def _angle_matrix(estimated, reference):
     return angles
 
 
+def _assignment(cost):
+    """Minimum-total-cost injective matching of the rows and columns of ``cost``.
+
+    Returns (rows, cols), min(cost.shape) pairs sorted by row, as
+    ``scipy.optimize.linear_sum_assignment`` does; a tall matrix is
+    solved transposed.  Shortest augmenting paths with dual potentials
+    (Jonker & Volgenant, Computing 38, 1987, in the rectangular form of
+    Crouse, IEEE TAES 52, 2016): each row in turn joins the assignment
+    along a Dijkstra shortest path in reduced costs, which the potentials
+    keep nonnegative, so the partial assignment is optimal after every
+    row.  O(n_rows^2 n_cols) work.
+    """
+    n_rows, n_cols = cost.shape
+    if n_rows > n_cols:
+        cols, rows = _assignment(cost.T)
+        order = np.argsort(rows)
+        return rows[order], cols[order]
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    col_of_row = np.full(n_rows, -1)
+    row_of_col = np.full(n_cols, -1)
+    for start in range(n_rows):
+        dist = np.full(n_cols, np.inf)
+        via = np.full(n_cols, -1)
+        done = np.zeros(n_cols, dtype=bool)
+        row, reach = start, 0.0
+        while True:
+            through = reach + cost[row] - u[row] - v
+            closer = ~done & (through < dist)
+            dist[closer] = through[closer]
+            via[closer] = row
+            col = int(np.argmin(np.where(done, np.inf, dist)))
+            reach = dist[col]
+            done[col] = True
+            if row_of_col[col] < 0:
+                break
+            row = row_of_col[col]
+        # Update the potentials so reduced costs stay nonnegative, then
+        # flip the path's matched and unmatched edges.
+        u[start] += reach
+        passed = done & (row_of_col >= 0)
+        u[row_of_col[passed]] += reach - dist[passed]
+        v[done] -= reach - dist[done]
+        while True:
+            row = via[col]
+            row_of_col[col] = row
+            col_of_row[row], col = col, col_of_row[row]
+            if row == start:
+                break
+    return np.arange(n_rows), col_of_row
+
+
 def match_columns(estimated, reference):
     """Optimal injective matching of estimated to reference columns.
 
@@ -93,22 +145,16 @@ def match_columns(estimated, reference):
                          % (estimated.shape[0], reference.shape[0]))
     if estimated.shape[1] == 0 or reference.shape[1] == 0:
         raise ValueError("cannot match empty matrices")
-    # Imported here, not at module level, so that ``unmix`` (which never
-    # matches columns) does not pay scipy.optimize's import time.
-    import scipy.optimize
 
     angles = _angle_matrix(estimated, reference)
-    est_idx, ref_idx = scipy.optimize.linear_sum_assignment(angles)
-    order = np.argsort(est_idx)
-    est_idx = est_idx[order]
-    ref_idx = ref_idx[order]
+    est_idx, ref_idx = _assignment(angles)
     per_pair = angles[est_idx, ref_idx]
     return MatchResult(
         permutation=np.stack([est_idx, ref_idx], axis=1),
         per_pair_sam_degrees=per_pair,
         mean_sam_degrees=float(per_pair.mean()),
-        unmatched_estimated=np.setdiff1d(np.arange(estimated.shape[1]), est_idx),
-        unmatched_reference=np.setdiff1d(np.arange(reference.shape[1]), ref_idx),
+        unmatched_estimated=np.delete(np.arange(estimated.shape[1]), est_idx),
+        unmatched_reference=np.delete(np.arange(reference.shape[1]), ref_idx),
         rank_correct=(estimated.shape[1] == reference.shape[1]),
     )
 

@@ -8,6 +8,8 @@ comparisons never share vectorized shortcuts with the code under test.
 import itertools
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 def naive_cost_smooth(y, phi, w, delta, eta):
@@ -247,3 +249,72 @@ def full_width_solve(y, init_phi, init_w, config):
         final_effective_rank=rank, surviving_columns=surviving,
         converged=converged, rank_degenerate=rank == 0, wall_time=0.0)
     return phi[:, surviving], w[:, surviving], report
+
+
+def direct_spd_solve(a, b, context):
+    """Cholesky solve of a @ x = b by LAPACK ``dpotrf``/``dpotrs``.
+
+    The package's solve before it applied the inverse of the Cholesky
+    factor, with the same signature and failure message; usable as a
+    drop-in for ``slrnmf.solver._spd_solve``.
+    """
+    factor, info = dpotrf(a, lower=0, clean=0)
+    if info:
+        pivot = float(np.linalg.eigvalsh(a).min())
+        raise np.linalg.LinAlgError(
+            "%s: normal matrix is not positive definite (smallest pivot %.6e)"
+            % (context, pivot))
+    return dpotrs(factor, b, lower=0)[0]
+
+
+def scipy_init_vca(y, r, seed):
+    """``slrnmf.initializers.init_vca`` with its SVDs taken by ``scipy.linalg.svd``.
+
+    The package's VCA before it called ``np.linalg.svd``; it shares the
+    rank and SNR helpers with the package on purpose, so a comparison
+    isolates the SVD driver.
+    """
+    from slrnmf.initializers import _check_spanned, _estimate_snr
+
+    def svd(a):
+        return scipy.linalg.svd(a, full_matrices=False, check_finite=False)
+
+    y = np.asarray(y, dtype=np.float64)
+    l, k = y.shape
+    if r == 1:
+        u, svals, _ = svd(y)
+        _check_spanned(svals, 1, "projected data")
+        scores = u[:, 0] @ y
+        return np.maximum(y[:, [int(np.argmax(np.abs(scores)))]], 0.0)
+    y_mean = y.mean(axis=1)
+    y_centered = y - y_mean[:, None]
+    u_c, svals_c = svd(y_centered)[:2]
+    snr = _estimate_snr(y, y_centered, y_mean, u_c, r)
+    if snr > 15.0 + 10.0 * np.log10(r):
+        u, svals, _ = svd(y)
+        _check_spanned(svals, r, "projected data")
+        x_p = u[:, :r].T @ y
+        denom = x_p.T @ x_p.mean(axis=1)
+        bad = np.abs(denom) <= 1e-12 * max(float(np.abs(denom).max()), 1e-300)
+        points = x_p / np.where(bad, 1.0, denom)
+        points[:, bad] = 0.0
+    else:
+        _check_spanned(svals_c, r - 1, "projected centered data")
+        x_p = u_c[:, :r - 1].T @ y_centered
+        c = float(np.sqrt((x_p * x_p).sum(axis=0)).max())
+        points = np.vstack([x_p, np.full((1, k), c)])
+    rng = np.random.default_rng(seed)
+    basis = np.zeros((r, r))
+    basis[-1, 0] = 1.0
+    indices = np.empty(r, dtype=np.int64)
+    for i in range(r):
+        for _ in range(100):
+            f = rng.standard_normal(r)
+            f = f - basis @ (np.linalg.pinv(basis) @ f)
+            norm = float(np.sqrt(f @ f))
+            if norm > 1e-12:
+                break
+        f /= norm
+        indices[i] = int(np.argmax(np.abs(f @ points)))
+        basis[:, i] = points[:, indices[i]]
+    return np.maximum(y[:, indices], 0.0)

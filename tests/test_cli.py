@@ -328,16 +328,26 @@ def test_console_entry_point():
     assert "repro-sim" in proc.stdout
 
 
-def test_unmix_path_does_not_import_scipy_optimize(tmp_path):
-    # Only ``eval`` matches columns; ``unmix`` should not pay for the import.
+def test_commands_import_no_scipy(tmp_path):
+    # The package runs on numpy alone: no command may load any scipy module.
     code = "\n".join([
-        "import slrnmf.cli, sys",
-        "assert 'scipy.optimize' not in sys.modules",
-        "out = sys.argv[1]",
-        "assert slrnmf.cli.run(['synth', '--K', '100', '--out-dir', out]) == 0",
-        "assert slrnmf.cli.run(['unmix', '--input', out + '/observations.csv',",
-        "                       '--r', '6', '--out-dir', out + '/fit']) == 0",
-        "assert 'scipy.optimize' not in sys.modules",
+        "import sys",
+        "import slrnmf.cli",
+        "run, out = slrnmf.cli.run, sys.argv[1]",
+        "assert run(['synth', '--K', '100', '--out-dir', out]) == 0",
+        "assert run(['unmix', '--input', out + '/observations.csv',",
+        "            '--r', '6', '--out-dir', out + '/fit']) == 0",
+        "assert run(['unmix', '--input', out + '/observations.csv', '--r', '4',",
+        "            '--init', 'vca', '--out-dir', out + '/vca']) == 0",
+        "assert run(['eval', '--estimated', out + '/fit/endmembers.csv',",
+        "            '--reference', out + '/endmembers_true.csv',",
+        "            '--est-abundances', out + '/fit/abundances.csv',",
+        "            '--ref-abundances', out + '/abundances_true.csv',",
+        "            '--out', out + '/eval.txt']) == 0",
+        "assert run(['repro-sim', '--K', '100', '--n-seeds', '1',",
+        "            '--out-dir', out + '/repro']) == 0",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert not loaded, loaded",
     ])
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
+import oracles
+from slrnmf.initializers import _estimate_snr, init_uniform, init_vca, nnls_abundances
 from slrnmf.metrics import match_columns
+from slrnmf.synth import simulate
 
 
 def simplex_scene(seed, l=50, k=300, n=4, sigma=0.0, pure=True):
@@ -100,6 +102,26 @@ def test_vca_names_the_deficient_dimension_on_flat_data():
     y = np.outer(rng.uniform(0.5, 1.0, 10), rng.uniform(0.5, 1.0, 15))
     with pytest.raises(ValueError, match="rank deficient"):
         init_vca(y, 3, seed=0)
+
+
+def test_vca_matches_scipy_svd_oracle():
+    """numpy's SVD (LAPACK gesdd, as scipy's default) picks bitwise the same
+    endmembers: on the 10 VCA acceptance scenes, a low-SNR scene that takes
+    the affine projection, and the rank-one path."""
+    cases = []
+    for seed in range(10):
+        y, _ = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3, seed=seed)
+        cases.append((y, 8, seed))
+    y_noisy, _ = simplex_scene(5, sigma=0.5)
+    centered = y_noisy - y_noisy.mean(axis=1)[:, None]
+    u = np.linalg.svd(centered, full_matrices=False)[0]
+    snr = _estimate_snr(y_noisy, centered, y_noisy.mean(axis=1), u, 3)
+    assert snr <= 15.0 + 10.0 * np.log10(3)  # the affine branch runs
+    cases.append((y_noisy, 3, 2))
+    cases.append((cases[0][0], 1, 0))
+    cases.append((simplex_scene(1, k=40)[0], 1, 0))
+    for y, r, seed in cases:
+        assert np.array_equal(init_vca(y, r, seed), oracles.scipy_init_vca(y, r, seed))
 
 
 def test_nnls_matches_scipy_reference():

@@ -1,10 +1,15 @@
 """Scoring: spectral angles, column matching, abundance error."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 import oracles
 from slrnmf.metrics import (
+    _angle_matrix,
+    _assignment,
     abundance_rmse,
     evaluate_unmixing,
     match_columns,
@@ -61,6 +66,36 @@ def test_match_columns_matches_exhaustive_assignment(seed, n_est, n_ref):
     assert result.rank_correct == (n_est == n_ref)
     assert result.unmatched_estimated.size == n_est - min(n_est, n_ref)
     assert result.unmatched_reference.size == n_ref - min(n_est, n_ref)
+
+
+def test_assignment_is_exact_against_brute_force():
+    """Every shape up to 7 x 7, both orientations: random angles (no ties),
+    angles rounded to 30 degrees (many ties), and the 180-degree rows and
+    columns ``_angle_matrix`` gives zero spectra.  The total equals the
+    exhaustive optimum exactly (both summed with ``math.fsum``); without
+    ties the pairs are scipy's."""
+    rng = np.random.default_rng(12)
+    for n_est in range(1, 8):
+        for n_ref in range(1, 8):
+            est = rng.uniform(0.05, 1.0, size=(6, n_est))
+            ref = rng.uniform(0.05, 1.0, size=(6, n_ref))
+            est[:, rng.random(n_est) < 0.2] = 0.0
+            ref[:, rng.random(n_ref) < 0.2] = 0.0
+            angles = _angle_matrix(est, ref)
+            random = rng.uniform(0.0, 180.0, size=angles.shape)
+            for cost in (random, angles, np.round(random / 30.0) * 30.0,
+                         np.round(angles / 30.0) * 30.0):
+                rows, cols = _assignment(cost)
+                assert rows.size == min(cost.shape)
+                assert np.array_equal(rows, np.sort(rows))
+                assert np.unique(cols).size == cols.size
+                best_pairs, _ = oracles.best_assignment(cost)
+                assert (math.fsum(cost[rows, cols])
+                        == math.fsum(cost[i, j] for i, j in best_pairs)), cost
+            ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(random)
+            rows, cols = _assignment(random)
+            assert np.array_equal(rows, ref_rows)
+            assert np.array_equal(cols, ref_cols)
 
 
 def test_match_columns_recovers_a_shuffle():

@@ -428,6 +428,23 @@ def test_blocked_total_matches_direct_total_in_solves(monkeypatch, kind):
         assert np.array_equal(costs_a, costs_b)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "vca", "multi-block"])
+def test_inverse_factor_solve_matches_cholesky_solve_in_solves(monkeypatch, kind):
+    """Solving the block systems through the inverse Cholesky factor
+    changes no decision of a solve against LAPACK's Cholesky solve; the
+    factors move in the last digits (VCA scene 0 reaches kappa 9e5)."""
+    y, phi0, w0, config = protocol_scene(kind, 0)
+    phi_a, w_a, rep_a = solve(y, phi0, w0, config)
+    monkeypatch.setattr(slrnmf.solver, "_spd_solve", oracles.direct_spd_solve)
+    phi_b, w_b, rep_b = solve(y, phi0, w0, config)
+    assert rep_a.iterations == rep_b.iterations
+    for name in ("beta_w_trace", "beta_phi_trace", "effective_rank_trace",
+                 "surviving_columns"):
+        assert np.array_equal(getattr(rep_a, name), getattr(rep_b, name)), name
+    for a, b in ((phi_a, phi_b), (w_a, w_b)):
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+
 def test_solve_holds_no_full_size_temporary():
     # 224 x 40,000: Y is 71.7 MB.  The solve holds the finite-check mask
     # (0.125 x y.nbytes), K-by-r arrays (0.045 each) and one residual block

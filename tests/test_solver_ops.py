@@ -6,6 +6,7 @@ import pytest
 import oracles
 from slrnmf.model import Objective
 from slrnmf.solver import (
+    _spd_solve,
     SolverConfig,
     default_eta,
     extrapolate,
@@ -265,3 +266,57 @@ def test_config_validation():
             SolverConfig(r=2, prune_tol=tol)
     assert SolverConfig(r=2, prune_tol=0.0).prune_tol == 0.0
     assert SolverConfig(r=2, prune_tol=0.999).prune_tol == 0.999
+
+
+def random_spd(rng, r, kappa):
+    """Symmetric r-by-r matrix with a random eigenbasis and 2-norm
+    condition number ``kappa``, at a random scale."""
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    eig = np.geomspace(1.0, 1.0 / kappa, r) * 10.0 ** rng.uniform(-3, 3)
+    a = (q * eig) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("orientation", ["abundance", "endmember"])
+def test_spd_solve_matches_cholesky_solve(orientation):
+    """The inverse-factor solve agrees with LAPACK's Cholesky solve to
+    4 r u kappa ||x|| per column (see the ``_spd_solve`` docstring), up to
+    kappa = 1e10; the block steps of the VCA acceptance scenes reach 2e8.
+
+    The abundance step passes a C-ordered r-by-K right-hand side, the
+    endmember step the F-ordered transpose of an L-by-r product.  Half of
+    the columns are a @ z, which load the large-eigenvalue directions.
+    """
+    rng = np.random.default_rng(0 if orientation == "abundance" else 1)
+    eps = np.finfo(np.float64).eps
+    worst = 0.0
+    for r in range(1, 13):
+        for kappa in (1.0, 1e2, 1e4, 1e6, 1e8, 1e10):
+            for _ in range(5):
+                a = random_spd(rng, r, kappa)
+                if orientation == "abundance":
+                    b = rng.standard_normal((r, 60))
+                else:
+                    b = rng.standard_normal((60, r)).T
+                b[:, ::2] = a @ b[:, ::2]
+                x = _spd_solve(a, b, "test")
+                ref = oracles.direct_spd_solve(a, b, "test")
+                assert x.shape == b.shape
+                # same layout as dpotrs: the block steps' transposes are C-ordered
+                assert x.T.flags.c_contiguous
+                err = np.linalg.norm(x - ref, axis=0)
+                scale = r * eps * np.linalg.cond(a) * np.linalg.norm(ref, axis=0)
+                worst = max(worst, float((err / scale).max()))
+    assert worst <= 4.0, worst
+
+
+def test_spd_solve_failure_names_smallest_pivot():
+    a = np.array([[1.0, 2.0], [2.0, 1.0]])
+    b = np.ones((2, 3))
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        _spd_solve(a, b, "abundance update")
+    with pytest.raises(np.linalg.LinAlgError) as ref:
+        oracles.direct_spd_solve(a, b, "abundance update")
+    assert str(ours.value) == str(ref.value)
+    assert str(ours.value) == ("abundance update: normal matrix is not positive "
+                               "definite (smallest pivot -1.000000e+00)")
