@@ -259,7 +259,12 @@ def cmd_unmix(args):
     print("input: %d x %d (bands x pixels)" % y.shape)
     print("estimated number of endmembers: %d (from r = %d)"
           % (report.final_effective_rank, report.config.r))
-    state = "converged" if report.converged else "iteration cap reached"
+    if report.converged:
+        state = "converged"
+    elif report.iterations < report.config.max_iter:
+        state = "stalled"
+    else:
+        state = "iteration cap reached"
     print("iterations: %d (%s); final cost %.9g"
           % (report.iterations, state, report.final_cost))
     print("wrote %s, %s, %s" % (paths["endmembers"], paths["abundances"],

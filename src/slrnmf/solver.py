@@ -18,6 +18,16 @@ trial from r-sized Gram terms (:meth:`Objective.change_along`).  The
 full cost is evaluated once per solve, at the initial iterate; every
 reported cost after it is the previous one plus the accepted changes.
 
+A solve stops when the relative cost change falls to ``tol_rel_cost``
+(``converged``), when an iteration moves neither block (stalled: both
+line searches rejected every trial, so the next iteration would repeat
+it bit for bit; not converged) or after ``max_iter`` iterations.
+
+The block steps, line search, reweighting and pruning are internals of
+:func:`solve`: they take its validated float64 state and check nothing
+themselves.  Input from outside is checked where it enters, in
+:func:`solve`, :class:`SolverConfig` and :func:`with_defaults`.
+
 The survivor count is the estimated number of endmembers.  Pruning also
 runs once on the initial iterate, and a dropped column pair never comes
 back: it counts as exactly zero, where it adds exactly delta * eta to the
@@ -41,7 +51,6 @@ import numpy as np
 
 from .model import (
     Objective,
-    _as_diag,
     _column_dots,
     _column_energy,
     as_matrix,
@@ -53,19 +62,12 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "SolverReport",
-    "soft_threshold",
-    "project_nonneg",
-    "update_abundances",
-    "update_endmembers",
-    "update_penalty_diag",
-    "extrapolate",
-    "line_search",
-    "prune_and_report_rank",
+    "SolverDiverged",
+    "solve",
+    "with_defaults",
     "default_eta",
     "DEFAULT_DELTA",
     "DEFAULT_LAMBDA1",
-    "with_defaults",
-    "solve",
 ]
 
 # Minimum smoothing constant when the data-driven default degenerates
@@ -189,36 +191,14 @@ class SolverDiverged(ArithmeticError):
         self.report = report
 
 
-def soft_threshold(x, lam):
-    """Elementwise sign(x) * max(|x| - lam, 0), the l1 proximal operator."""
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError("soft-threshold level must be >= 0, got %g" % lam)
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-
-
-def project_nonneg(x):
-    """Elementwise projection onto the nonnegative orthant."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
 def update_penalty_diag(phi, w, delta, eta):
     """Reweighting diagonal d_i = delta / sqrt(||phi_i||^2 + ||w_i||^2 + eta^2).
 
+    Expects float64 ``phi`` (L, r) and ``w`` (K, r), ``delta >= 0`` and
+    ``eta > 0``, as :func:`solve` hands them; nothing is checked here.
     ``eta > 0`` keeps every entry finite and strictly positive (at most
     delta/eta, attained by a jointly zero column pair).
     """
-    delta = float(delta)
-    eta = float(eta)
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0, got %g" % eta)
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0, got %g" % delta)
-    phi = as_matrix(phi, "phi")
-    w = as_matrix(w, "w")
-    if phi.shape[1] != w.shape[1]:
-        raise ValueError("phi and w disagree on the number of columns")
     return delta / np.sqrt(_column_energy(phi, w) + eta * eta)
 
 
@@ -232,7 +212,9 @@ def _spd_solve(a, b, context):
     The product is taken in the transposed orientation, so the solution
     comes back in Fortran order like ``dpotrs``' and the block steps'
     transposes are C-ordered.  A factorization failure raises
-    ``LinAlgError`` naming the smallest eigenvalue of ``a``.
+    ``LinAlgError`` naming the smallest eigenvalue of ``a`` relative to
+    the largest in magnitude: a ratio at the unit roundoff (about 1e-16),
+    of either sign, means ``a`` is numerically singular.
 
     Precision (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2nd ed., ch. 10 and 14; u the unit roundoff, kappa = kappa_2(a)).
@@ -258,13 +240,31 @@ def _spd_solve(a, b, context):
     try:
         inv_factor = np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
-        pivot = float(np.linalg.eigvalsh(a).min())
+        eig = np.linalg.eigvalsh(a)
+        scale = float(np.abs(eig).max())
         raise np.linalg.LinAlgError(
-            "%s: normal matrix is not positive definite (smallest pivot %.6e)"
-            % (context, pivot)) from None
+            "%s: normal matrix is not positive definite (smallest eigenvalue "
+            "%.6e relative to the largest)"
+            % (context, eig[0] / scale if scale else 0.0)) from None
     # ``inv_factor.T @ inv_factor`` is a SYRK, so the inverse is exactly
     # symmetric and b^T a^-1 is the transpose of a^-1 b.
     return (b.T @ (inv_factor.T @ inv_factor)).T
+
+
+def _newton_step(fixed, d, rhs, shift, context):
+    """Projected Newton target max(X - shift, 0) of one block, n-by-r.
+
+    X^T solves (F^T F + D) X^T = ``rhs``, F = ``fixed`` the other block
+    and D = diag(``d``); ``rhs`` is F^T times Y or Y^T, r-by-n.  The
+    solve goes through :func:`_spd_solve`, whose docstring bounds its
+    difference from a backward stable Cholesky solve; the shift and the
+    projection run in place on its solution.
+    """
+    a = fixed.T @ fixed
+    a.flat[::a.shape[0] + 1] += d
+    x = _spd_solve(a, rhs, context).T
+    x -= shift
+    return np.maximum(x, 0.0, out=x)
 
 
 def update_abundances(objective, phi_hat, d_hat):
@@ -272,64 +272,39 @@ def update_abundances(objective, phi_hat, d_hat):
 
     Solves (Phi^T Phi + D) X = Phi^T Y, Y = ``objective.y``, for the r-by-K
     Newton target, transposes to K-by-r, soft-thresholds at
-    ``objective.lambda1`` and projects onto the nonnegative orthant.  The
-    r-by-r system is solved through the inverse of its Cholesky factor
-    (:func:`_spd_solve`), one GEMM over the K columns; its docstring
-    bounds the difference from a backward stable Cholesky solve, measured
-    below 4 r u kappa ||x|| per column.  Returns the candidate and the
-    product Y^T Phi (K-by-r) it formed, which :func:`line_search` reuses.
-
-    The soft threshold and the projection, which together are
-    max(x - lambda1, 0), run in place on the solution, so the step
-    holds two K-by-r arrays: the cross product and the solution.
+    ``objective.lambda1`` and projects onto the nonnegative orthant, which
+    together are max(x - lambda1, 0).  Expects ``phi_hat`` float64 (L, r)
+    and ``d_hat`` float64 (r,), as :func:`solve` hands them.  Returns the
+    candidate and the product Y^T Phi (K-by-r) it formed, which
+    :func:`line_search` reuses.  The step holds two K-by-r arrays: the
+    cross product and the solution.
     """
-    y = objective.y
-    phi = as_matrix(phi_hat, "phi_hat")
-    if phi.shape[0] != y.shape[0]:
-        raise ValueError("phi_hat has %d rows, expected L=%d"
-                         % (phi.shape[0], y.shape[0]))
-    d = _as_diag(d_hat, phi.shape[1])
-    a = phi.T @ phi
-    a.flat[::a.shape[0] + 1] += d
-    cross = phi.T @ y
-    x = _spd_solve(a, cross, "abundance update").T
-    x -= objective.lambda1
-    return np.maximum(x, 0.0, out=x), cross.T
+    cross = phi_hat.T @ objective.y
+    return (_newton_step(phi_hat, d_hat, cross, objective.lambda1,
+                         "abundance update"), cross.T)
 
 
 def update_endmembers(objective, w_hat, d_hat):
     """One Newton step for the endmember block, projected onto the orthant.
 
-    Solves (W^T W + D) X = W^T Y^T, with ``Y`` the already validated
-    ``objective.y``, and transposes back to L-by-r.  Returns the
-    candidate and the product Y W (L-by-r) it formed, which
-    :func:`line_search` reuses.
+    Solves (W^T W + D) X = W^T Y^T, Y = ``objective.y``, and transposes
+    back to L-by-r.  Expects ``w_hat`` float64 (K, r) and ``d_hat``
+    float64 (r,), as :func:`solve` hands them.  Returns the candidate and
+    the product Y W (L-by-r) it formed, which :func:`line_search` reuses.
     """
-    y = objective.y
-    w = as_matrix(w_hat, "w_hat")
-    if w.shape[0] != y.shape[1]:
-        raise ValueError("w_hat has %d rows, expected K=%d"
-                         % (w.shape[0], y.shape[1]))
-    d = _as_diag(d_hat, w.shape[1])
-    a = w.T @ w
-    a.flat[::a.shape[0] + 1] += d
-    cross = y @ w
-    x = _spd_solve(a, cross.T, "endmember update")
-    return project_nonneg(x.T), cross
+    cross = objective.y @ w_hat
+    return _newton_step(w_hat, d_hat, cross.T, 0.0, "endmember update"), cross
 
 
 def extrapolate(prev, candidate, beta):
-    """Convex blend prev + beta * (candidate - prev) for beta in (0, 1]."""
-    beta = float(beta)
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must be in (0, 1], got %g" % beta)
+    """Convex blend prev + beta * (candidate - prev); ``beta`` in (0, 1]."""
     if beta == 1.0:
         return candidate
     return prev + beta * (candidate - prev)
 
 
 def line_search(objective, phi_hat, w_hat, candidate, cross, which, config,
-                baseline_cost=None):
+                baseline_cost):
     """Backtrack over extrapolation weights until the cost stops increasing.
 
     Tries beta in {beta_init, beta_init*shrink, ...} (at most
@@ -356,21 +331,19 @@ def line_search(objective, phi_hat, w_hat, candidate, cross, which, config,
         returned by the block step.
     which : {"w", "phi"}
         Which block ``candidate`` replaces.
-    baseline_cost : float, optional
-        Total cost at (phi_hat, w_hat); computed if omitted.
+    config : SolverConfig
+        Supplies ``beta_init``, ``shrink`` and ``max_backtracks``.
+    baseline_cost : float
+        Total cost at (phi_hat, w_hat).
 
     Returns
     -------
     (accepted, beta_used, cost) : (array, float, float)
     """
-    if which not in ("w", "phi"):
-        raise ValueError("which must be 'w' or 'phi', got %r" % (which,))
     prev = w_hat if which == "w" else phi_hat
-    if baseline_cost is None:
-        baseline_cost = objective.total(phi_hat, w_hat)
     change = objective.change_along(phi_hat, w_hat, candidate, which, cross)
     slack = _ACCEPT_SLACK * abs(baseline_cost)
-    beta = float(config.beta_init)
+    beta = config.beta_init
     for _ in range(config.max_backtracks):
         gain = change(beta)
         if gain <= slack:
@@ -383,14 +356,13 @@ def prune_and_report_rank(phi, w, prune_tol):
     """Columns surviving the relative joint-energy threshold.
 
     Column i survives iff sqrt(||phi_i||^2 + ||w_i||^2) exceeds
-    ``prune_tol`` times the largest such energy.  Returns the surviving
-    indices (ascending) and their count; an all-zero factorization
-    yields an empty survivor set (degenerate outcome, rank 0).
+    ``prune_tol`` times the largest such energy.  Expects float64 ``phi``
+    and ``w`` with equal column counts and ``prune_tol`` in [0, 1), as
+    :func:`solve` hands them.  Returns the surviving indices (ascending)
+    and their count; an all-zero factorization yields an empty survivor
+    set (degenerate outcome, rank 0).
     """
-    prune_tol = float(prune_tol)
-    if not 0.0 <= prune_tol < 1.0:
-        raise ValueError("prune_tol must be in [0, 1), got %g" % prune_tol)
-    norms = joint_column_norms(np.asarray(phi, float), np.asarray(w, float))
+    norms = joint_column_norms(phi, w)
     cutoff = prune_tol * (norms.max() if norms.size else 0.0)
     surviving = np.flatnonzero(norms > cutoff)
     return surviving, int(surviving.size)
@@ -443,7 +415,7 @@ def _resolve_defaults(config, y):
 
 
 def solve(y, init_phi, init_w, config, callback=None):
-    """Run the alternating solver until the cost change stalls or max_iter.
+    """Run the alternating solver until it converges, stalls or hits max_iter.
 
     Parameters
     ----------
@@ -467,7 +439,9 @@ def solve(y, init_phi, init_w, config, callback=None):
         columns; ``report`` carries the resolved config and the
         per-iteration traces.  Costs are those of the width-r
         factorization, dropped columns counted as zero, and the cost trace
-        is non-increasing.
+        is non-increasing.  ``report.converged`` is true when the relative
+        cost change fell to ``tol_rel_cost`` or every column was pruned;
+        a stalled solve and one stopped by ``max_iter`` report false.
     """
     t0 = time.perf_counter()
     y = as_matrix(y, "y")
@@ -573,6 +547,10 @@ def solve(y, init_phi, init_w, config, callback=None):
                                  beta_w=beta_w, beta_phi=beta_phi,
                                  k=k, last_cost=cost_k))
 
+        if beta_w == 0.0 and beta_phi == 0.0:
+            # Stalled: with neither block moved, pruning dropped nothing
+            # and the next iteration would repeat this one.
+            break
         if abs(cost_prev - cost_k) <= config.tol_rel_cost * max(abs(cost_prev), 1e-300):
             cost_prev = cost_k
             converged = True

@@ -59,7 +59,7 @@ def direct_total(objective, phi, w):
 
 
 def direct_line_search(objective, phi_hat, w_hat, candidate, cross, which,
-                       config, baseline_cost=None):
+                       config, baseline_cost):
     """The backtracking line search priced directly: one full cost per trial.
 
     Same schedule, accept rule (relative slack 1e-12) and blend as
@@ -67,8 +67,6 @@ def direct_line_search(objective, phi_hat, w_hat, candidate, cross, which,
     not used.
     """
     prev = w_hat if which == "w" else phi_hat
-    if baseline_cost is None:
-        baseline_cost = objective.total(phi_hat, w_hat)
     bound = baseline_cost + 1e-12 * abs(baseline_cost)
     beta = float(config.beta_init)
     for _ in range(config.max_backtracks):
@@ -236,6 +234,8 @@ def full_width_solve(y, init_phi, init_w, config):
         ranks.append(prune_and_report_rank(phi, w, config.prune_tol)[1])
         betas_w.append(beta_w)
         betas_phi.append(beta_phi)
+        if beta_w == 0.0 and beta_phi == 0.0:
+            break
         if abs(cost_prev - cost_k) <= config.tol_rel_cost * max(abs(cost_prev), 1e-300):
             converged = True
             break
@@ -260,10 +260,12 @@ def direct_spd_solve(a, b, context):
     """
     factor, info = dpotrf(a, lower=0, clean=0)
     if info:
-        pivot = float(np.linalg.eigvalsh(a).min())
+        eig = np.linalg.eigvalsh(a)
+        scale = float(np.abs(eig).max())
         raise np.linalg.LinAlgError(
-            "%s: normal matrix is not positive definite (smallest pivot %.6e)"
-            % (context, pivot))
+            "%s: normal matrix is not positive definite (smallest eigenvalue "
+            "%.6e relative to the largest)"
+            % (context, eig[0] / scale if scale else 0.0))
     return dpotrs(factor, b, lower=0)[0]
 
 

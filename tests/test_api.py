@@ -1,7 +1,9 @@
 """Public names: every exported name resolves, step internals stay in their
 modules, and the names the benchmark traces stay where it looks for them."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
@@ -18,9 +20,9 @@ MODULES = ["slrnmf"] + ["slrnmf." + m.name
 STEP_INTERNALS = {
     "slrnmf.model": ["Objective", "cost_total", "grad_w", "grad_phi",
                      "joint_column_norms"],
-    "slrnmf.solver": ["soft_threshold", "project_nonneg", "update_abundances",
-                      "update_endmembers", "update_penalty_diag", "extrapolate",
-                      "line_search", "prune_and_report_rank", "default_eta"],
+    "slrnmf.solver": ["update_abundances", "update_endmembers",
+                      "update_penalty_diag", "extrapolate", "line_search",
+                      "prune_and_report_rank", "default_eta"],
 }
 
 # (module, attribute) pairs that the benchmark's traced runs replace by name
@@ -49,6 +51,16 @@ TRACED = [
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_reexported_names_are_public_in_their_modules():
+    # Each ``from .module import ...`` in the package names only what that
+    # module lists in its own ``__all__``.
+    for node in ast.parse(inspect.getsource(slrnmf)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module("slrnmf." + node.module)
+            missing = [a.name for a in node.names if a.name not in module.__all__]
+            assert missing == [], (node.module, missing)
 
 
 def test_step_internals_are_not_reexported():

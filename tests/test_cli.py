@@ -328,8 +328,26 @@ def test_console_entry_point():
     assert "repro-sim" in proc.stdout
 
 
-def test_commands_import_no_scipy(tmp_path):
-    # The package runs on numpy alone: no command may load any scipy module.
+def test_unmix_names_why_it_stopped(tmp_path, capsys):
+    # Scene 31 of the uniform protocol stalls at iteration 2: both line
+    # searches reject every trial.
+    synth_dir = tmp_path / "synth"
+    assert run(["synth", "--K", "500", "--seed", "31",
+                "--out-dir", str(synth_dir)]) == 0
+    unmix = ["unmix", "--input", str(synth_dir / "observations.csv"), "--r", "10",
+             "--seed", "31"]
+    capsys.readouterr()
+    assert run(unmix + ["--out-dir", str(tmp_path / "fit")]) == 0
+    assert "iterations: 2 (stalled)" in capsys.readouterr().out
+    assert read_report(tmp_path / "fit" / "report.txt")["result.converged"] is False
+    assert run(unmix + ["--max-iter", "1", "--out-dir", str(tmp_path / "cap")]) == 0
+    assert "iterations: 1 (iteration cap reached)" in capsys.readouterr().out
+
+
+def test_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
+    # The package runs on numpy alone: no command may load any scipy module,
+    # nor ``numpy.ma``, which ``np.unique`` and the set routines import on
+    # first use (10-15 ms of a fresh process).
     code = "\n".join([
         "import sys",
         "import slrnmf.cli",
@@ -346,7 +364,8 @@ def test_commands_import_no_scipy(tmp_path):
         "            '--out', out + '/eval.txt']) == 0",
         "assert run(['repro-sim', '--K', '100', '--n-seeds', '1',",
         "            '--out-dir', out + '/repro']) == 0",
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'",
+        "          or m.split('.')[:2] == ['numpy', 'ma']]",
         "assert not loaded, loaded",
     ])
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],

@@ -357,8 +357,8 @@ def test_save_results_writes_everything(tmp_path):
     assert len(paths["maps"]) == phi.shape[1]
     for i, map_path in enumerate(paths["maps"]):
         assert ("maps.map_%d.min" % i) in values
-        first = open(map_path).readline().strip()
-        assert first == "P2"
+        with open(map_path) as f:
+            assert f.readline().strip() == "P2"
 
 
 def test_save_results_validates_geometry(tmp_path):

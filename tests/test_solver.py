@@ -278,6 +278,17 @@ def test_closed_form_search_matches_direct_form(monkeypatch, kind):
     assert rep_a.final_cost == pytest.approx(rep_b.final_cost, rel=1e-10)
 
 
+@pytest.mark.parametrize("seed, iterations", [(31, 2), (37, 4), (38, 4)])
+def test_stall_is_not_convergence(seed, iterations):
+    """An iteration in which neither block moves ends the solve unconverged:
+    the next one would repeat it bit for bit."""
+    y, phi0, w0, config = protocol_scene("uniform", seed)
+    _, _, report = solve(y, phi0, w0, config)
+    assert report.iterations == iterations
+    assert report.beta_w_trace[-1] == 0.0 and report.beta_phi_trace[-1] == 0.0
+    assert not report.converged
+
+
 def test_full_cost_is_evaluated_once_per_solve(monkeypatch):
     phi_t, w_t = tiny_truth(0)
     y = phi_t @ w_t.T

