@@ -21,7 +21,7 @@ endmembers.  All arithmetic is float64.
 Apart from the one-byte mask of :func:`as_matrix`'s finite-entry check,
 nothing here allocates an array of the size of ``y``: the full cost forms
 its residual one block of pixels at a time (at most 8 MiB), and the
-line-search and pruning prices work from r-sized Gram terms.
+line-search prices work from r-sized Gram terms.
 """
 
 import numpy as np
@@ -39,8 +39,11 @@ __all__ = [
 
 
 def as_matrix(a, name="matrix"):
-    """Coerce to a float64 2-D array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.float64)
+    """Coerce to a float64 2-D array, rejecting complex and non-finite entries."""
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        raise ValueError("%s must be real, got dtype %s" % (name, m.dtype))
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("%s must be a 2-D array, got shape %s" % (name, (m.shape,)))
     if m.size and not np.isfinite(m).all():
@@ -185,12 +188,12 @@ class Objective:
         delta = float(delta)
         lambda1 = float(lambda1)
         eta = float(eta)
-        if delta < 0.0:
-            raise ValueError("delta must be >= 0, got %g" % delta)
-        if lambda1 < 0.0:
-            raise ValueError("lambda1 must be >= 0, got %g" % lambda1)
-        if eta <= 0.0:
-            raise ValueError("eta must be > 0, got %g" % eta)
+        if not 0.0 <= delta < np.inf:
+            raise ValueError("delta must be finite and >= 0, got %g" % delta)
+        if not 0.0 <= lambda1 < np.inf:
+            raise ValueError("lambda1 must be finite and >= 0, got %g" % lambda1)
+        if not 0.0 < eta < np.inf:
+            raise ValueError("eta must be finite and > 0, got %g" % eta)
         self.delta = delta
         self.lambda1 = lambda1
         self.eta = eta
@@ -280,40 +283,3 @@ class Objective:
             return beta * slope + beta * beta * curvature + delta * float(group)
 
         return change
-
-    def change_dropping(self, phi, w, dead, cross):
-        """Cost change total(Phi', W') - total(Phi, W) when the columns
-        ``dead`` (a set S) of both blocks are set to zero.
-
-        ``cross`` is Y W_S (L-by-|S|), the product of Y with the dropped
-        abundance columns; ``w`` must be nonnegative.  Costs
-        O((L + K) r |S|) and forms nothing of size L-by-K::
-
-            fit:     tr(Phi_S^T C_S) - <Phi_S^T Phi, W_S^T W>
-                     + 1/2 <Phi_S^T Phi_S, W_S^T W_S>
-            penalty: delta sum_{i in S} (eta - sqrt(e_i + eta^2))
-            l1:      -lambda1 sum(W_S)
-
-        with e_i = ||phi_i||^2 + ||w_i||^2.  The fit term expands
-        1/2 ||R + Phi_S W_S^T||^2 - 1/2 ||R||^2, R = Y - Phi W^T; the
-        penalty term is summed as -e_i / (eta + sqrt(e_i + eta^2)), which
-        keeps full relative precision for e_i far below eta^2 and is exactly
-        0 for a zero column.
-
-        Precision: every term is a product of the dropped columns with
-        quantities at (Phi, W), so the change rounds at about n eps times
-        the magnitude of its own terms (n = L + K + r, the inner dimensions
-        of the products), which vanishes with the dropped columns; the
-        direct difference of two ``total`` calls rounds at the scale of the
-        costs (see :meth:`change_along`).
-        """
-        phi_s = phi[:, dead]
-        w_s = w[:, dead]
-        phi_gram = phi_s.T @ phi
-        w_gram = w_s.T @ w
-        fit = (float(np.vdot(phi_s, cross))
-               - float(np.vdot(phi_gram, w_gram))
-               + 0.5 * float(np.vdot(phi_gram[:, dead], w_gram[:, dead])))
-        energy = _column_energy(phi_s, w_s)
-        penalty = float(np.sum(energy / (self.eta + np.sqrt(energy + self.eta * self.eta))))
-        return fit - self.delta * penalty - self.lambda1 * float(w_s.sum())

@@ -8,9 +8,9 @@ One outer iteration does:
    stops increasing,
 3. endmember block: same Newton-target construction without the
    soft-threshold, and the same backtracking,
-4. pruning: column pairs whose joint energy has collapsed below a
-   relative tolerance are dropped,
-5. refresh of the penalty diagonal from the surviving columns.
+4. pruning: column pairs that are exactly zero are dropped, and those
+   whose joint energy exceeds a relative tolerance are counted,
+5. refresh of the penalty diagonal from the working columns.
 
 The backtracking never forms a residual: each block step hands its
 product of Y with the fixed block to the line search, which prices every
@@ -28,15 +28,16 @@ The block steps, line search, reweighting and pruning are internals of
 themselves.  Input from outside is checked where it enters, in
 :func:`solve`, :class:`SolverConfig` and :func:`with_defaults`.
 
-The survivor count is the estimated number of endmembers.  Pruning also
-runs once on the initial iterate, and a dropped column pair never comes
-back: it counts as exactly zero, where it adds exactly delta * eta to the
-objective and nothing to any gradient, so the block steps and line
-searches work on the surviving columns alone.  Zeroing a pruned column
-that is not yet zero is priced in closed form from r-sized terms
-(:meth:`Objective.change_dropping`).  Reported costs are those of the
-width-r factorization: the working cost plus delta * eta per dropped
-column.
+The survivor count is the estimated number of endmembers: the column
+pairs whose joint energy exceeds ``prune_tol`` times the largest, counted
+after every iteration and on the initial iterate; the returned factors
+hold these columns alone.  A column pair that is exactly zero adds exactly
+delta * eta to the objective and nothing to any gradient, and every block
+step maps it to zero again, so it is dropped while iterating and the block
+steps and line searches work on the other columns alone.  A pair below
+``prune_tol`` that is not yet zero keeps iterating: zeroing it early would
+move the iterate.  Reported costs are those of the width-r factorization:
+the working cost plus delta * eta per dropped column.
 
 Memory: besides Y, a solve holds O((L + K) r) floats, about six K-by-r
 arrays, and the one residual block of :meth:`Objective.total` (at most
@@ -111,16 +112,15 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.r) != self.r or self.r < 1:
-            raise ValueError("r must be a positive integer, got %r" % (self.r,))
+        self._require_whole("r", 1)
+        self._require_whole("max_iter", 0)
+        self._require_whole("max_backtracks", 1)
         if self.delta is not None and self.delta < 0.0:
             raise ValueError("delta must be >= 0, got %g" % self.delta)
         if self.lambda1 is not None and self.lambda1 < 0.0:
             raise ValueError("lambda1 must be >= 0, got %g" % self.lambda1)
         if self.eta is not None and self.eta <= 0.0:
             raise ValueError("eta must be > 0, got %g" % self.eta)
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0, got %r" % (self.max_iter,))
         if self.tol_rel_cost < 0.0:
             raise ValueError("tol_rel_cost must be >= 0, got %g" % self.tol_rel_cost)
         if not 0.0 <= self.prune_tol < 1.0:
@@ -129,9 +129,18 @@ class SolverConfig:
             raise ValueError("beta_init must be in (0, 1], got %g" % self.beta_init)
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must be in (0, 1), got %g" % self.shrink)
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1, got %r"
-                             % (self.max_backtracks,))
+
+    def _require_whole(self, name, low):
+        """Check that field ``name`` is an integer >= ``low``; store it as an int."""
+        value = getattr(self, name)
+        try:
+            whole = int(value) == value
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole or value < low:
+            raise ValueError("%s must be an integer >= %d, got %r"
+                             % (name, low, value))
+        object.__setattr__(self, name, int(value))
 
     @property
     def is_resolved(self):
@@ -182,8 +191,9 @@ class SolverReport:
 class SolverDiverged(ArithmeticError):
     """Raised when the iteration breaks down numerically; carries the partial report.
 
-    Raised for a non-finite cost and for a block step whose normal matrix
-    is not positive definite (the ``LinAlgError`` is chained as the cause).
+    Raised for a non-finite cost, at the initial iterate or later, and for a
+    block step whose normal matrix is not positive definite (the
+    ``LinAlgError`` is chained as the cause).
     """
 
     def __init__(self, message, report=None):
@@ -368,23 +378,26 @@ def prune_and_report_rank(phi, w, prune_tol):
     return surviving, int(surviving.size)
 
 
-def _drop_pruned(objective, phi, w, cross, prune_tol):
-    """Remove the columns :func:`prune_and_report_rank` rejects.
+def _prune_and_drop(phi, w, alive, prune_tol):
+    """Count the survivors of pruning and drop the column pairs that are zero.
 
-    ``cross`` is Y W (L-by-r) at this ``w``, or ``None`` to form Y W_S for
-    the dropped columns S alone.  Returns the kept indices, the compacted
-    (phi, w) and the cost change of setting the dropped columns to zero.
+    A pair whose phi and w columns are both all zero adds exactly delta *
+    eta to the objective and nothing to any gradient, and every block step
+    maps it to zero again, so dropping it changes no iterate.  A survivor
+    has positive energy, so the zero scan runs only when some column fails
+    pruning.  ``alive`` indexes the working columns into the initial r.
+    Returns the new ``alive``, the survivors as indices into the returned
+    working columns, and the compacted (phi, w).
     """
-    keep, n_keep = prune_and_report_rank(phi, w, prune_tol)
-    if n_keep == phi.shape[1]:
-        return keep, phi, w, 0.0
-    # ``np.delete``, not ``np.setdiff1d``: the latter's ``np.unique`` imports
-    # ``numpy.ma`` on first use, about 15 ms of a fresh process.
-    dead = np.delete(np.arange(phi.shape[1]), keep)
-    cross = objective.y @ w[:, dead] if cross is None else cross[:, dead]
-    change = objective.change_dropping(phi, w, dead, cross)
+    kept = prune_and_report_rank(phi, w, prune_tol)[0]
+    if kept.size == phi.shape[1]:
+        return alive, kept, phi, w
+    keep = np.flatnonzero(phi.any(axis=0) | w.any(axis=0))
+    if keep.size == phi.shape[1]:
+        return alive, kept, phi, w
     # ``np.take`` returns C-ordered copies; ``phi[:, keep]`` would be F-ordered.
-    return keep, np.take(phi, keep, axis=1), np.take(w, keep, axis=1), change
+    return (alive[keep], np.searchsorted(keep, kept),
+            np.take(phi, keep, axis=1), np.take(w, keep, axis=1))
 
 
 def default_eta(y):
@@ -437,11 +450,20 @@ def solve(y, init_phi, init_w, config, callback=None):
     (phi, w, report)
         ``phi`` (L, n_eff) and ``w`` (K, n_eff) hold the surviving
         columns; ``report`` carries the resolved config and the
-        per-iteration traces.  Costs are those of the width-r
-        factorization, dropped columns counted as zero, and the cost trace
-        is non-increasing.  ``report.converged`` is true when the relative
-        cost change fell to ``tol_rel_cost`` or every column was pruned;
+        per-iteration traces.  Costs are those of the width-r iterate, so
+        a column below ``prune_tol`` that is not yet zero at exit counts in
+        ``final_cost`` but not in the returned factors; the cost trace is
+        non-increasing.  ``report.converged`` is true when the relative
+        cost change fell to ``tol_rel_cost`` or every column became zero;
         a stalled solve and one stopped by ``max_iter`` report false.
+
+    Raises
+    ------
+    ValueError
+        For invalid input, including a resolved ``eta`` that is not finite.
+    SolverDiverged
+        When the cost is not finite, at the initial iterate or later, or a
+        block step's normal matrix is not positive definite.
     """
     t0 = time.perf_counter()
     y = as_matrix(y, "y")
@@ -463,16 +485,18 @@ def solve(y, init_phi, init_w, config, callback=None):
     objective = Objective._of_checked(y, config.delta, config.lambda1,
                                       config.eta)
 
-    initial_cost = objective.total(phi, w)
-    # ``alive`` indexes the working columns into the initial r; ``pad`` is
-    # the cost of the dropped (zero) columns, delta * eta each.  Costs
-    # reported and compared include it, the line searches price the
-    # working problem without it.
-    alive, phi, w, dropped = _drop_pruned(objective, phi, w, None,
-                                          config.prune_tol)
-    pad = (config.r - alive.size) * config.delta * config.eta
-    cost_prev = initial_cost + dropped
-    d = update_penalty_diag(phi, w, config.delta, config.eta)
+    # ``alive`` indexes the working columns into the initial r and ``kept``
+    # the working columns that survive pruning; ``pad`` is the cost of the
+    # dropped (zero) columns, delta * eta each.  Costs reported and
+    # compared include it, the line searches price the working problem
+    # without it.  An overflow here raises SolverDiverged below, not a
+    # warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial_cost = cost_prev = objective.total(phi, w)
+        alive, kept, phi, w = _prune_and_drop(phi, w, np.arange(config.r),
+                                              config.prune_tol)
+        pad = (config.r - alive.size) * config.delta * config.eta
+        d = update_penalty_diag(phi, w, config.delta, config.eta)
 
     cost_trace = []
     rank_trace = []
@@ -490,10 +514,10 @@ def solve(y, init_phi, init_w, config, callback=None):
             effective_rank_trace=np.asarray(rank_trace, dtype=np.int64),
             beta_w_trace=np.asarray(beta_w_trace, dtype=np.float64),
             beta_phi_trace=np.asarray(beta_phi_trace, dtype=np.float64),
-            final_effective_rank=alive.size,
-            surviving_columns=alive,
+            final_effective_rank=kept.size,
+            surviving_columns=alive[kept],
             converged=converged,
-            rank_degenerate=(alive.size == 0),
+            rank_degenerate=(kept.size == 0),
             wall_time=time.perf_counter() - t0,
         )
 
@@ -506,6 +530,10 @@ def solve(y, init_phi, init_w, config, callback=None):
         full = np.full(a.shape[:-1] + (config.r,), fill)
         full[..., alive] = a
         return full
+
+    if not np.isfinite(initial_cost):
+        raise diverged("non-finite cost %r at the initial iterate"
+                       % (initial_cost,))
 
     for k in range(1, config.max_iter + 1):
         if not alive.size:
@@ -528,15 +556,12 @@ def solve(y, init_phi, init_w, config, callback=None):
         if not np.isfinite(cost_k):
             raise diverged("non-finite cost %r at iteration %d" % (cost_k, k))
 
-        # ``cross`` = Y W is still current: W has not moved since it was formed.
-        keep, phi, w, dropped = _drop_pruned(objective, phi, w, cross,
-                                             config.prune_tol)
-        alive = alive[keep]
-        cost_k += pad + dropped
+        cost_k += pad
+        alive, kept, phi, w = _prune_and_drop(phi, w, alive, config.prune_tol)
         pad = (config.r - alive.size) * config.delta * config.eta
         d = update_penalty_diag(phi, w, config.delta, config.eta)
         cost_trace.append(cost_k)
-        rank_trace.append(alive.size)
+        rank_trace.append(kept.size)
         beta_w_trace.append(beta_w)
         beta_phi_trace.append(beta_phi)
 
@@ -557,4 +582,6 @@ def solve(y, init_phi, init_w, config, callback=None):
             break
         cost_prev = cost_k
 
+    if kept.size < alive.size:
+        phi, w = np.take(phi, kept, axis=1), np.take(w, kept, axis=1)
     return phi, w, build_report()

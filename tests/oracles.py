@@ -270,39 +270,49 @@ def direct_spd_solve(a, b, context):
 
 
 def scipy_init_vca(y, r, seed):
-    """``slrnmf.initializers.init_vca`` with its SVDs taken by ``scipy.linalg.svd``.
+    """``slrnmf.initializers.init_vca`` with its eigenproblems solved by
+    ``scipy.linalg.eigh`` on Grams formed in one product each.
 
-    The package's VCA before it called ``np.linalg.svd``; it shares the
-    rank and SNR helpers with the package on purpose, so a comparison
-    isolates the SVD driver.
+    Same SNR rule, projections, sign rule (each eigenvector's
+    largest-magnitude entry positive) and pixel selection as the package;
+    it shares the rank and SNR helpers with it on purpose, so a comparison
+    isolates the eigensolver and the pixel-blocked Gram.
     """
     from slrnmf.initializers import _check_spanned, _estimate_snr
 
-    def svd(a):
-        return scipy.linalg.svd(a, full_matrices=False, check_finite=False)
+    def eigh(a):
+        evals, evecs = scipy.linalg.eigh(a, check_finite=False)
+        evecs = evecs[:, ::-1].copy()
+        for j in range(evecs.shape[1]):
+            if evecs[np.argmax(np.abs(evecs[:, j])), j] < 0.0:
+                evecs[:, j] = -evecs[:, j]
+        return evals[::-1], evecs
 
     y = np.asarray(y, dtype=np.float64)
     l, k = y.shape
+    mean = y.mean(axis=1)
+    y_centered = y - mean[:, None]
+    centred = y_centered @ y_centered.T
+    raw = centred + k * np.outer(mean, mean)
     if r == 1:
-        u, svals, _ = svd(y)
-        _check_spanned(svals, 1, "projected data")
+        evals, u = eigh(raw)
+        _check_spanned(evals, 1, "projected data")
         scores = u[:, 0] @ y
         return np.maximum(y[:, [int(np.argmax(np.abs(scores)))]], 0.0)
-    y_mean = y.mean(axis=1)
-    y_centered = y - y_mean[:, None]
-    u_c, svals_c = svd(y_centered)[:2]
-    snr = _estimate_snr(y, y_centered, y_mean, u_c, r)
+    c_evals = scipy.linalg.eigvalsh(centred, check_finite=False)[::-1]
+    snr = _estimate_snr(c_evals, float(np.trace(raw)), mean, k, r)
     if snr > 15.0 + 10.0 * np.log10(r):
-        u, svals, _ = svd(y)
-        _check_spanned(svals, r, "projected data")
+        evals, u = eigh(raw)
+        _check_spanned(evals, r, "projected data")
         x_p = u[:, :r].T @ y
         denom = x_p.T @ x_p.mean(axis=1)
         bad = np.abs(denom) <= 1e-12 * max(float(np.abs(denom).max()), 1e-300)
         points = x_p / np.where(bad, 1.0, denom)
         points[:, bad] = 0.0
     else:
-        _check_spanned(svals_c, r - 1, "projected centered data")
-        x_p = u_c[:, :r - 1].T @ y_centered
+        evals, u = eigh(centred)
+        _check_spanned(evals, r - 1, "projected centered data")
+        x_p = u[:, :r - 1].T @ y_centered
         c = float(np.sqrt((x_p * x_p).sum(axis=0)).max())
         points = np.vstack([x_p, np.full((1, k), c)])
     rng = np.random.default_rng(seed)

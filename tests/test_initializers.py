@@ -1,13 +1,25 @@
 """Initialization strategies: uniform draws, vertex extraction, NNLS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 import oracles
-from slrnmf.initializers import _estimate_snr, init_uniform, init_vca, nnls_abundances
+from slrnmf.initializers import (
+    _centred_gram,
+    _eigh_descending,
+    _estimate_snr,
+    init_uniform,
+    init_vca,
+    nnls_abundances,
+)
 from slrnmf.metrics import match_columns
+from slrnmf.model import _pixel_block
 from slrnmf.synth import simulate
+
+EPS = np.finfo(np.float64).eps
 
 
 def simplex_scene(seed, l=50, k=300, n=4, sigma=0.0, pure=True):
@@ -104,24 +116,87 @@ def test_vca_names_the_deficient_dimension_on_flat_data():
         init_vca(y, 3, seed=0)
 
 
+def vca_scene(seed, k=900):
+    """A scene of the VCA acceptance protocol (224 bands, 3 sources)."""
+    return simulate(l=224, k=k, n=3, density=0.5, sigma=1e-3, seed=seed)[0]
+
+
 def test_vca_matches_scipy_svd_oracle():
-    """numpy's SVD (LAPACK gesdd, as scipy's default) picks bitwise the same
-    endmembers: on the 10 VCA acceptance scenes, a low-SNR scene that takes
-    the affine projection, and the rank-one path."""
-    cases = []
-    for seed in range(10):
-        y, _ = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3, seed=seed)
-        cases.append((y, 8, seed))
+    """The eigenbases of the pixel-blocked Grams, taken by numpy's ``eigh``,
+    pick bitwise the same endmembers as scipy's ``eigh`` of the Grams formed
+    in one product: on the 10 VCA acceptance scenes, a low-SNR scene that
+    takes the affine projection, and the rank-one path."""
+    cases = [(vca_scene(seed), 8, seed) for seed in range(10)]
     y_noisy, _ = simplex_scene(5, sigma=0.5)
-    centered = y_noisy - y_noisy.mean(axis=1)[:, None]
-    u = np.linalg.svd(centered, full_matrices=False)[0]
-    snr = _estimate_snr(y_noisy, centered, y_noisy.mean(axis=1), u, 3)
+    mean = y_noisy.mean(axis=1)
+    centred = _centred_gram(y_noisy, mean)
+    k = y_noisy.shape[1]
+    snr = _estimate_snr(np.linalg.eigvalsh(centred)[::-1],
+                        float(np.trace(centred)) + k * float(mean @ mean), mean, k, 3)
     assert snr <= 15.0 + 10.0 * np.log10(3)  # the affine branch runs
     cases.append((y_noisy, 3, 2))
     cases.append((cases[0][0], 1, 0))
     cases.append((simplex_scene(1, k=40)[0], 1, 0))
     for y, r, seed in cases:
         assert np.array_equal(init_vca(y, r, seed), oracles.scipy_init_vca(y, r, seed))
+
+
+@pytest.mark.parametrize("k", [900, 10_000])
+def test_vca_subspaces_match_the_svd_within_the_precision_argument(k):
+    """The top eigenvectors of the raw and centred Grams span the SVD's
+    leading subspaces to within u sigma_1^2 / (sigma_r^2 - sigma_{r+1}^2),
+    the bound in ``init_vca``'s docstring, at the ranks VCA uses (r = 8 for
+    the projective branch and the SNR, r - 1 = 7 for the affine one); at
+    K = 10,000 the Gram is summed over three pixel blocks."""
+    assert (k > 2 * _pixel_block(224)) == (k == 10_000)
+    for seed in range(10) if k == 900 else (0,):
+        y = vca_scene(seed, k)
+        mean = y.mean(axis=1)
+        centred = _centred_gram(y, mean)
+        raw = centred + k * np.outer(mean, mean)
+        for gram, data, r in ((raw, y, 8), (centred, y - mean[:, None], 8),
+                              (centred, y - mean[:, None], 7)):
+            basis = _eigh_descending(gram)[1][:, :r]
+            u, s, _ = np.linalg.svd(data, full_matrices=False)
+            sin_angle = np.linalg.norm(u[:, :r] - basis @ (basis.T @ u[:, :r]), 2)
+            bound = EPS * s[0] ** 2 / (s[r - 1] ** 2 - s[r] ** 2)
+            assert sin_angle <= bound, (seed, r, sin_angle / bound)
+
+
+def test_vca_eigenvectors_have_a_canonical_sign():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((12, 30))
+    evals, evecs = _eigh_descending(a @ a.T)
+    assert (np.diff(evals) <= 0.0).all()
+    lead = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(12)]
+    assert (lead > 0.0).all()
+    assert np.allclose(evecs @ np.diag(evals) @ evecs.T, a @ a.T)
+
+
+def test_vca_holds_no_full_size_temporary():
+    # 224 x 40,000 in nine pixel blocks: Y is 71.7 MB.  The call holds the
+    # finite-check mask (0.125 x y.nbytes), then one centred block (0.117)
+    # with the two L-by-L Grams (0.006 each), then r-by-K projections (0.036
+    # at r = 8); an L-by-K temporary alone would be 1.0.
+    y = vca_scene(0, 40_000)
+    assert y.shape[1] >= 4 * _pixel_block(224)
+    tracemalloc.start()
+    try:
+        init_vca(y, 8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * y.nbytes, "peak %.3f x y.nbytes" % (peak / y.nbytes)
+
+
+def test_vca_pixel_choice_is_invariant_to_pixel_order():
+    """Permuting the pixels permutes nothing VCA picks: the Gram sums the
+    same products in another order, which moves the projections only in
+    the last digits."""
+    for seed in range(10):
+        y = vca_scene(seed)
+        perm = np.random.default_rng(seed).permutation(y.shape[1])
+        assert np.array_equal(init_vca(y[:, perm], 8, seed), init_vca(y, 8, seed)), seed
 
 
 def test_nnls_matches_scipy_reference():

@@ -17,7 +17,7 @@ from slrnmf.model import (
     grad_w,
     joint_column_norms,
 )
-from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
+from slrnmf.initializers import init_uniform
 from slrnmf.solver import (
     SolverConfig,
     default_eta,
@@ -305,81 +305,3 @@ def test_change_along_matches_direct_difference_at_protocol_scale():
     obj = Objective(y, c.delta, c.lambda1, c.eta)
     for s in (states[0], states[len(states) // 2], states[-1]):
         assert _worst_change_error(obj, s.phi_hat, s.w_hat, s.d_hat) <= 1.0, s.k
-
-
-def _drop_error(obj, phi, w, dead, change):
-    """|change - (total(zeroed) - total(phi, w))| in units of the bound the
-    precision argument of ``Objective.change_dropping`` gives: eps times
-    the two totals' rounding scales plus n = L + K + r times the magnitude
-    of the change's own terms."""
-    phi_z = phi.copy()
-    w_z = w.copy()
-    phi_z[:, dead] = 0.0
-    w_z[:, dead] = 0.0
-    direct = obj.total(phi_z, w_z) - obj.total(phi, w)
-    phi_s, w_s = phi[:, dead], w[:, dead]
-    energy = (phi_s * phi_s).sum(axis=0) + (w_s * w_s).sum(axis=0)
-    terms = (np.vdot(phi_s, np.abs(obj.y) @ w_s)
-             + np.vdot(phi_s.T @ phi, w_s.T @ w)
-             + obj.delta * (energy / obj.eta).sum()
-             + obj.lambda1 * w_s.sum())
-    bound = EPS * (_total_rounding_scale(obj, phi, w)
-                   + _total_rounding_scale(obj, phi_z, w_z)
-                   + (sum(w.shape) + phi.shape[0]) * terms)
-    return abs(change - direct) / bound
-
-
-def test_change_dropping_matches_direct_difference():
-    # Mutation check: without the 1/2 <Phi_S^T Phi_S, W_S^T W_S> term the
-    # worst error here is 1.1e8 bounds (0.12 with it).
-    worst = 0.0
-    for t in range(50):
-        rng = np.random.default_rng(4000 + t)
-        l, k, r = (int(rng.integers(5, 30)), int(rng.integers(6, 50)),
-                   int(rng.integers(2, 7)))
-        y = rng.uniform(0, 1, (l, k))
-        phi = rng.uniform(0, 1, (l, r))
-        w = rng.uniform(0, 1, (k, r))
-        dead = np.sort(rng.choice(r, int(rng.integers(1, r)), replace=False))
-        # tiny nonzero columns, one of them exactly zero on odd t
-        phi[:, dead] *= 10.0 ** rng.uniform(-6, -1, dead.size)
-        w[:, dead] *= 10.0 ** rng.uniform(-6, -1, dead.size)
-        if t % 2:
-            phi[:, dead[0]] = 0.0
-            w[:, dead[0]] = 0.0
-        obj = Objective(y, rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.05),
-                        rng.uniform(0.01, 0.3))
-        change = obj.change_dropping(phi, w, dead, y @ w[:, dead])
-        worst = max(worst, _drop_error(obj, phi, w, dead, change))
-    assert worst <= 1.0, worst
-
-
-def test_change_dropping_of_zero_columns_is_exactly_zero():
-    y, phi, w = random_instance(5, r=4)
-    phi[:, [1, 3]] = 0.0
-    w[:, [1, 3]] = 0.0
-    obj = Objective(y, 0.7, 0.02, 0.1)
-    dead = np.array([1, 3])
-    assert obj.change_dropping(phi, w, dead, y @ w[:, dead]) == 0.0
-
-
-def test_change_dropping_in_vca_solves(monkeypatch):
-    """Every drop the solver prices on VCA scenes 1, 2, 6 and 8, whose
-    pruned columns are not all exactly zero when dropped, matches the
-    direct difference of two full costs."""
-    price = Objective.change_dropping
-    checked = []
-
-    def checking(self, phi, w, dead, cross):
-        change = price(self, phi, w, dead, cross)
-        nonzero = bool(np.any(phi[:, dead]) or np.any(w[:, dead]))
-        checked.append((nonzero, _drop_error(self, phi, w, dead, change)))
-        return change
-
-    monkeypatch.setattr(Objective, "change_dropping", checking)
-    for seed in (1, 2, 6, 8):
-        y, _ = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3, seed=seed)
-        phi0 = init_vca(y, 8, seed=seed)
-        solve(y, phi0, nnls_abundances(y, phi0), SolverConfig(r=8, seed=seed))
-    assert any(nonzero for nonzero, _ in checked)
-    assert max(err for _, err in checked) <= 1.0, checked

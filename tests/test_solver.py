@@ -160,6 +160,32 @@ def test_all_zero_observations_degenerate_to_rank_zero():
             <= 1e-12 * max(report.initial_cost, 1.0)).all()
 
 
+def test_complex_input_is_rejected():
+    phi_t, w_t = tiny_truth(0)
+    y = phi_t @ w_t.T
+    phi0, w0 = init_uniform(6, 8, 4, 0)
+    with pytest.raises(ValueError, match="y must be real"):
+        solve(y + 0j, phi0, w0, TINY)
+    with pytest.raises(ValueError, match="init_phi must be real"):
+        solve(y, phi0 + 1e-3j, w0, TINY)
+    with pytest.raises(ValueError, match="y must be real"):
+        init_vca(y.astype(np.complex64), 2, seed=0)
+
+
+def test_overflowing_scale_is_an_error_not_rank_zero():
+    """Y and Phi0 near 1e160: the default eta overflows to inf and is
+    rejected; with eta given, the initial cost is inf and the solve raises
+    ``SolverDiverged`` before iterating."""
+    phi_t, w_t = tiny_truth(0)
+    y = 1e160 * (phi_t @ w_t.T)
+    phi0, w0 = init_uniform(6, 8, 4, 0)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        solve(y, 1e160 * phi0, w0, SolverConfig(r=4))
+    with pytest.raises(SolverDiverged, match="non-finite cost inf") as err:
+        solve(y, 1e160 * phi0, w0, SolverConfig(r=4, eta=1.0))
+    assert err.value.report.iterations == 0
+
+
 def test_input_validation():
     y = np.ones((4, 5))
     phi0, w0 = init_uniform(4, 5, 2, 0)
@@ -328,14 +354,16 @@ def test_line_search_allocates_no_residual():
 
 @pytest.mark.parametrize("kind", ["uniform", "vca"])
 def test_dropping_columns_matches_full_width_oracle(kind):
-    """Dropping pruned columns while iterating changes no decision of the
-    full-width loop on the 10 scenes of each acceptance protocol.
+    """Dropping zero columns while iterating changes no decision of the
+    full-width loop on the 10 scenes of each acceptance protocol, and on VCA
+    scene 12, where zeroing a column as soon as it fell below prune_tol
+    moved the factors by 3e-9.
 
-    Dropped columns are exactly zero or below prune_tol of the largest
-    column; a zero column stays zero in the full-width loop, so the two
-    agree up to the rounding of products taken at a different width.
+    Dropped columns are exactly zero, and a zero column stays zero in the
+    full-width loop, so the two agree up to the rounding of products taken
+    at a different width.
     """
-    for seed in range(10):
+    for seed in list(range(10)) + ([12] if kind == "vca" else []):
         y, phi0, w0, config = protocol_scene(kind, seed)
         _, truth = simulate(**PROTOCOLS[kind], seed=seed)
         phi_a, w_a, rep_a = solve(y, phi0, w0, config)

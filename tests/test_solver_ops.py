@@ -204,6 +204,14 @@ def test_config_validation():
         SolverConfig(r=2, shrink=1.0)
     with pytest.raises(ValueError, match="max_backtracks"):
         SolverConfig(r=2, max_backtracks=0)
+    for name in ("r", "max_iter", "max_backtracks"):
+        for bad in (3.5, float("inf"), float("nan"), "3", None):
+            with pytest.raises(ValueError, match=name + " must be an integer"):
+                SolverConfig(**{"r": 2, name: bad})
+    config = SolverConfig(r=2.0, max_iter=3.0, max_backtracks=4.0)
+    assert (config.r, config.max_iter, config.max_backtracks) == (2, 3, 4)
+    assert all(type(v) is int for v in (config.r, config.max_iter,
+                                          config.max_backtracks))
     for tol in (-1e-4, 1.0, 2.5):
         with pytest.raises(ValueError, match=r"prune_tol must be in \[0, 1\)"):
             SolverConfig(r=2, prune_tol=tol)
