@@ -243,7 +243,7 @@ def cmd_unmix(args):
         raise ValidationError(str(exc)) from None
     if clamp:
         y = np.maximum(y, 0.0)
-    elif (y < 0.0).any():
+    elif y.min() < 0.0:
         raise ValidationError(
             "%s contains negative entries; pass --clamp-negatives to zero them"
             % args.input)

@@ -9,7 +9,7 @@ companion abundances come from a nonnegative least-squares fit.
 
 import numpy as np
 
-from .model import _column_dots, _pixel_block, as_matrix
+from .model import _column_dots, _pixel_block, as_integer, as_matrix
 
 __all__ = ["init_uniform", "init_vca", "nnls_abundances"]
 
@@ -17,13 +17,11 @@ _SNR_EPS = 1e-12
 
 
 def init_uniform(l, k, r, seed):
-    """Uniform [0, 1] random factors: phi (L, r) drawn first, then w (K, r)."""
-    l = int(l)
-    k = int(k)
-    r = int(r)
-    if l < 1 or k < 1 or r < 1:
-        raise ValueError("l, k, r must all be >= 1, got l=%d k=%d r=%d"
-                         % (l, k, r))
+    """Uniform [0, 1] random factors: phi (L, r) drawn first, then w (K, r);
+    ``l``, ``k`` and ``r`` must be whole numbers >= 1."""
+    l = as_integer(l, "l", 1)
+    k = as_integer(k, "k", 1)
+    r = as_integer(r, "r", 1)
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, 1.0, size=(l, r))
     w = rng.uniform(0.0, 1.0, size=(k, r))
@@ -133,8 +131,8 @@ def init_vca(y, r, seed):
     """
     y = as_matrix(y, "y")
     l, k = y.shape
-    r = int(r)
-    if not 1 <= r <= min(l, k):
+    r = as_integer(r, "r", 1)
+    if r > min(l, k):
         raise ValueError("r must be in [1, min(L, K)] = [1, %d], got %d"
                          % (min(l, k), r))
 

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .model import as_matrix
+from .model import as_integer, as_matrix
 
 __all__ = [
     "load_matrix",
@@ -386,8 +386,8 @@ def save_results(phi, w, report, out_dir, height=None, width=None):
     if height is not None or width is not None:
         if height is None or width is None:
             raise ValueError("height and width must be given together")
-        height = int(height)
-        width = int(width)
+        height = as_integer(height, "height", 1)
+        width = as_integer(width, "width", 1)
         if height * width != w.shape[0]:
             raise ValueError(
                 "height * width = %d does not match %d pixels"

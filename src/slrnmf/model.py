@@ -18,8 +18,11 @@ The middle term is a smoothed group penalty on the stacked columns of
 overestimated factorization rank into an estimate of the true number of
 endmembers.  All arithmetic is float64.
 
-Apart from the one-byte mask of :func:`as_matrix`'s finite-entry check,
-nothing here allocates an array of the size of ``y``: the full cost forms
+Each input rule of the package lives here once: :func:`as_matrix` for
+matrices, :func:`as_integer` for sizes and counts, :func:`as_weight` for
+delta, lambda1 and eta.
+
+Nothing here allocates an array of the size of ``y``: the full cost forms
 its residual one block of pixels at a time (at most 8 MiB), and the
 line-search prices work from r-sized Gram terms.
 """
@@ -28,12 +31,12 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
+    "as_integer",
+    "as_weight",
     "check_nonneg",
     "check_dims",
     "joint_column_norms",
     "cost_total",
-    "grad_w",
-    "grad_phi",
     "Objective",
 ]
 
@@ -46,9 +49,38 @@ def as_matrix(a, name="matrix"):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("%s must be a 2-D array, got shape %s" % (name, (m.shape,)))
-    if m.size and not np.isfinite(m).all():
+    # NaN and +-inf reach the extremes, so no L-by-K mask is needed.
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise ValueError("%s contains non-finite entries" % name)
     return m
+
+
+def as_integer(value, name, low):
+    """Return ``value`` as an int if it is a whole number >= ``low`` (3.0
+    counts; 3.5, inf, nan, strings and None raise ``ValueError``)."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or value < low:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
+    return int(value)
+
+
+def as_weight(value, name):
+    """Return penalty weight ``name`` as a float: finite, with ``eta`` > 0
+    and ``delta``, ``lambda1`` >= 0; anything else raises ``ValueError``."""
+    try:
+        weight = np.nan if isinstance(value, str) else float(value)
+    except (TypeError, ValueError):
+        weight = np.nan
+    if name == "eta":
+        ok, rule = 0.0 < weight < np.inf, "> 0"
+    else:
+        ok, rule = 0.0 <= weight < np.inf, ">= 0"
+    if not ok:
+        raise ValueError("%s must be finite and %s, got %s" % (name, rule, value))
+    return weight
 
 
 def check_nonneg(m, name="matrix"):
@@ -80,16 +112,6 @@ def _pixel_block(l):
     return max(1, _RESIDUAL_BLOCK_BYTES // (8 * max(l, 1)))
 
 
-def _as_diag(d, r):
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 1 or d.shape[0] != r:
-        raise ValueError("penalty diagonal must be a length-%d vector, got shape %s"
-                         % (r, (d.shape,)))
-    if d.size and not np.isfinite(d).all():
-        raise ValueError("penalty diagonal contains non-finite entries")
-    return d
-
-
 def _column_dots(a, b):
     """Per-column inner products <a_i, b_i>, without a full-size temporary."""
     return np.einsum("ij,ij->j", a, b)
@@ -112,14 +134,6 @@ def joint_column_norms(phi, w):
     return np.sqrt(_column_energy(phi, w))
 
 
-def _validated(y, phi, w):
-    y = as_matrix(y, "y")
-    phi = as_matrix(phi, "phi")
-    w = as_matrix(w, "w")
-    check_dims(y, phi, w)
-    return y, phi, w
-
-
 def cost_total(y, phi, w, delta, lambda1, eta):
     """Full objective at (phi, w) after validating shapes and weights.
 
@@ -127,7 +141,10 @@ def cost_total(y, phi, w, delta, lambda1, eta):
     ``lambda1`` >= 0 and ``eta`` > 0 as in :class:`Objective`.  With
     ``lambda1 = 0`` the result is the smooth part of the objective.
     """
-    y, phi, w = _validated(y, phi, w)
+    y = as_matrix(y, "y")
+    phi = as_matrix(phi, "phi")
+    w = as_matrix(w, "w")
+    check_dims(y, phi, w)
     return Objective._of_checked(y, delta, lambda1, eta).total(phi, w)
 
 
@@ -139,25 +156,6 @@ def _fit_gradient(x, gram, cross):
     P = W^T W and C = Y W for X = Phi.
     """
     return x @ gram - cross
-
-
-def grad_w(y, phi, w, d):
-    """Gradient of the smooth cost with respect to ``w``.
-
-    ``d`` must be the penalty diagonal computed from the same (phi, w)
-    pair; then the result W(Phi^T Phi) - Y^T Phi + W D is the exact
-    gradient of the smoothed objective.
-    """
-    y, phi, w = _validated(y, phi, w)
-    d = _as_diag(d, phi.shape[1])
-    return _fit_gradient(w, phi.T @ phi, y.T @ phi) + w * d
-
-
-def grad_phi(y, phi, w, d):
-    """Gradient of the smooth cost with respect to ``phi`` (mirror of grad_w)."""
-    y, phi, w = _validated(y, phi, w)
-    d = _as_diag(d, phi.shape[1])
-    return _fit_gradient(phi, w.T @ w, y @ w) + phi * d
 
 
 class Objective:
@@ -185,18 +183,9 @@ class Objective:
 
     def _bind(self, y, delta, lambda1, eta):
         self.y = y
-        delta = float(delta)
-        lambda1 = float(lambda1)
-        eta = float(eta)
-        if not 0.0 <= delta < np.inf:
-            raise ValueError("delta must be finite and >= 0, got %g" % delta)
-        if not 0.0 <= lambda1 < np.inf:
-            raise ValueError("lambda1 must be finite and >= 0, got %g" % lambda1)
-        if not 0.0 < eta < np.inf:
-            raise ValueError("eta must be finite and > 0, got %g" % eta)
-        self.delta = delta
-        self.lambda1 = lambda1
-        self.eta = eta
+        self.delta = as_weight(delta, "delta")
+        self.lambda1 = as_weight(lambda1, "lambda1")
+        self.eta = as_weight(eta, "eta")
 
     def total(self, phi, w):
         """Objective at (phi, w), the residual formed one pixel block at a time.

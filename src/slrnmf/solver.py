@@ -26,7 +26,8 @@ it bit for bit; not converged) or after ``max_iter`` iterations.
 The block steps, line search, reweighting and pruning are internals of
 :func:`solve`: they take its validated float64 state and check nothing
 themselves.  Input from outside is checked where it enters, in
-:func:`solve`, :class:`SolverConfig` and :func:`with_defaults`.
+:func:`solve`, :class:`SolverConfig` and :func:`with_defaults`, by the
+input rules of :mod:`slrnmf.model`.
 
 The survivor count is the estimated number of endmembers: the column
 pairs whose joint energy exceeds ``prune_tol`` times the largest, counted
@@ -41,8 +42,7 @@ the working cost plus delta * eta per dropped column.
 
 Memory: besides Y, a solve holds O((L + K) r) floats, about six K-by-r
 arrays, and the one residual block of :meth:`Objective.total` (at most
-8 MiB).  Its only L-by-K temporary is the boolean mask of the input's
-finite-entry check, one eighth of Y, freed before the first iteration.
+8 MiB).  It allocates no L-by-K temporary.
 """
 
 import time
@@ -54,7 +54,9 @@ from .model import (
     Objective,
     _column_dots,
     _column_energy,
+    as_integer,
     as_matrix,
+    as_weight,
     check_nonneg,
     joint_column_norms,
 )
@@ -112,16 +114,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self._require_whole("r", 1)
-        self._require_whole("max_iter", 0)
-        self._require_whole("max_backtracks", 1)
-        if self.delta is not None and self.delta < 0.0:
-            raise ValueError("delta must be >= 0, got %g" % self.delta)
-        if self.lambda1 is not None and self.lambda1 < 0.0:
-            raise ValueError("lambda1 must be >= 0, got %g" % self.lambda1)
-        if self.eta is not None and self.eta <= 0.0:
-            raise ValueError("eta must be > 0, got %g" % self.eta)
-        if self.tol_rel_cost < 0.0:
+        # Counts are stored as ints; weights are only checked, so reports
+        # echo them as given.
+        for name, low in (("r", 1), ("max_iter", 0), ("max_backtracks", 1)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, low))
+        for name in ("delta", "lambda1", "eta"):
+            if getattr(self, name) is not None:
+                as_weight(getattr(self, name), name)
+        if not self.tol_rel_cost >= 0.0:
             raise ValueError("tol_rel_cost must be >= 0, got %g" % self.tol_rel_cost)
         if not 0.0 <= self.prune_tol < 1.0:
             raise ValueError("prune_tol must be in [0, 1), got %g" % self.prune_tol)
@@ -129,18 +129,6 @@ class SolverConfig:
             raise ValueError("beta_init must be in (0, 1], got %g" % self.beta_init)
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must be in (0, 1), got %g" % self.shrink)
-
-    def _require_whole(self, name, low):
-        """Check that field ``name`` is an integer >= ``low``; store it as an int."""
-        value = getattr(self, name)
-        try:
-            whole = int(value) == value
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole or value < low:
-            raise ValueError("%s must be an integer >= %d, got %r"
-                             % (name, low, value))
-        object.__setattr__(self, name, int(value))
 
     @property
     def is_resolved(self):

@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .io import load_matrix
-from .model import as_matrix, check_nonneg
+from .model import as_integer, as_matrix, check_nonneg
 
 __all__ = [
     "GroundTruth",
@@ -89,10 +89,8 @@ def gen_abundances(k, n, density, seed):
     -------
     (K, N) float array
     """
-    k = int(k)
-    n = int(n)
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1, got k=%d n=%d" % (k, n))
+    k = as_integer(k, "k", 1)
+    n = as_integer(n, "n", 1)
     density = float(density)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1], got %g" % density)
@@ -139,10 +137,8 @@ def gen_endmembers(l, n, source, seed, library_path=None):
         Unknown source, library with the wrong band count, or fewer
         library spectra than requested.
     """
-    l = int(l)
-    n = int(n)
-    if l < 1 or n < 1:
-        raise ValueError("l and n must be >= 1, got l=%d n=%d" % (l, n))
+    l = as_integer(l, "l", 1)
+    n = as_integer(n, "n", 1)
     if source not in _SOURCES:
         raise ValueError("source must be one of %s, got %r" % (_SOURCES, source))
     rng = np.random.default_rng(seed)

@@ -98,6 +98,25 @@ def fd_gradient(f, x, h=1e-6):
     return g
 
 
+def solver_gradients(y, phi, w, delta, eta):
+    """Gradients of the smooth objective (lambda1 = 0) in w and phi, as
+    ``solve`` forms them: X P - C + X diag(d), the fit gradient that
+    ``Objective.change_along`` prices line-search trials with, C the cross
+    product each block step returns and d the penalty diagonal.  Not an
+    oracle: this is the code that ``fd_gradient`` checks.
+    """
+    from slrnmf.model import Objective, _fit_gradient
+    from slrnmf.solver import (update_abundances, update_endmembers,
+                               update_penalty_diag)
+
+    objective = Objective(y, delta, 0.0, eta)
+    d = update_penalty_diag(phi, w, delta, eta)
+    cross_w = update_abundances(objective, phi, d)[1]
+    cross_phi = update_endmembers(objective, w, d)[1]
+    return (_fit_gradient(w, phi.T @ phi, cross_w) + w * d,
+            _fit_gradient(phi, w.T @ w, cross_phi) + phi * d)
+
+
 def prox_l1_grid(z, lam, lo=-8.0, hi=8.0, step=1e-4):
     """Grid-search argmin of 0.5*(x - z)^2 + lam*|x| over [lo, hi]."""
     grid = np.arange(lo, hi + step, step)

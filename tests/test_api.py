@@ -18,8 +18,7 @@ MODULES = ["slrnmf"] + ["slrnmf." + m.name
 
 # Solver and model steps: importable from their own modules, not re-exported.
 STEP_INTERNALS = {
-    "slrnmf.model": ["Objective", "cost_total", "grad_w", "grad_phi",
-                     "joint_column_norms"],
+    "slrnmf.model": ["Objective", "cost_total", "joint_column_norms"],
     "slrnmf.solver": ["update_abundances", "update_endmembers",
                       "update_penalty_diag", "extrapolate", "line_search",
                       "prune_and_report_rank", "default_eta"],

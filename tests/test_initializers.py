@@ -59,6 +59,9 @@ def test_init_uniform_shapes_and_determinism():
 def test_init_uniform_validates():
     with pytest.raises(ValueError, match=">= 1"):
         init_uniform(0, 5, 2, seed=0)
+    for args in [(5.9, 6, 2), (5, 6.5, 2), (5, 6, 2.5)]:
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            init_uniform(*args, seed=0)
 
 
 def test_vca_recovers_pure_pixels_noiseless():
@@ -100,10 +103,12 @@ def test_vca_rank_one_picks_strongest_pixel():
 
 def test_vca_validates_r():
     y, _ = simplex_scene(2, l=20, k=30)
-    with pytest.raises(ValueError, match=r"\[1, min\(L, K\)\]"):
+    with pytest.raises(ValueError, match="r must be an integer >= 1"):
         init_vca(y, 0, seed=0)
     with pytest.raises(ValueError, match=r"\[1, min\(L, K\)\]"):
         init_vca(y, 21, seed=0)
+    with pytest.raises(ValueError, match="r must be an integer >= 1"):
+        init_vca(y, 3.7, seed=0)
 
 
 def test_vca_names_the_deficient_dimension_on_flat_data():
@@ -174,10 +179,10 @@ def test_vca_eigenvectors_have_a_canonical_sign():
 
 
 def test_vca_holds_no_full_size_temporary():
-    # 224 x 40,000 in nine pixel blocks: Y is 71.7 MB.  The call holds the
-    # finite-check mask (0.125 x y.nbytes), then one centred block (0.117)
-    # with the two L-by-L Grams (0.006 each), then r-by-K projections (0.036
-    # at r = 8); an L-by-K temporary alone would be 1.0.
+    # 224 x 40,000 in nine pixel blocks: Y is 71.7 MB.  The call holds one
+    # centred block (0.117 x y.nbytes) with the two L-by-L Grams (0.006
+    # each), then r-by-K projections (0.036 at r = 8); an L-by-K temporary
+    # alone would be 1.0.
     y = vca_scene(0, 40_000)
     assert y.shape[1] >= 4 * _pixel_block(224)
     tracemalloc.start()

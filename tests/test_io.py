@@ -367,3 +367,7 @@ def test_save_results_validates_geometry(tmp_path):
         save_results(phi, w, report, tmp_path / "bad", height=4, width=4)
     with pytest.raises(ValueError, match="together"):
         save_results(phi, w, report, tmp_path / "bad2", height=2)
+    with pytest.raises(ValueError, match="height must be an integer >= 1"):
+        save_results(phi, w, report, tmp_path / "bad3", height=2.5, width=3)
+    with pytest.raises(ValueError, match="width must be an integer >= 1"):
+        save_results(phi, w, report, tmp_path / "bad4", height=2, width=3.2)

@@ -10,11 +10,10 @@ from slrnmf.model import (
     Objective,
     _pixel_block,
     as_matrix,
+    as_weight,
     check_dims,
     check_nonneg,
     cost_total,
-    grad_phi,
-    grad_w,
     joint_column_norms,
 )
 from slrnmf.initializers import init_uniform
@@ -53,8 +52,35 @@ def test_as_matrix_rejects_wrong_ndim():
 
 
 def test_as_matrix_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
-        as_matrix(np.array([[1.0, np.nan]]), "thing")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(np.array([[1.0, bad], [2.0, 3.0]]), "thing")
+
+
+def test_as_matrix_allocates_no_mask():
+    # An already-float64 input is checked in place: a boolean mask of its
+    # finite entries alone would be 12.5% of its bytes.
+    m = np.random.default_rng(0).uniform(size=(1000, 1000))
+    tracemalloc.start()
+    try:
+        assert as_matrix(m) is m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * m.nbytes, "peak %.4f x m.nbytes" % (peak / m.nbytes)
+
+
+def test_as_weight_rule():
+    assert as_weight(0, "delta") == 0.0 and as_weight(0.0, "lambda1") == 0.0
+    assert as_weight(1, "eta") == 1.0
+    for name, bad in [("delta", -1.0), ("lambda1", -1e-9), ("eta", 0.0),
+                      ("eta", -1.0), ("delta", "3"), ("eta", None)]:
+        with pytest.raises(ValueError, match=name + " must be finite"):
+            as_weight(bad, name)
+    for name in ("delta", "lambda1", "eta"):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=name + " must be finite"):
+                as_weight(bad, name)
 
 
 def test_check_nonneg_rejects_negative():
@@ -111,8 +137,7 @@ def test_cost_total_counts_l1_of_w_only():
 def test_grad_w_matches_finite_differences(seed):
     y, phi, w = random_instance(seed, l=5, k=6, r=2)
     delta, eta = 0.4, 0.15
-    d = update_penalty_diag(phi, w, delta, eta)
-    g = grad_w(y, phi, w, d)
+    g = oracles.solver_gradients(y, phi, w, delta, eta)[0]
     fd = oracles.fd_gradient(lambda v: cost_total(y, phi, v, delta, 0.0, eta), w)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
 
@@ -121,18 +146,9 @@ def test_grad_w_matches_finite_differences(seed):
 def test_grad_phi_matches_finite_differences(seed):
     y, phi, w = random_instance(seed, l=5, k=6, r=2)
     delta, eta = 0.4, 0.15
-    d = update_penalty_diag(phi, w, delta, eta)
-    g = grad_phi(y, phi, w, d)
+    g = oracles.solver_gradients(y, phi, w, delta, eta)[1]
     fd = oracles.fd_gradient(lambda v: cost_total(y, v, w, delta, 0.0, eta), phi)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
-
-
-def test_gradients_validate_diag_length():
-    y, phi, w = random_instance(1)
-    with pytest.raises(ValueError, match="length-3"):
-        grad_w(y, phi, w, np.ones(2))
-    with pytest.raises(ValueError, match="length-3"):
-        grad_phi(y, phi, w, np.ones(4))
 
 
 def test_objective_matches_free_functions():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import slrnmf.model
 import slrnmf.solver
 from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
 from slrnmf.metrics import match_columns
@@ -219,22 +220,24 @@ def test_divergence_raises_with_partial_report(monkeypatch):
 def test_loop_does_not_rescan_y(monkeypatch):
     """``y`` is scanned for non-finite entries once per solve, in any step.
 
-    Counts every ``np.isfinite`` call on an array of ``y``'s shape, which
-    covers ``solve``'s own check, default resolution and the
-    ``Objective`` constructor; no other array in the solve has that shape.
+    Counts every ``as_matrix`` call, the one home of the finite-entry
+    check, on an array of ``y``'s shape, through both modules that call it:
+    ``solve``'s own check, default resolution and the ``Objective``
+    constructor; no other array in the solve has that shape.
     """
     phi_t, w_t = tiny_truth(0)
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
-    isfinite = np.isfinite
+    as_matrix = slrnmf.model.as_matrix
     y_scans = []
 
-    def counting_isfinite(a, *args, **kwargs):
+    def counting_as_matrix(a, *args, **kwargs):
         if np.shape(a) == y.shape:
             y_scans[-1] += 1
-        return isfinite(a, *args, **kwargs)
+        return as_matrix(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    for module in (slrnmf.model, slrnmf.solver):
+        monkeypatch.setattr(module, "as_matrix", counting_as_matrix)
     for max_iter in (1, 5):
         y_scans.append(0)
         config = SolverConfig(r=4, delta=0.1, lambda1=0.005,
@@ -485,9 +488,9 @@ def test_inverse_factor_solve_matches_cholesky_solve_in_solves(monkeypatch, kind
 
 
 def test_solve_holds_no_full_size_temporary():
-    # 224 x 40,000: Y is 71.7 MB.  The solve holds the finite-check mask
-    # (0.125 x y.nbytes), K-by-r arrays (0.045 each) and one residual block
-    # (0.117); an L-by-K temporary alone would be 1.0.
+    # 224 x 40,000: Y is 71.7 MB.  The solve holds K-by-r arrays (0.045 x
+    # y.nbytes each) and one residual block (0.117); an L-by-K temporary
+    # alone would be 1.0.
     rng = np.random.default_rng(0)
     y = rng.uniform(0.0, 1.0, (224, 40_000))
     phi0, w0 = init_uniform(224, 40_000, 10, seed=0)

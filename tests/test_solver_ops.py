@@ -208,6 +208,12 @@ def test_config_validation():
         for bad in (3.5, float("inf"), float("nan"), "3", None):
             with pytest.raises(ValueError, match=name + " must be an integer"):
                 SolverConfig(**{"r": 2, name: bad})
+    for name in ("delta", "lambda1", "eta"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=name + " must be finite"):
+                SolverConfig(**{"r": 2, name: bad})
+    with pytest.raises(ValueError, match="tol_rel_cost"):
+        SolverConfig(r=2, tol_rel_cost=float("nan"))
     config = SolverConfig(r=2.0, max_iter=3.0, max_backtracks=4.0)
     assert (config.r, config.max_iter, config.max_backtracks) == (2, 3, 4)
     assert all(type(v) is int for v in (config.r, config.max_iter,

@@ -43,6 +43,9 @@ def test_gen_abundances_validates():
         gen_abundances(10, 2, 1.5, seed=0)
     with pytest.raises(ValueError, match=">= 1"):
         gen_abundances(0, 2, 0.5, seed=0)
+    for args in [(4.5, 2), (4, 2.2)]:
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            gen_abundances(*args, 0.5, seed=0)
 
 
 def test_library_fixture_is_well_separated():
@@ -82,6 +85,12 @@ def test_gen_endmembers_too_many_spectra():
 def test_gen_endmembers_unknown_source():
     with pytest.raises(ValueError, match="source must be one of"):
         gen_endmembers(10, 2, "mystery", seed=0)
+
+
+def test_gen_endmembers_rejects_non_integral_sizes():
+    for args in [(224.5, 3, "library-file"), (10, 2.5, "synthetic-smooth")]:
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            gen_endmembers(*args, seed=0)
 
 
 def test_gen_endmembers_custom_library(tmp_path):
