@@ -3,13 +3,17 @@
 Matrices travel as delimited text (default comma), full 17-significant-
 digit decimals so float64 values round-trip exactly.  Lines starting
 with '#' are comments.  Run reports are flat ``key = value`` files with
-dotted key namespaces and bracketed arrays; abundance maps are ASCII
-PGM (P2, 16-bit) so they can be inspected without imaging libraries.
+dotted key namespaces and one JSON value per key, except that JSON's
+``null``/``Infinity``/``NaN`` are spelled ``none``/``inf``/``nan``;
+abundance maps are ASCII PGM (P2, 16-bit) so they can be inspected
+without imaging libraries.
 """
 
 import dataclasses
 import itertools
+import json
 import os
+import re
 
 import numpy as np
 
@@ -181,115 +185,55 @@ def save_matrix(path, matrix, delimiter=",", comments=()):
             fh.write(line % tuple(row.tolist()))
 
 
-def _format_value(value):
-    if value is None:
-        return "none"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, str):
-        return '"%s"' % value.replace("\\", "\\\\").replace('"', '\\"')
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[%s]" % ", ".join(_format_value(v) for v in value)
+# JSON's bare words and the report's spellings of them, each way.  A
+# match is either a whole quoted string, which is left alone, or a word
+# to swap.
+_BARE = {"null": "none", "Infinity": "inf", "NaN": "nan",
+         "none": "null", "inf": "Infinity", "nan": "NaN"}
+_BARE_OR_STRING = re.compile(r'"(?:[^"\\]|\\.)*"|' + "|".join(_BARE))
+
+
+def _swap_bare(text):
+    return _BARE_OR_STRING.sub(lambda m: _BARE.get(m.group(), m.group()), text)
+
+
+def _plain(value):
+    """The Python value ``json`` writes for a numpy scalar or array."""
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, (np.bool_, np.integer, np.ndarray)):
+        return value.tolist()
     raise TypeError("cannot serialize %r of type %s" % (value, type(value).__name__))
-
-
-def _split_items(body):
-    # Split a bracketed list body on top-level commas, honoring quotes.
-    items = []
-    depth = 0
-    quoted = False
-    escaped = False
-    current = []
-    for ch in body:
-        if quoted:
-            current.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                quoted = False
-            continue
-        if ch == '"':
-            quoted = True
-            current.append(ch)
-        elif ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            items.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail or items:
-        items.append(tail)
-    return items
-
-
-def _parse_value(text, where):
-    text = text.strip()
-    if text == "none":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith('"'):
-        if not text.endswith('"') or len(text) < 2:
-            raise ValueError("%s: unterminated string %r" % (where, text))
-        out = []
-        escaped = False
-        for ch in text[1:-1]:
-            if escaped:
-                out.append(ch)
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            else:
-                out.append(ch)
-        return "".join(out)
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ValueError("%s: unterminated list %r" % (where, text))
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        return [_parse_value(item, where) for item in _split_items(body)]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError("%s: cannot parse value %r" % (where, text)) from None
 
 
 def write_report(path, values):
     """Write a flat ``key = value`` report file.
 
     ``values`` is a mapping; keys are written in iteration order after a
-    leading ``schema_version`` line (added if absent).  Floats use
-    shortest round-trip representation, so read_report returns values
-    identical to the ones written.
+    leading ``schema_version`` line (added if absent).  Each value is
+    written as ``json.dumps`` writes it, numpy scalars and arrays as
+    Python values, with ``none``/``inf``/``nan`` for JSON's
+    ``null``/``Infinity``/``NaN``.  Floats take their shortest
+    round-trip form and control characters in strings are escaped, so
+    read_report returns values equal to the ones written (tuples and
+    arrays as lists).
     """
     with open(path, "w", encoding="utf-8") as fh:
         if "schema_version" not in values:
             fh.write("schema_version = %d\n" % REPORT_SCHEMA_VERSION)
         for key, value in values.items():
-            fh.write("%s = %s\n" % (key, _format_value(value)))
+            text = json.dumps(value, ensure_ascii=False, default=_plain)
+            fh.write("%s = %s\n" % (key, _swap_bare(text)))
 
 
 def read_report(path):
-    """Parse a report file back into an ordered dict of typed values."""
+    """Parse a report file back into an ordered dict of typed values.
+
+    Blank lines and lines starting with '#' are skipped.  Each value is
+    read by ``json.loads`` after ``none``/``inf``/``nan`` outside quotes
+    are mapped to JSON's spellings, so only the spellings write_report
+    uses are read.  Errors are ``ValueError``s naming the file and line.
+    """
     name = str(path)
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -297,14 +241,18 @@ def read_report(path):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, text = line.partition("=")
             if not sep:
                 raise ValueError("%s: line %d is not 'key = value': %r"
                                  % (name, lineno, line))
             key = key.strip()
             if not key:
                 raise ValueError("%s: empty key at line %d" % (name, lineno))
-            out[key] = _parse_value(value, "%s: line %d" % (name, lineno))
+            try:
+                out[key] = json.loads(_swap_bare(text), strict=False)
+            except ValueError as exc:
+                raise ValueError("%s: line %d: cannot parse value %r: %s"
+                                 % (name, lineno, text.strip(), exc.msg)) from None
     return out
 
 
@@ -314,12 +262,9 @@ def write_pgm(path, image):
     Returns the (min, max) of the raw data, recorded by callers so the
     scaling can be undone.  A constant image maps to mid-gray.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError("image must be a non-empty 2-D array, got shape %s"
-                         % (image.shape,))
-    if not np.isfinite(image).all():
-        raise ValueError("image contains non-finite values")
+    image = as_matrix(image, "image")
+    if image.size == 0:
+        raise ValueError("image must be non-empty, got shape %s" % (image.shape,))
     lo = float(image.min())
     hi = float(image.max())
     if hi > lo:

@@ -1,10 +1,15 @@
 import os
 import sys
+import tempfile
 
 # One BLAS thread: default threading oversubscribes small machines, and
 # this must run before the first test module imports numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+# Hypothesis caches what it collects in ./.hypothesis unless told
+# otherwise, and it collects while pytest gathers the tests.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "slrnmf-hypothesis"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slrnmf import io
 from slrnmf.io import (
@@ -255,18 +257,120 @@ def test_report_parse_errors(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(ValueError, match="line 1 is not 'key = value'"):
         read_report(path)
-    path.write_text("x = [1, 2\n")
-    with pytest.raises(ValueError, match="unterminated list"):
-        read_report(path)
-    path.write_text('x = "oops\n')
-    with pytest.raises(ValueError, match="unterminated string"):
-        read_report(path)
-    path.write_text("x = wat\n")
-    with pytest.raises(ValueError, match="cannot parse value"):
-        read_report(path)
+    for value in ("[1, 2", '"oops', "wat"):
+        path.write_text("x = %s\n" % value)
+        with pytest.raises(ValueError, match="line 1: cannot parse value"):
+            read_report(path)
     path.write_text(" = 3\n")
     with pytest.raises(ValueError, match="empty key"):
         read_report(path)
+    # Hand-typed spellings that write_report never writes.
+    for value in (".5", "1.", "+1", "007", "1_000", "INF", "-Inf", "-nan",
+                  "Infinity", "NaN", "null"):
+        path.write_text("# hand-typed\nok = 1\nx = %s\n" % value)
+        with pytest.raises(ValueError,
+                           match=r"bad\.txt: line 3: cannot parse value"):
+            read_report(path)
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    # perfbench's report reader and `unmix --from-report` read these bytes.
+    values = {
+        "int": 7,
+        "np_int": np.int64(-3),
+        "big": 2 ** 70,
+        "float": 0.1,
+        "np_float": np.float32(0.1),
+        "large": 1e16,
+        "tiny": 5e-324,
+        "neg_zero": -0.0,
+        "pos_inf": np.inf,
+        "neg_inf": -np.inf,
+        "nan": np.nan,
+        "nothing": None,
+        "yes": True,
+        "no": np.bool_(False),
+        "text": 'q " b \\ none inf = # [x], caf\u00e9\tend',
+        "list": [1, 2.5, "none", None, -np.inf],
+        "tuple": (1, (2, "x")),
+        "array": np.arange(4.0).reshape(2, 2),
+        "empty": [],
+    }
+    expected = "".join(line + "\n" for line in [
+        "schema_version = 1",
+        "int = 7",
+        "np_int = -3",
+        "big = 1180591620717411303424",
+        "float = 0.1",
+        "np_float = 0.10000000149011612",
+        "large = 1e+16",
+        "tiny = 5e-324",
+        "neg_zero = -0.0",
+        "pos_inf = inf",
+        "neg_inf = -inf",
+        "nan = nan",
+        "nothing = none",
+        "yes = true",
+        "no = false",
+        'text = "q \\" b \\\\ none inf = # [x], caf\u00e9\\tend"',
+        'list = [1, 2.5, "none", none, -inf]',
+        'tuple = [1, [2, "x"]]',
+        "array = [[0.0, 1.0], [2.0, 3.0]]",
+        "empty = []",
+    ])
+    path = tmp_path / "r.txt"
+    write_report(path, values)
+    assert path.read_text(encoding="utf-8") == expected
+    back = read_report(path)
+    assert repr(back) == repr(dict({"schema_version": 1}, **_as_read(values)))
+
+
+def _as_read(value):
+    """What read_report returns for a written value: Python scalars, lists."""
+    if isinstance(value, dict):
+        return {k: _as_read(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return _as_read(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_as_read(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+_REPORT_CHARS = list('a"\\=#,[] \t\n\r\x00\x1f\x7f\x85\u00e9\u2028\u6f22')
+_report_strings = st.lists(
+    st.one_of(st.text(st.sampled_from(_REPORT_CHARS), min_size=1, max_size=3),
+              st.sampled_from(["none", "inf", "nan", "null", "Infinity", "NaN"])),
+    max_size=4).map("".join)
+_report_floats = st.one_of(st.floats(),
+                           st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+_report_scalars = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    _report_floats, _report_floats.map(np.float64), _report_strings)
+_report_nested = st.recursive(
+    _report_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=6)
+_array_shapes = hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)
+_report_arrays = st.one_of(
+    hnp.arrays(np.float64, _array_shapes, elements=_report_floats),
+    hnp.arrays(np.int64, _array_shapes))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=_report_strings, scalar=_report_scalars, nested=_report_nested,
+       array=_report_arrays)
+def test_report_round_trips_any_value(tmp_path_factory, text, scalar, nested,
+                                      array):
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    written = {"text": text, "scalar": scalar, "nested": nested, "array": array}
+    write_report(path, written)
+    # repr tells int from float from bool and compares NaN as NaN.
+    assert repr(read_report(path)) == repr(
+        dict({"schema_version": 1}, **_as_read(written)))
 
 
 def test_write_pgm_scaling(tmp_path):
@@ -307,6 +411,10 @@ def test_write_pgm_validates(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):
         write_pgm(tmp_path / "x.pgm", np.array([[np.inf, 1.0]]))
+    with pytest.raises(ValueError, match="must be real"):
+        write_pgm(tmp_path / "x.pgm", [[1 + 2j, 3 + 0j]])
+    with pytest.raises(ValueError, match="non-empty"):
+        write_pgm(tmp_path / "x.pgm", np.zeros((0, 3)))
 
 
 def _tiny_solve():
