@@ -9,7 +9,7 @@ companion abundances come from a nonnegative least-squares fit.
 
 import numpy as np
 
-from .model import _column_dots, _pixel_block, as_integer, as_matrix
+from .model import _column_dots, _pixel_block, as_integer, as_matrix, check_dims
 
 __all__ = ["init_uniform", "init_vca", "nnls_abundances"]
 
@@ -203,9 +203,7 @@ def nnls_abundances(y, phi, tol=1e-8, max_sweeps=1000):
     """
     y = as_matrix(y, "y")
     phi = as_matrix(phi, "phi")
-    if phi.shape[0] != y.shape[0]:
-        raise ValueError("phi has %d rows, expected L=%d"
-                         % (phi.shape[0], y.shape[0]))
+    check_dims(y, phi, None)
     tol = float(tol)
     gram = phi.T @ phi
     rhs = phi.T @ y

@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .model import as_integer, as_matrix
+from .model import as_integer, as_matrix, check_dims
 
 __all__ = [
     "load_matrix",
@@ -216,8 +216,14 @@ def write_report(path, values):
     ``null``/``Infinity``/``NaN``.  Floats take their shortest
     round-trip form and control characters in strings are escaped, so
     read_report returns values equal to the ones written (tuples and
-    arrays as lists).
+    arrays as lists).  A key that would not read back as itself (not a
+    string, empty, with '=', a line break, a leading '#' or surrounding
+    whitespace) raises ``ValueError`` before the file is opened.
     """
+    for key in values:
+        if (not isinstance(key, str) or not key or key != key.strip()
+                or key.startswith("#") or any(c in key for c in "=\n\r")):
+            raise ValueError("report key %r cannot be read back" % (key,))
     with open(path, "w", encoding="utf-8") as fh:
         if "schema_version" not in values:
             fh.write("schema_version = %d\n" % REPORT_SCHEMA_VERSION)
@@ -316,8 +322,7 @@ def save_results(phi, w, report, out_dir, height=None, width=None):
     """
     phi = as_matrix(phi, "phi")
     w = as_matrix(w, "w")
-    if phi.shape[1] != w.shape[1]:
-        raise ValueError("phi and w disagree on the number of columns")
+    check_dims(None, phi, w)
     os.makedirs(out_dir, exist_ok=True)
     values = report_values(report)
     paths = {

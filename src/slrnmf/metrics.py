@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import as_matrix
+from .model import as_matrix, check_dims
 
 __all__ = [
     "MatchResult",
@@ -208,12 +208,8 @@ def evaluate_unmixing(phi_est, phi_ref, w_est=None, w_ref=None):
     if w_est is not None and w_ref is not None:
         w_est = as_matrix(w_est, "w_est")
         w_ref = as_matrix(w_ref, "w_ref")
-        if w_est.shape[1] != np.asarray(phi_est).shape[1]:
-            raise ValueError("w_est has %d columns but phi_est has %d"
-                             % (w_est.shape[1], np.asarray(phi_est).shape[1]))
-        if w_ref.shape[1] != np.asarray(phi_ref).shape[1]:
-            raise ValueError("w_ref has %d columns but phi_ref has %d"
-                             % (w_ref.shape[1], np.asarray(phi_ref).shape[1]))
+        check_dims(None, np.asarray(phi_est), w_est, ("phi_est", "w_est"))
+        check_dims(None, np.asarray(phi_ref), w_ref, ("phi_ref", "w_ref"))
         rmse, scales = abundance_rmse(w_est, w_ref, result.permutation)
         result.abundance_rmse = rmse
         result.abundance_scales = scales

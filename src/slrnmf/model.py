@@ -20,7 +20,8 @@ endmembers.  All arithmetic is float64.
 
 Each input rule of the package lives here once: :func:`as_matrix` for
 matrices, :func:`as_integer` for sizes and counts, :func:`as_weight` for
-delta, lambda1 and eta.
+delta, lambda1 and eta, and :func:`check_dims` for the shapes of y, phi
+and w.
 
 Nothing here allocates an array of the size of ``y``: the full cost forms
 its residual one block of pixels at a time (at most 8 MiB), and the
@@ -88,18 +89,24 @@ def check_nonneg(m, name="matrix"):
         raise ValueError("%s has negative entries (min %g)" % (name, m.min()))
 
 
-def check_dims(y, phi, w):
-    """Validate the (L, K) / (L, r) / (K, r) shape contract."""
-    l, k = y.shape
-    if phi.shape[0] != l:
-        raise ValueError("phi has %d rows, expected L=%d" % (phi.shape[0], l))
-    if w.shape[0] != k:
-        raise ValueError("w has %d rows, expected K=%d" % (w.shape[0], k))
+def check_dims(y, phi, w, names=("phi", "w")):
+    """Validate the (L, K) / (L, r) / (K, r) shape contract.
+
+    A caller without ``y`` or without ``w`` passes None, which skips the
+    rules that involve it; ``names`` name phi and w in the messages.
+    """
+    phi_name, w_name = names
+    if y is not None and phi.shape[0] != y.shape[0]:
+        raise ValueError("%s has %d rows, expected L=%d"
+                         % (phi_name, phi.shape[0], y.shape[0]))
+    if w is None:
+        return
+    if y is not None and w.shape[0] != y.shape[1]:
+        raise ValueError("%s has %d rows, expected K=%d"
+                         % (w_name, w.shape[0], y.shape[1]))
     if phi.shape[1] != w.shape[1]:
-        raise ValueError(
-            "phi and w disagree on the number of columns: %d vs %d"
-            % (phi.shape[1], w.shape[1])
-        )
+        raise ValueError("%s and %s disagree on the number of columns: %d vs %d"
+                         % (phi_name, w_name, phi.shape[1], w.shape[1]))
 
 
 # Residual bytes per block of pixels in ``Objective.total``: 4,681 pixels
@@ -210,14 +217,15 @@ class Objective:
         penalty = float(np.sum(np.sqrt(_column_energy(phi, w) + self.eta * self.eta)))
         return fit + self.delta * penalty + self.lambda1 * float(np.abs(w).sum())
 
-    def change_along(self, phi, w, candidate, which, cross):
+    def change_along(self, phi, w, candidate, which, gram, cross):
         """Cost change f(beta) = total(X + beta*S) - total(X) along one block.
 
         X is the block named by ``which`` (``"w"`` or ``"phi"``), S =
-        ``candidate`` - X, and the other block F stays fixed.  ``cross`` is
-        the product of Y with F, oriented like X (Y^T Phi for ``w``, Y W
-        for ``phi``), which the block's Newton step has already formed.
-        X and ``candidate`` must be nonnegative.  Setting up costs
+        ``candidate`` - X, and the other block F stays fixed.  ``gram`` is
+        P = F^T F and ``cross`` the product of Y with F, oriented like X
+        (Y^T Phi for ``w``, Y W for ``phi``), both as the block's Newton
+        step formed them.  X and ``candidate`` must be nonnegative.
+        Setting up costs
         O((L + K) r^2); the returned function of beta in (0, 1] costs
         O(r) per call and allocates nothing of size L-by-K::
 
@@ -250,7 +258,6 @@ class Objective:
         """
         x, fixed = (w, phi) if which == "w" else (phi, w)
         step = candidate - x
-        gram = fixed.T @ fixed
         slope = float(np.vdot(_fit_gradient(x, gram, cross), step))
         if which == "w":
             slope += self.lambda1 * float(step.sum())

@@ -2,21 +2,22 @@
 
 One outer iteration does:
 
-1. abundance block: ridge-regularized Newton target, soft-threshold,
-   project onto the nonnegative orthant,
-2. backtracked extrapolation toward that target until the total cost
-   stops increasing,
-3. endmember block: same Newton-target construction without the
-   soft-threshold, and the same backtracking,
+1. abundance block: one ridge-regularized Newton step, soft-thresholded
+   and projected onto the nonnegative orthant, which forms the block's
+   Gram P = Phi^T Phi and cross product C = Y^T Phi once,
+2. a backtracked extrapolation toward that target, priced from the same
+   P and C, until the total cost stops increasing,
+3. endmember block: the same step without the soft-threshold, from
+   P = W^T W and C = Y W, and the same backtracking,
 4. pruning: column pairs that are exactly zero are dropped, and those
    whose joint energy exceeds a relative tolerance are counted,
 5. refresh of the penalty diagonal from the working columns.
 
-The backtracking never forms a residual: each block step hands its
-product of Y with the fixed block to the line search, which prices every
-trial from r-sized Gram terms (:meth:`Objective.change_along`).  The
-full cost is evaluated once per solve, at the initial iterate; every
-reported cost after it is the previous one plus the accepted changes.
+The backtracking never forms a residual: each block step hands its P and
+C to the line search, which prices every trial from r-sized Gram terms
+(:meth:`Objective.change_along`).  The full cost is evaluated once per
+solve, at the initial iterate; every reported cost after it is the
+previous one plus the accepted changes.
 
 A solve stops when the relative cost change falls to ``tol_rel_cost``
 (``converged``), when an iteration moves neither block (stalled: both
@@ -57,6 +58,7 @@ from .model import (
     as_integer,
     as_matrix,
     as_weight,
+    check_dims,
     check_nonneg,
     joint_column_norms,
 )
@@ -249,20 +251,23 @@ def _spd_solve(a, b, context):
     return (b.T @ (inv_factor.T @ inv_factor)).T
 
 
-def _newton_step(fixed, d, rhs, shift, context):
-    """Projected Newton target max(X - shift, 0) of one block, n-by-r.
+def _newton_step(fixed, d, cross, shift, context):
+    """One block's projected Newton step: (target, P, C).
 
-    X^T solves (F^T F + D) X^T = ``rhs``, F = ``fixed`` the other block
-    and D = diag(``d``); ``rhs`` is F^T times Y or Y^T, r-by-n.  The
+    P = F^T F is the Gram of F = ``fixed``, the other block, and C =
+    ``cross`` the product of Y with F, n-by-r like the block.  The target
+    max(X - shift, 0), n-by-r, takes X^T from (P + D) X^T = C^T, D =
+    diag(``d``); P is returned without D, for :func:`line_search`.  The
     solve goes through :func:`_spd_solve`, whose docstring bounds its
     difference from a backward stable Cholesky solve; the shift and the
     projection run in place on its solution.
     """
-    a = fixed.T @ fixed
+    gram = fixed.T @ fixed
+    a = gram.copy()
     a.flat[::a.shape[0] + 1] += d
-    x = _spd_solve(a, rhs, context).T
+    x = _spd_solve(a, cross.T, context).T
     x -= shift
-    return np.maximum(x, 0.0, out=x)
+    return np.maximum(x, 0.0, out=x), gram, cross
 
 
 def update_abundances(objective, phi_hat, d_hat):
@@ -273,13 +278,12 @@ def update_abundances(objective, phi_hat, d_hat):
     ``objective.lambda1`` and projects onto the nonnegative orthant, which
     together are max(x - lambda1, 0).  Expects ``phi_hat`` float64 (L, r)
     and ``d_hat`` float64 (r,), as :func:`solve` hands them.  Returns the
-    candidate and the product Y^T Phi (K-by-r) it formed, which
-    :func:`line_search` reuses.  The step holds two K-by-r arrays: the
+    candidate, P = Phi^T Phi and C = Y^T Phi (K-by-r), the step that
+    :func:`line_search` takes.  The step holds two K-by-r arrays: the
     cross product and the solution.
     """
-    cross = phi_hat.T @ objective.y
-    return (_newton_step(phi_hat, d_hat, cross, objective.lambda1,
-                         "abundance update"), cross.T)
+    return _newton_step(phi_hat, d_hat, (phi_hat.T @ objective.y).T,
+                        objective.lambda1, "abundance update")
 
 
 def update_endmembers(objective, w_hat, d_hat):
@@ -287,33 +291,27 @@ def update_endmembers(objective, w_hat, d_hat):
 
     Solves (W^T W + D) X = W^T Y^T, Y = ``objective.y``, and transposes
     back to L-by-r.  Expects ``w_hat`` float64 (K, r) and ``d_hat``
-    float64 (r,), as :func:`solve` hands them.  Returns the candidate and
-    the product Y W (L-by-r) it formed, which :func:`line_search` reuses.
+    float64 (r,), as :func:`solve` hands them.  Returns the candidate,
+    P = W^T W and C = Y W (L-by-r), the step that :func:`line_search`
+    takes.
     """
-    cross = objective.y @ w_hat
-    return _newton_step(w_hat, d_hat, cross.T, 0.0, "endmember update"), cross
+    return _newton_step(w_hat, d_hat, objective.y @ w_hat, 0.0,
+                        "endmember update")
 
 
-def extrapolate(prev, candidate, beta):
-    """Convex blend prev + beta * (candidate - prev); ``beta`` in (0, 1]."""
-    if beta == 1.0:
-        return candidate
-    return prev + beta * (candidate - prev)
-
-
-def line_search(objective, phi_hat, w_hat, candidate, cross, which, config,
-                baseline_cost):
+def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost):
     """Backtrack over extrapolation weights until the cost stops increasing.
 
     Tries beta in {beta_init, beta_init*shrink, ...} (at most
     ``max_backtracks`` trials) and accepts the first (largest) one whose
     cost change f(beta) = cost(X + beta*(candidate - X)) - cost(X) is at
-    most 1e-12 times the baseline's magnitude.  f is priced in closed
-    form by :meth:`Objective.change_along`: its coefficients are built
-    once per search from r-sized Gram terms, after which each trial costs
-    O(r) and no L-by-K residual is formed.  The accepted cost is reported
-    as ``baseline_cost + f(beta)``.  If no trial is accepted the
-    unchanged block is returned with ``beta = 0.0``.
+    most 1e-12 times the baseline's magnitude; the accepted block is the
+    candidate itself at beta = 1 and that blend otherwise.  f is priced
+    in closed form by :meth:`Objective.change_along` from the step's P
+    and C: its coefficients are built once per search, after which each
+    trial costs O(r) and no L-by-K residual is formed.  The accepted cost
+    is reported as ``baseline_cost + f(beta)``.  If no trial is accepted
+    the unchanged block is returned with ``beta = 0.0``.
 
     Parameters
     ----------
@@ -321,12 +319,10 @@ def line_search(objective, phi_hat, w_hat, candidate, cross, which, config,
         Bound cost evaluator.
     phi_hat, w_hat : arrays
         Current iterates; the block not being searched is held fixed.
-    candidate : array
-        Proposed nonnegative iterate for the searched block.
-    cross : array
-        Product of Y with the fixed block, oriented like the searched
-        block (Y^T phi_hat for ``"w"``, Y w_hat for ``"phi"``), as
-        returned by the block step.
+    step : (candidate, gram, cross)
+        The block step's return: the proposed nonnegative iterate for the
+        searched block, the Gram P of the fixed block and the product C
+        of Y with it, oriented like the searched block.
     which : {"w", "phi"}
         Which block ``candidate`` replaces.
     config : SolverConfig
@@ -338,14 +334,18 @@ def line_search(objective, phi_hat, w_hat, candidate, cross, which, config,
     -------
     (accepted, beta_used, cost) : (array, float, float)
     """
+    candidate, gram, cross = step
     prev = w_hat if which == "w" else phi_hat
-    change = objective.change_along(phi_hat, w_hat, candidate, which, cross)
+    change = objective.change_along(phi_hat, w_hat, candidate, which, gram,
+                                    cross)
     slack = _ACCEPT_SLACK * abs(baseline_cost)
     beta = config.beta_init
     for _ in range(config.max_backtracks):
         gain = change(beta)
         if gain <= slack:
-            return extrapolate(prev, candidate, beta), beta, baseline_cost + gain
+            if beta != 1.0:
+                candidate = prev + beta * (candidate - prev)
+            return candidate, beta, baseline_cost + gain
         beta *= config.shrink
     return prev, 0.0, baseline_cost
 
@@ -356,14 +356,13 @@ def prune_and_report_rank(phi, w, prune_tol):
     Column i survives iff sqrt(||phi_i||^2 + ||w_i||^2) exceeds
     ``prune_tol`` times the largest such energy.  Expects float64 ``phi``
     and ``w`` with equal column counts and ``prune_tol`` in [0, 1), as
-    :func:`solve` hands them.  Returns the surviving indices (ascending)
-    and their count; an all-zero factorization yields an empty survivor
-    set (degenerate outcome, rank 0).
+    :func:`solve` hands them.  Returns the surviving indices (ascending);
+    an all-zero factorization yields an empty survivor set (degenerate
+    outcome, rank 0).
     """
     norms = joint_column_norms(phi, w)
     cutoff = prune_tol * (norms.max() if norms.size else 0.0)
-    surviving = np.flatnonzero(norms > cutoff)
-    return surviving, int(surviving.size)
+    return np.flatnonzero(norms > cutoff)
 
 
 def _prune_and_drop(phi, w, alive, prune_tol):
@@ -377,7 +376,7 @@ def _prune_and_drop(phi, w, alive, prune_tol):
     Returns the new ``alive``, the survivors as indices into the returned
     working columns, and the compacted (phi, w).
     """
-    kept = prune_and_report_rank(phi, w, prune_tol)[0]
+    kept = prune_and_report_rank(phi, w, prune_tol)
     if kept.size == phi.shape[1]:
         return alive, kept, phi, w
     keep = np.flatnonzero(phi.any(axis=0) | w.any(axis=0))
@@ -460,13 +459,10 @@ def solve(y, init_phi, init_w, config, callback=None):
     w = as_matrix(init_w, "init_w").copy()
     check_nonneg(phi, "init_phi")
     check_nonneg(w, "init_w")
-    l, k_pix = y.shape
-    if phi.shape != (l, config.r):
-        raise ValueError("init_phi has shape %s, expected %s"
-                         % (phi.shape, (l, config.r)))
-    if w.shape != (k_pix, config.r):
-        raise ValueError("init_w has shape %s, expected %s"
-                         % (w.shape, (k_pix, config.r)))
+    check_dims(y, phi, w, ("init_phi", "init_w"))
+    if phi.shape[1] != config.r:
+        raise ValueError("init_phi has %d columns, expected r=%d"
+                         % (phi.shape[1], config.r))
 
     # ``y`` was checked above; neither step scans it again.
     config = _resolve_defaults(config, y)
@@ -529,17 +525,14 @@ def solve(y, init_phi, init_w, config, callback=None):
             converged = True
             break
         try:
-            w_cand, cross = update_abundances(objective, phi, d)
+            w, beta_w, cost_after_w = line_search(
+                objective, phi, w, update_abundances(objective, phi, d), "w",
+                config, cost_prev - pad)
+            phi, beta_phi, cost_k = line_search(
+                objective, phi, w, update_endmembers(objective, w, d), "phi",
+                config, cost_after_w)
         except np.linalg.LinAlgError as exc:
             raise diverged("%s at iteration %d" % (exc, k)) from exc
-        w, beta_w, cost_after_w = line_search(
-            objective, phi, w, w_cand, cross, "w", config, cost_prev - pad)
-        try:
-            phi_cand, cross = update_endmembers(objective, w, d)
-        except np.linalg.LinAlgError as exc:
-            raise diverged("%s at iteration %d" % (exc, k)) from exc
-        phi, beta_phi, cost_k = line_search(
-            objective, phi, w, phi_cand, cross, "phi", config, cost_after_w)
 
         if not np.isfinite(cost_k):
             raise diverged("non-finite cost %r at iteration %d" % (cost_k, k))

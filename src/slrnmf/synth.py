@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .io import load_matrix
-from .model import as_integer, as_matrix, check_nonneg
+from .model import as_integer, as_matrix, check_dims, check_nonneg
 
 __all__ = [
     "GroundTruth",
@@ -47,10 +47,7 @@ class GroundTruth:
         w = as_matrix(self.w_true, "w_true")
         check_nonneg(phi, "phi_true")
         check_nonneg(w, "w_true")
-        if phi.shape[1] != w.shape[1]:
-            raise ValueError(
-                "phi_true has %d columns but w_true has %d"
-                % (phi.shape[1], w.shape[1]))
+        check_dims(None, phi, w, ("phi_true", "w_true"))
         if phi.shape[1] < 1:
             raise ValueError("ground truth needs at least one endmember")
         if self.sigma < 0.0:

@@ -1,0 +1,150 @@
+"""Decision record of the 20 acceptance scenes, and the script that writes it.
+
+``decision_record.json`` holds, for each scene of the two acceptance
+protocols (uniform init at 224 x 500, r = 10; VCA init at 224 x 900,
+r = 8; seeds 0-9 each), what the solver decided: the iteration count,
+the rank trace, the line searches' accepted trials, the surviving
+columns and ``converged``, with the final cost and mean SAM.  A trial
+count n says the search accepted beta = beta_init * shrink**(n - 1); 0
+says it accepted none.  ``tests/test_acceptance.py`` compares the runs it
+makes against the record: decisions exactly, cost and SAM within 1e-12
+relative.
+
+A change that moves results on purpose rewrites the record, from the
+repository root, with one BLAS thread (results differ bitwise between
+thread counts)::
+
+    PYTHONPATH=src python tests/decision_record.py
+"""
+
+import json
+import os
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    # Before numpy loads; tests/conftest.py pins the same for tier-1.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
+
+from slrnmf.initializers import init_uniform, init_vca, nnls_abundances  # noqa: E402
+from slrnmf.metrics import evaluate_unmixing  # noqa: E402
+from slrnmf.solver import SolverConfig, solve  # noqa: E402
+from slrnmf.synth import simulate  # noqa: E402
+
+RECORD_PATH = Path(__file__).with_name("decision_record.json")
+KINDS = ("uniform", "vca")
+SEEDS = range(10)
+# Relative tolerance on the recorded cost and SAM.
+RTOL = 1e-12
+
+
+def run_scene(kind, seed):
+    """Solve one acceptance scene; returns (phi, w, report, mean SAM)."""
+    if kind == "uniform":
+        y, truth = simulate(l=224, k=500, n=4, density=0.3, sigma=1e-3,
+                            seed=seed)
+        phi0, w0 = init_uniform(224, 500, 10, seed=seed)
+        config = SolverConfig(r=10, seed=seed)
+    else:
+        y, truth = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3,
+                            seed=seed)
+        phi0 = init_vca(y, 8, seed=seed)
+        w0 = nnls_abundances(y, phi0)
+        config = SolverConfig(r=8, seed=seed)
+    phi, w, report = solve(y, phi0, w0, config)
+    sam = (evaluate_unmixing(phi, truth.phi_true, w, truth.w_true)
+           .mean_sam_degrees if phi.shape[1] else None)
+    return phi, w, report, sam
+
+
+def _trials(beta, config):
+    """Line-search trials up to the accepted ``beta``; 0 if none was."""
+    if beta == 0.0:
+        return 0
+    trial, n = config.beta_init, 1
+    while trial != beta:
+        trial *= config.shrink
+        n += 1
+        if n > config.max_backtracks:
+            raise ValueError("beta %r is not on the backtracking schedule"
+                             % beta)
+    return n
+
+
+def scene_record(report, sam):
+    """The record of one solve: its decisions, final cost and mean SAM."""
+    return {
+        "iterations": report.iterations,
+        "rank_trace": report.effective_rank_trace.tolist(),
+        "beta_w_trials": [_trials(b, report.config) for b in report.beta_w_trace],
+        "beta_phi_trials": [_trials(b, report.config)
+                            for b in report.beta_phi_trace],
+        "surviving_columns": report.surviving_columns.tolist(),
+        "converged": report.converged,
+        "final_cost": report.final_cost,
+        "mean_sam_deg": sam,
+    }
+
+
+def records_of(runs):
+    """Scene name -> record, from ``runs[kind]``: run_scene's returns by seed."""
+    return {"%s-%d" % (kind, seed): scene_record(report, sam)
+            for kind in KINDS
+            for seed, (_, _, report, sam) in zip(SEEDS, runs[kind])}
+
+
+def differences(records, expected):
+    """Where ``records`` departs from ``expected``, one line per field."""
+    lines = ["%s: not recorded" % name for name in records
+             if name not in expected]
+    lines += ["%s: recorded but not run" % name for name in expected
+              if name not in records]
+    for name in records.keys() & expected.keys():
+        for field, want in expected[name].items():
+            got = records[name][field]
+            if field in ("final_cost", "mean_sam_deg") and None not in (got, want):
+                same = abs(got - want) <= RTOL * abs(want)
+            else:
+                same = got == want
+            if same:
+                continue
+            if isinstance(want, list):
+                # A trace: show where it departs, not all of it.
+                at = next((i for i, (a, b) in enumerate(zip(got, want))
+                           if a != b), min(len(got), len(want)))
+                field += " from entry %d" % at
+                got, want = got[at:at + 5], want[at:at + 5]
+            lines.append("%s %s: %r, recorded %r" % (name, field, got, want))
+    return sorted(lines)
+
+
+def load():
+    with open(RECORD_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write(records):
+    """One field per line, so a diff of the file names the fields that moved."""
+    lines = []
+    for name, record in records.items():
+        fields = ",\n".join('  "%s": %s' % (field, json.dumps(value))
+                            for field, value in record.items())
+        lines.append('%s: {\n%s\n }' % (json.dumps(name), fields))
+    with open(RECORD_PATH, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def main():
+    records = records_of({kind: [run_scene(kind, seed) for seed in SEEDS]
+                          for kind in KINDS})
+    old = load() if RECORD_PATH.exists() else {}
+    write(records)
+    for line in differences(records, old):
+        print(line)
+    print("wrote %s: %d scenes" % (RECORD_PATH, len(records)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,14 +58,15 @@ def direct_total(objective, phi, w):
             + objective.lambda1 * float(np.abs(w).sum()))
 
 
-def direct_line_search(objective, phi_hat, w_hat, candidate, cross, which,
-                       config, baseline_cost):
+def direct_line_search(objective, phi_hat, w_hat, step, which, config,
+                       baseline_cost):
     """The backtracking line search priced directly: one full cost per trial.
 
     Same schedule, accept rule (relative slack 1e-12) and blend as
-    ``slrnmf.solver.line_search``, with the same signature; ``cross`` is
-    not used.
+    ``slrnmf.solver.line_search``, with the same signature; of the block
+    step (candidate, gram, cross) only the candidate is used.
     """
+    candidate = step[0]
     prev = w_hat if which == "w" else phi_hat
     bound = baseline_cost + 1e-12 * abs(baseline_cost)
     beta = float(config.beta_init)
@@ -101,9 +102,9 @@ def fd_gradient(f, x, h=1e-6):
 def solver_gradients(y, phi, w, delta, eta):
     """Gradients of the smooth objective (lambda1 = 0) in w and phi, as
     ``solve`` forms them: X P - C + X diag(d), the fit gradient that
-    ``Objective.change_along`` prices line-search trials with, C the cross
-    product each block step returns and d the penalty diagonal.  Not an
-    oracle: this is the code that ``fd_gradient`` checks.
+    ``Objective.change_along`` prices line-search trials with, P and C the
+    Gram and cross product each block step returns and d the penalty
+    diagonal.  Not an oracle: this is the code that ``fd_gradient`` checks.
     """
     from slrnmf.model import Objective, _fit_gradient
     from slrnmf.solver import (update_abundances, update_endmembers,
@@ -111,10 +112,10 @@ def solver_gradients(y, phi, w, delta, eta):
 
     objective = Objective(y, delta, 0.0, eta)
     d = update_penalty_diag(phi, w, delta, eta)
-    cross_w = update_abundances(objective, phi, d)[1]
-    cross_phi = update_endmembers(objective, w, d)[1]
-    return (_fit_gradient(w, phi.T @ phi, cross_w) + w * d,
-            _fit_gradient(phi, w.T @ w, cross_phi) + phi * d)
+    _, gram_w, cross_w = update_abundances(objective, phi, d)
+    _, gram_phi, cross_phi = update_endmembers(objective, w, d)
+    return (_fit_gradient(w, gram_w, cross_w) + w * d,
+            _fit_gradient(phi, gram_phi, cross_phi) + phi * d)
 
 
 def prox_l1_grid(z, lam, lo=-8.0, hi=8.0, step=1e-4):
@@ -242,15 +243,15 @@ def full_width_solve(y, init_phi, init_w, config):
     costs, ranks, betas_w, betas_phi = [], [], [], []
     converged = False
     for _ in range(config.max_iter):
-        w_cand, cross = update_abundances(objective, phi, d)
-        w, beta_w, cost_w = line_search(objective, phi, w, w_cand, cross, "w",
-                                        config, cost_prev)
-        phi_cand, cross = update_endmembers(objective, w, d)
-        phi, beta_phi, cost_k = line_search(objective, phi, w, phi_cand, cross,
+        w, beta_w, cost_w = line_search(objective, phi, w,
+                                        update_abundances(objective, phi, d),
+                                        "w", config, cost_prev)
+        phi, beta_phi, cost_k = line_search(objective, phi, w,
+                                            update_endmembers(objective, w, d),
                                             "phi", config, cost_w)
         d = update_penalty_diag(phi, w, config.delta, config.eta)
         costs.append(cost_k)
-        ranks.append(prune_and_report_rank(phi, w, config.prune_tol)[1])
+        ranks.append(prune_and_report_rank(phi, w, config.prune_tol).size)
         betas_w.append(beta_w)
         betas_phi.append(beta_phi)
         if beta_w == 0.0 and beta_phi == 0.0:
@@ -259,14 +260,15 @@ def full_width_solve(y, init_phi, init_w, config):
             converged = True
             break
         cost_prev = cost_k
-    surviving, rank = prune_and_report_rank(phi, w, config.prune_tol)
+    surviving = prune_and_report_rank(phi, w, config.prune_tol)
     report = SolverReport(
         config=config, iterations=len(costs), initial_cost=initial_cost,
         final_cost=costs[-1] if costs else initial_cost,
         cost_trace=np.array(costs), effective_rank_trace=np.array(ranks),
         beta_w_trace=np.array(betas_w), beta_phi_trace=np.array(betas_phi),
-        final_effective_rank=rank, surviving_columns=surviving,
-        converged=converged, rank_degenerate=rank == 0, wall_time=0.0)
+        final_effective_rank=surviving.size, surviving_columns=surviving,
+        converged=converged, rank_degenerate=surviving.size == 0,
+        wall_time=0.0)
     return phi[:, surviving], w[:, surviving], report
 
 

@@ -6,15 +6,16 @@ reference-scale protocols run the full solver, so this module takes a
 few tens of seconds.
 """
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
+import decision_record
 import oracles
-from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
+from slrnmf.initializers import init_uniform, init_vca
 from slrnmf.io import load_matrix, read_report, report_values, save_matrix, write_report
-from slrnmf.metrics import evaluate_unmixing
 from slrnmf.model import Objective
 from slrnmf.cli import run
 from slrnmf.solver import (
@@ -35,32 +36,26 @@ def record(name, ok, detail):
     return bool(ok)
 
 
-# --- reference-scale protocols (shared across two tests) -------------------
+# --- reference-scale protocols (shared with the decision record) ------------
 
-_protocol_uniform = None
+_protocols = {}
 
 
-def protocol_uniform():
-    """10 seeds of the 4-source reference protocol with uniform init."""
-    global _protocol_uniform
-    if _protocol_uniform is None:
+def protocol(kind):
+    """The 10 seeds of an acceptance protocol, solved once per test run:
+    ``"uniform"`` (4 sources, uniform init) or ``"vca"`` (3 sources, VCA
+    init).  Returns ([(phi, w, report, mean SAM)] by seed, seconds)."""
+    if kind not in _protocols:
         t0 = time.time()
-        outcomes = []
-        for seed in range(10):
-            y, truth = simulate(l=224, k=500, n=4, density=0.3, sigma=1e-3,
-                                seed=seed)
-            phi0, w0 = init_uniform(224, 500, 10, seed=seed)
-            phi, w, report = solve(y, phi0, w0, SolverConfig(r=10, seed=seed))
-            result = evaluate_unmixing(phi, truth.phi_true, w, truth.w_true)
-            outcomes.append((report.final_effective_rank,
-                             result.mean_sam_degrees))
-        _protocol_uniform = (outcomes, time.time() - t0)
-    return _protocol_uniform
+        runs = [decision_record.run_scene(kind, seed)
+                for seed in decision_record.SEEDS]
+        _protocols[kind] = (runs, time.time() - t0)
+    return _protocols[kind]
 
 
 def test_rank_recovery_uniform_init():
-    outcomes, elapsed = protocol_uniform()
-    hits = sum(1 for rank, _ in outcomes if rank == 4)
+    runs, elapsed = protocol("uniform")
+    hits = sum(report.final_effective_rank == 4 for _, _, report, _ in runs)
     ok = hits >= 8 and elapsed < 120.0
     detail = "%d/10 seeds at rank 4, %.1f s" % (hits, elapsed)
     record("rank recovery, 4 sources, uniform init, defaults", ok, detail)
@@ -69,8 +64,9 @@ def test_rank_recovery_uniform_init():
 
 
 def test_recovered_signature_quality():
-    outcomes, _ = protocol_uniform()
-    sams = [sam for rank, sam in outcomes if rank == 4]
+    runs, _ = protocol("uniform")
+    sams = [sam for _, _, report, sam in runs
+            if report.final_effective_rank == 4]
     worst = max(sams) if sams else float("inf")
     mean = float(np.mean(sams)) if sams else float("inf")
     ok = bool(sams) and worst < 5.0
@@ -81,19 +77,32 @@ def test_recovered_signature_quality():
 
 
 def test_rank_recovery_vca_init():
-    t0 = time.time()
-    hits = 0
-    for seed in range(10):
-        y, _ = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3, seed=seed)
-        phi0 = init_vca(y, 8, seed=seed)
-        w0 = nnls_abundances(y, phi0)
-        _, _, report = solve(y, phi0, w0, SolverConfig(r=8, seed=seed))
-        hits += report.final_effective_rank == 3
-    elapsed = time.time() - t0
+    runs, elapsed = protocol("vca")
+    hits = sum(report.final_effective_rank == 3 for _, _, report, _ in runs)
     ok = hits >= 8
     detail = "%d/10 seeds at rank 3, %.1f s" % (hits, elapsed)
     record("rank recovery, 3 sources, vca init, defaults", ok, detail)
     assert ok, detail
+
+
+def test_decisions_match_the_record():
+    """The 20 protocol runs decide as ``decision_record.json`` records:
+    iterations, rank and trial traces, survivors and ``converged`` exactly,
+    final cost and mean SAM within 1e-12 relative.  The summary line
+    carries a SHA-256 over all factors, for bitwise comparison between
+    two checkouts on one machine."""
+    runs = {kind: protocol(kind)[0] for kind in decision_record.KINDS}
+    records = decision_record.records_of(runs)
+    digest = hashlib.sha256()
+    for phi, w, _, _ in (run for kind in runs for run in runs[kind]):
+        digest.update(phi.tobytes())
+        digest.update(w.tobytes())
+    problems = decision_record.differences(records, decision_record.load())
+    ok = not problems
+    detail = ("%d scenes, %d fields off the record; factors sha256 %s"
+                % (len(records), len(problems), digest.hexdigest()))
+    record("decisions match tests/decision_record.json", ok, detail)
+    assert ok, "\n".join(problems)
 
 
 def test_monotone_descent_on_random_instances():
@@ -159,8 +168,8 @@ def test_soft_threshold_against_grid_search():
     for _ in range(1000):
         z = float(rng.uniform(-4.0, 4.0))
         lam = float(rng.uniform(0.0, 2.0))
-        step, _ = update_abundances(Objective([[z]], 1.0, lam, 1.0),
-                                    np.ones((1, 1)), np.zeros(1))
+        step = update_abundances(Objective([[z]], 1.0, lam, 1.0),
+                                 np.ones((1, 1)), np.zeros(1))[0]
         ours = float(step[0, 0])
         ref = oracles.prox_l1_grid(z, lam, lo=0.0)
         worst = max(worst, abs(ours - ref))
@@ -194,13 +203,13 @@ def test_block_updates_near_subproblem_oracles():
         d = update_penalty_diag(phi_hat, w_hat, delta, eta)
 
         objective = Objective(y, 1.0, lam, 1.0)
-        w_step, _ = update_abundances(objective, phi_hat, d)
+        w_step = update_abundances(objective, phi_hat, d)[0]
         m_step = oracles.subproblem_w_value(y, phi_hat, d, lam, w_step)
         m_opt = oracles.subproblem_w_value(
             y, phi_hat, d, lam, oracles.cd_w_oracle(y, phi_hat, d, lam))
         worst_w = max(worst_w, m_step / m_opt)
 
-        phi_step, _ = update_endmembers(objective, w_hat, d)
+        phi_step = update_endmembers(objective, w_hat, d)[0]
         p_step = oracles.subproblem_phi_value(y, w_hat, d, phi_step)
         p_opt = oracles.subproblem_phi_value(
             y, w_hat, d, oracles.pg_phi_oracle(y, w_hat, d))

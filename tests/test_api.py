@@ -20,7 +20,7 @@ MODULES = ["slrnmf"] + ["slrnmf." + m.name
 STEP_INTERNALS = {
     "slrnmf.model": ["Objective", "cost_total", "joint_column_norms"],
     "slrnmf.solver": ["update_abundances", "update_endmembers",
-                      "update_penalty_diag", "extrapolate", "line_search",
+                      "update_penalty_diag", "line_search",
                       "prune_and_report_rank", "default_eta"],
 }
 

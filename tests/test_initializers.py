@@ -230,5 +230,5 @@ def test_nnls_zero_norm_column_gets_zero_abundance():
 
 
 def test_nnls_validates_shapes():
-    with pytest.raises(ValueError, match="expected L="):
+    with pytest.raises(ValueError, match="phi has 6 rows, expected L=5"):
         nnls_abundances(np.ones((5, 4)), np.ones((6, 2)))

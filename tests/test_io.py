@@ -1,6 +1,7 @@
 """File formats: delimited matrices, key-value reports, PGM maps."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -233,6 +234,9 @@ def test_report_round_trip_types(tmp_path):
         "c.list": [1, 2.5, "x", None, True],
         "c.nested": [[1, 2], [3.5, "y"]],
         "c.empty": [],
+        "d.key with spaces": 1,
+        "d.key#with-hash": 2,
+        "d.ключ": 3,
     }
     path = tmp_path / "r.txt"
     write_report(path, values)
@@ -271,6 +275,14 @@ def test_report_parse_errors(tmp_path):
         with pytest.raises(ValueError,
                            match=r"bad\.txt: line 3: cannot parse value"):
             read_report(path)
+    # Keys that would not read back as themselves are refused on writing.
+    written = tmp_path / "w.txt"
+    for key in ("a=b", "a\nb", "a\rb", "#c", "", " ", " a", "a\t", 3, None,
+                ("a",)):
+        with pytest.raises(ValueError, match="report key %s cannot be read back"
+                           % re.escape(repr(key))):
+            write_report(written, {"ok": 1, key: 1})
+        assert not written.exists()
 
 
 def test_report_bytes_are_pinned(tmp_path):
@@ -479,3 +491,7 @@ def test_save_results_validates_geometry(tmp_path):
         save_results(phi, w, report, tmp_path / "bad3", height=2.5, width=3)
     with pytest.raises(ValueError, match="width must be an integer >= 1"):
         save_results(phi, w, report, tmp_path / "bad4", height=2, width=3.2)
+    with pytest.raises(ValueError, match="phi and w disagree on the number of "
+                                         "columns: %d vs %d"
+                                         % (phi.shape[1], phi.shape[1] + 1)):
+        save_results(phi, np.hstack([w, w[:, :1]]), report, tmp_path / "bad5")

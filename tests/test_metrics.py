@@ -194,5 +194,9 @@ def test_evaluate_unmixing_validates_columns():
     rng = np.random.default_rng(10)
     phi = rng.uniform(0.1, 1.0, size=(10, 2))
     w_bad = rng.uniform(0.0, 1.0, size=(12, 3))
-    with pytest.raises(ValueError, match="w_est has 3 columns but phi_est has 2"):
+    with pytest.raises(ValueError, match="phi_est and w_est disagree on the "
+                                         "number of columns: 2 vs 3"):
         evaluate_unmixing(phi, phi, w_bad, w_bad)
+    with pytest.raises(ValueError, match="phi_ref and w_ref disagree on the "
+                                         "number of columns: 2 vs 3"):
+        evaluate_unmixing(phi, phi, w_bad[:, :2], w_bad)

@@ -20,7 +20,6 @@ from slrnmf.initializers import init_uniform
 from slrnmf.solver import (
     SolverConfig,
     default_eta,
-    extrapolate,
     solve,
     update_abundances,
     update_endmembers,
@@ -91,12 +90,21 @@ def test_check_nonneg_rejects_negative():
 
 def test_check_dims_messages():
     y = np.zeros((4, 5))
-    with pytest.raises(ValueError, match="expected L=4"):
+    with pytest.raises(ValueError, match="phi has 3 rows, expected L=4"):
         check_dims(y, np.zeros((3, 2)), np.zeros((5, 2)))
-    with pytest.raises(ValueError, match="expected K=5"):
+    with pytest.raises(ValueError, match="w has 6 rows, expected K=5"):
         check_dims(y, np.zeros((4, 2)), np.zeros((6, 2)))
-    with pytest.raises(ValueError, match="number of columns"):
+    with pytest.raises(ValueError, match="phi and w disagree on the number of "
+                                         "columns: 2 vs 3"):
         check_dims(y, np.zeros((4, 2)), np.zeros((5, 3)))
+    # Without y the rows go unchecked; without w only phi's rows are.
+    check_dims(None, np.zeros((3, 2)), np.zeros((6, 2)))
+    with pytest.raises(ValueError, match="a and b disagree on the number of "
+                                         "columns: 2 vs 3"):
+        check_dims(None, np.zeros((3, 2)), np.zeros((6, 3)), ("a", "b"))
+    check_dims(y, np.zeros((4, 7)), None)
+    with pytest.raises(ValueError, match="a has 3 rows, expected L=4"):
+        check_dims(y, np.zeros((3, 2)), None, ("a", "b"))
 
 
 def test_joint_column_norms_matches_loops():
@@ -266,20 +274,19 @@ def _worst_change_error(obj, phi, w, d, collapse=False):
     for which in ("w", "phi"):
         x, fixed = (w, phi) if which == "w" else (phi, w)
         if which == "w":
-            cand, cross = update_abundances(obj, phi, d)
+            cand, gram, cross = update_abundances(obj, phi, d)
         else:
-            cand, cross = update_endmembers(obj, w, d)
+            cand, gram, cross = update_endmembers(obj, w, d)
         if collapse:
             cand = cand.copy()
             cand[:, 0] = 0.0
-        change = obj.change_along(phi, w, cand, which, cross)
+        change = obj.change_along(phi, w, cand, which, gram, cross)
         step = np.abs(cand - x)
-        gram = fixed.T @ fixed
         a = np.abs(2.0 * (x * (cand - x)).sum(axis=0))
         b = (step * step).sum(axis=0)
         for k in range(20):
             beta = 0.5 ** k
-            trial = extrapolate(x, cand, beta)
+            trial = cand if beta == 1.0 else x + beta * (cand - x)
             pair = (phi, trial) if which == "w" else (trial, w)
             direct = obj.total(*pair) - base
             terms = (beta * np.vdot(x @ gram + np.abs(cross), step)

@@ -190,10 +190,15 @@ def test_overflowing_scale_is_an_error_not_rank_zero():
 def test_input_validation():
     y = np.ones((4, 5))
     phi0, w0 = init_uniform(4, 5, 2, 0)
-    with pytest.raises(ValueError, match="init_phi has shape"):
+    with pytest.raises(ValueError, match="init_phi has 3 rows, expected L=4"):
         solve(y, np.ones((3, 2)), w0, SolverConfig(r=2))
-    with pytest.raises(ValueError, match="init_w has shape"):
+    with pytest.raises(ValueError, match="init_w has 6 rows, expected K=5"):
+        solve(y, phi0, np.ones((6, 2)), SolverConfig(r=2))
+    with pytest.raises(ValueError, match="init_phi and init_w disagree on the "
+                                         "number of columns: 2 vs 3"):
         solve(y, phi0, np.ones((5, 3)), SolverConfig(r=2))
+    with pytest.raises(ValueError, match="init_phi has 3 columns, expected r=2"):
+        solve(y, np.ones((4, 3)), np.ones((5, 3)), SolverConfig(r=2))
     with pytest.raises(ValueError, match="negative"):
         solve(-y, phi0, w0, SolverConfig(r=2))
     with pytest.raises(ValueError, match="negative"):
@@ -337,6 +342,32 @@ def test_full_cost_is_evaluated_once_per_solve(monkeypatch):
     assert len(calls) == 1
 
 
+def test_line_search_prices_the_gram_of_the_block_step(monkeypatch):
+    """Each block's Gram is formed once per iteration: the one the line
+    search prices with is the object the block's Newton step returned."""
+    formed, priced = [], []
+    newton_step = slrnmf.solver._newton_step
+    change_along = Objective.change_along
+
+    def forming(*args):
+        step = newton_step(*args)
+        formed.append(step[1])
+        return step
+
+    def pricing(self, phi, w, candidate, which, gram, cross):
+        priced.append(gram)
+        return change_along(self, phi, w, candidate, which, gram, cross)
+
+    monkeypatch.setattr(slrnmf.solver, "_newton_step", forming)
+    monkeypatch.setattr(Objective, "change_along", pricing)
+    phi_t, w_t = tiny_truth(0)
+    phi0, w0 = init_uniform(6, 8, 4, 0)
+    _, _, report = solve(phi_t @ w_t.T, phi0, w0, replace(TINY, max_iter=5))
+    assert report.iterations == 5
+    assert len(formed) == len(priced) == 10
+    assert all(a is b for a, b in zip(formed, priced))
+
+
 def test_line_search_allocates_no_residual():
     y, phi, w, config = protocol_scene("uniform", 0)
     config = with_defaults(config, y)
@@ -345,10 +376,10 @@ def test_line_search_allocates_no_residual():
     baseline = obj.total(phi, w)
     steps = {"w": update_abundances(obj, phi, d),
              "phi": update_endmembers(obj, w, d)}
-    for which, (cand, cross) in steps.items():
+    for which, step in steps.items():
         tracemalloc.start()
         try:
-            line_search(obj, phi, w, cand, cross, which, config, baseline)
+            line_search(obj, phi, w, step, which, config, baseline)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,7 +9,6 @@ from slrnmf.solver import (
     _spd_solve,
     SolverConfig,
     default_eta,
-    extrapolate,
     line_search,
     prune_and_report_rank,
     update_abundances,
@@ -51,7 +50,9 @@ def test_update_abundances_solves_the_newton_system():
     phi = rng.uniform(0, 1, size=(8, 3))
     d = rng.uniform(0.1, 1.0, size=3)
     lam = 0.02
-    out, _ = update_abundances(Objective(y, 1.0, lam, 1.0), phi, d)
+    out, gram, cross = update_abundances(Objective(y, 1.0, lam, 1.0), phi, d)
+    assert np.array_equal(gram, phi.T @ phi)
+    assert np.allclose(cross, y.T @ phi, rtol=1e-14)
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     expected = np.maximum(np.sign(target) * np.maximum(np.abs(target) - lam, 0.0), 0.0)
     assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
@@ -63,7 +64,7 @@ def test_update_abundances_zero_l1_is_projected_ridge():
     y = rng.uniform(0, 1, size=(6, 9))
     phi = rng.uniform(0, 1, size=(6, 2))
     d = np.array([0.3, 0.7])
-    out, _ = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, d)
+    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, d)[0]
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10)
 
@@ -82,16 +83,11 @@ def test_update_endmembers_solves_the_newton_system():
     y = rng.uniform(0, 1, size=(7, 10))
     w = rng.uniform(0, 1, size=(10, 3))
     d = rng.uniform(0.05, 0.5, size=3)
-    out, _ = update_endmembers(Objective(y, 1.0, 0.0, 1.0), w, d)
+    out, gram, cross = update_endmembers(Objective(y, 1.0, 0.0, 1.0), w, d)
+    assert np.array_equal(gram, w.T @ w)
+    assert np.allclose(cross, y @ w, rtol=1e-14)
     target = np.linalg.solve(w.T @ w + np.diag(d), w.T @ y.T).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10, atol=1e-12)
-
-
-def test_extrapolate_blends():
-    prev = np.zeros((2, 2))
-    cand = np.full((2, 2), 4.0)
-    assert extrapolate(prev, cand, 1.0) is cand
-    assert np.allclose(extrapolate(prev, cand, 0.25), 1.0)
 
 
 def _search_setup(seed=12):
@@ -107,11 +103,12 @@ def _search_setup(seed=12):
 def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
     d = update_penalty_diag(phi, w, 0.2, 0.1)
-    cand, cross = update_abundances(obj, phi, d)
-    accepted, beta, cost = line_search(obj, phi, w, cand, cross, "w", config,
+    step = update_abundances(obj, phi, d)
+    cand = step[0]
+    accepted, beta, cost = line_search(obj, phi, w, step, "w", config,
                                        obj.total(phi, w))
     assert beta == 1.0
-    assert np.array_equal(accepted, cand)
+    assert accepted is cand
     assert cost == pytest.approx(obj.total(phi, cand), rel=1e-14)
     assert cost <= obj.total(phi, w)
 
@@ -120,8 +117,8 @@ def test_line_search_backs_off_or_stalls_on_bad_candidate():
     y, phi, w, obj, config = _search_setup()
     baseline = obj.total(phi, w)
     bad = w + 100.0  # big uphill move
-    accepted, beta, cost = line_search(obj, phi, w, bad, y.T @ phi, "w", config,
-                                       baseline)
+    accepted, beta, cost = line_search(obj, phi, w, (bad, phi.T @ phi, y.T @ phi),
+                                       "w", config, baseline)
     assert cost <= baseline * (1 + 1e-12)
     if beta == 0.0:
         assert accepted is w
@@ -134,8 +131,8 @@ def test_line_search_beta_zero_on_hopeless_candidate():
     y, phi, w, obj, config = _search_setup()
     # So large that every shrunken blend is still uphill.
     bad = w + 1e9
-    accepted, beta, cost = line_search(obj, phi, w, bad, y.T @ phi, "w", config,
-                                       obj.total(phi, w))
+    accepted, beta, cost = line_search(obj, phi, w, (bad, phi.T @ phi, y.T @ phi),
+                                       "w", config, obj.total(phi, w))
     assert beta == 0.0
     assert accepted is w
     assert cost == obj.total(phi, w)
@@ -144,11 +141,26 @@ def test_line_search_beta_zero_on_hopeless_candidate():
 def test_line_search_searches_the_named_block():
     y, phi, w, obj, config = _search_setup()
     d = update_penalty_diag(phi, w, 0.2, 0.1)
-    cand, cross = update_endmembers(obj, w, d)
-    accepted, beta, cost = line_search(obj, phi, w, cand, cross, "phi", config,
-                                       obj.total(phi, w))
+    accepted, beta, cost = line_search(obj, phi, w, update_endmembers(obj, w, d),
+                                       "phi", config, obj.total(phi, w))
     assert accepted.shape == phi.shape
     assert cost <= obj.total(phi, w)
+
+
+def test_line_search_blends_at_a_backed_off_weight():
+    """Below beta = 1 the accepted block is prev + beta (cand - prev), with
+    the cost of that blend.  The Newton step taken five times over is
+    uphill at full weight; it is clipped at zero, because the search
+    prices nonnegative candidates only."""
+    y, phi, w, obj, config = _search_setup()
+    d = update_penalty_diag(phi, w, 0.2, 0.1)
+    cand, gram, cross = update_abundances(obj, phi, d)
+    overshoot = np.maximum(w + 5.0 * (cand - w), 0.0)
+    accepted, beta, cost = line_search(obj, phi, w, (overshoot, gram, cross),
+                                       "w", config, obj.total(phi, w))
+    assert 0.0 < beta < 1.0
+    assert np.array_equal(accepted, w + beta * (overshoot - w))
+    assert cost == pytest.approx(obj.total(phi, accepted), rel=1e-13)
 
 
 def test_prune_keeps_columns_above_relative_cutoff():
@@ -157,15 +169,11 @@ def test_prune_keeps_columns_above_relative_cutoff():
     phi[:, 0] = 1.0          # energy 2.0
     w[:, 1] = 1e-6           # tiny joint energy
     phi[0, 2] = 0.5          # moderate
-    surviving, count = prune_and_report_rank(phi, w, 1e-4)
-    assert count == 2
-    assert list(surviving) == [0, 2]
+    assert list(prune_and_report_rank(phi, w, 1e-4)) == [0, 2]
 
 
 def test_prune_all_zero_reports_rank_zero():
-    surviving, count = prune_and_report_rank(np.zeros((3, 2)), np.zeros((4, 2)), 1e-4)
-    assert count == 0
-    assert surviving.size == 0
+    assert prune_and_report_rank(np.zeros((3, 2)), np.zeros((4, 2)), 1e-4).size == 0
 
 
 def test_default_eta_scales_with_column_norms():

@@ -173,7 +173,8 @@ def test_simulate_source_changes_endmembers_not_abundances():
 def test_ground_truth_validation():
     phi = np.ones((5, 2))
     w = np.ones((7, 2))
-    with pytest.raises(ValueError, match="columns"):
+    with pytest.raises(ValueError, match="phi_true and w_true disagree on the "
+                                         "number of columns: 2 vs 3"):
         GroundTruth(phi_true=phi, w_true=np.ones((7, 3)), sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="sigma"):
         GroundTruth(phi_true=phi, w_true=w, sigma=-0.1, seed=0)
