@@ -5,8 +5,12 @@ Subcommands: ``synth`` writes a synthetic ground-truth instance,
 estimated factors against references, and ``repro-sim`` chains all
 three over a range of seeds and aggregates the outcome.
 
-Exit codes: 0 on success, 2 when flags or input data fail validation,
-1 when a run fails at computation or output time.
+Solver flags are built from the fields of :class:`slrnmf.solver.SolverConfig`
+(name, type, default, help); only ``--seed`` and ``--init`` are written here.
+
+Exit codes, decided in :func:`run` alone: 0 on success, 2 when flags or
+input data fail validation (any ``ValueError``, or an unreadable input
+file), 1 when a run fails at computation or output time.
 """
 
 import argparse
@@ -28,31 +32,15 @@ SYNTH_REPORT = "truth.txt"
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(solver.SolverConfig))
 
 
-class ValidationError(Exception):
-    """Bad flags or inputs; maps to exit code 2."""
-
-
 def _add_solver_flags(p):
-    p.add_argument("--r", type=int, default=None,
-                   help="rank overestimate (number of factor columns)")
-    p.add_argument("--delta", type=float, default=None,
-                   help="group-sparsity weight (default: calibrated constant)")
-    p.add_argument("--lambda1", type=float, default=None,
-                   help="elementwise l1 weight on abundances (default: calibrated constant)")
-    p.add_argument("--eta", type=float, default=None,
-                   help="smoothing constant (default: scaled to the data)")
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="outer iteration cap (default 500)")
-    p.add_argument("--tol-rel-cost", type=float, default=None,
-                   help="relative cost-change stopping tolerance (default 1e-6)")
-    p.add_argument("--prune-tol", type=float, default=None,
-                   help="relative joint-energy pruning threshold (default 1e-4)")
-    p.add_argument("--beta-init", type=float, default=None,
-                   help="initial extrapolation weight (default 1.0)")
-    p.add_argument("--shrink", type=float, default=None,
-                   help="line-search shrink factor (default 0.5)")
-    p.add_argument("--max-backtracks", type=int, default=None,
-                   help="line-search trial cap (default 20)")
+    for f in dataclasses.fields(solver.SolverConfig):
+        if f.name == "seed":
+            continue
+        text = f.metadata["help"]
+        if f.default not in (None, dataclasses.MISSING):
+            text += " (default %s)" % f.default
+        p.add_argument("--" + f.name.replace("_", "-"), default=None,
+                       type=int if f.type is int else float, help=text)
     p.add_argument("--init", choices=("uniform", "vca"), default=None,
                    help="initialization strategy (default uniform)")
 
@@ -138,8 +126,8 @@ def _do_synth(out_dir, l, k, n, density, sigma, seed, source, library, clamp):
     try:
         y, truth = synth.simulate(l, k, n, density, sigma, seed, source=source,
                                   library_path=library, clamp=clamp)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(str(exc)) from None
+    except OSError as exc:
+        raise ValueError("spectral library: %s" % exc) from None
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "observations": os.path.join(out_dir, SYNTH_OBSERVATIONS),
@@ -177,7 +165,7 @@ def _config_from_report(path):
     try:
         values = io.read_report(path)
     except (OSError, ValueError) as exc:
-        raise ValidationError("cannot read report %s: %s" % (path, exc)) from None
+        raise ValueError("cannot read report %s: %s" % (path, exc)) from None
     picked = {}
     for key in _CONFIG_KEYS:
         if "config.%s" % key in values:
@@ -204,55 +192,39 @@ def _merge_config(args):
     if getattr(args, "clamp_negatives", False):
         clamp = True
     if "r" not in base:
-        raise ValidationError("--r is required (or provide --from-report)")
-    try:
-        config = solver.SolverConfig(**base)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(str(exc)) from None
-    return config, (init or "uniform"), bool(clamp)
+        raise ValueError("--r is required (or provide --from-report)")
+    return solver.SolverConfig(**base), (init or "uniform"), bool(clamp)
 
 
 def _do_unmix(y, config, init, out_dir, height=None, width=None,
               extra_report=None):
     l, k = y.shape
-    try:
-        if init == "vca":
-            phi0 = initializers.init_vca(y, config.r, config.seed)
-            w0 = initializers.nnls_abundances(y, phi0)
-        else:
-            phi0, w0 = initializers.init_uniform(l, k, config.r, config.seed)
-        phi, w, report = solver.solve(y, phi0, w0, config)
-        values = io.report_values(report)
-        values["config.init"] = init
-        if extra_report:
-            values.update(extra_report)
-        paths = io.save_results(phi, w, values, out_dir, height=height, width=width)
-    except ValueError as exc:
-        # input-contract violations; numerical failures arrive as
-        # solver.SolverDiverged, an ArithmeticError, and exit 1
-        raise ValidationError(str(exc)) from None
+    if init == "vca":
+        phi0 = initializers.init_vca(y, config.r, config.seed)
+        w0 = initializers.nnls_abundances(y, phi0)
+    else:
+        phi0, w0 = initializers.init_uniform(l, k, config.r, config.seed)
+    phi, w, report = solver.solve(y, phi0, w0, config)
+    values = io.report_values(report)
+    values["config.init"] = init
+    if extra_report:
+        values.update(extra_report)
+    paths = io.save_results(phi, w, values, out_dir, height=height, width=width)
     return phi, w, report, paths
 
 
 def cmd_unmix(args):
     config, init, clamp = _merge_config(args)
-    try:
-        y = io.load_matrix(args.input, layout=args.layout,
-                           delimiter=args.delimiter, header=args.header)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(str(exc)) from None
+    y = _load(args.input, "observations", layout=args.layout,
+              delimiter=args.delimiter, header=args.header)
     if clamp:
         y = np.maximum(y, 0.0)
     elif y.min() < 0.0:
-        raise ValidationError(
+        raise ValueError(
             "%s contains negative entries; pass --clamp-negatives to zero them"
             % args.input)
-    if (args.height is None) != (args.width is None):
-        raise ValidationError("--height and --width must be given together")
-    if args.height is not None and args.height * args.width != y.shape[1]:
-        raise ValidationError(
-            "--height * --width = %d does not match %d pixels"
-            % (args.height * args.width, y.shape[1]))
+    # Fail on the map geometry before the solve, not after it.
+    io._map_shape(args.height, args.width, y.shape[1])
     phi, w, report, paths = _do_unmix(
         y, config, init, args.out_dir, height=args.height, width=args.width,
         extra_report={"config.clamp_negatives": clamp})
@@ -272,27 +244,25 @@ def cmd_unmix(args):
     return 0
 
 
-def _load_for_eval(path, what):
+def _load(path, what, **options):
+    """``io.load_matrix``, with ``what`` the file holds named in any error."""
     try:
-        return io.load_matrix(path)
+        return io.load_matrix(path, **options)
     except (OSError, ValueError) as exc:
-        raise ValidationError("%s: %s" % (what, exc)) from None
+        raise ValueError("%s: %s" % (what, exc)) from None
 
 
 def cmd_eval(args):
-    phi_est = _load_for_eval(args.estimated, "estimated endmembers")
-    phi_ref = _load_for_eval(args.reference, "reference endmembers")
+    phi_est = _load(args.estimated, "estimated endmembers")
+    phi_ref = _load(args.reference, "reference endmembers")
     if (args.est_abundances is None) != (args.ref_abundances is None):
-        raise ValidationError(
+        raise ValueError(
             "--est-abundances and --ref-abundances must be given together")
     w_est = w_ref = None
     if args.est_abundances is not None:
-        w_est = _load_for_eval(args.est_abundances, "estimated abundances")
-        w_ref = _load_for_eval(args.ref_abundances, "reference abundances")
-    try:
-        result = metrics.evaluate_unmixing(phi_est, phi_ref, w_est, w_ref)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+        w_est = _load(args.est_abundances, "estimated abundances")
+        w_ref = _load(args.ref_abundances, "reference abundances")
+    result = metrics.evaluate_unmixing(phi_est, phi_ref, w_est, w_ref)
     _print_eval(result, phi_est.shape[1], phi_ref.shape[1])
     if args.out:
         io.write_report(args.out, _metrics_values(result))
@@ -330,7 +300,7 @@ def _print_eval(result, n_est, n_ref):
 
 def cmd_repro_sim(args):
     if args.n_seeds < 1:
-        raise ValidationError("--n-seeds must be >= 1, got %d" % args.n_seeds)
+        raise ValueError("--n-seeds must be >= 1, got %d" % args.n_seeds)
     if args.r is None:
         args.r = 10
     config, init, _ = _merge_config(args)
@@ -404,7 +374,7 @@ def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

@@ -190,12 +190,13 @@ def init_vca(y, r, seed):
     return np.maximum(y[:, indices], 0.0)
 
 
-def nnls_abundances(y, phi, tol=1e-8, max_sweeps=1000):
+def nnls_abundances(y, phi):
     """Nonnegative least-squares abundances for fixed endmembers.
 
     Minimizes ||y - phi w^T||_F^2 over w >= 0 by cyclic projected
-    coordinate descent, vectorized across pixels.  Columns of ``phi``
-    with zero norm get zero abundances.
+    coordinate descent, vectorized across pixels, until a sweep moves no
+    entry by more than 1e-8 times the largest (or 1), or for at most 1000
+    sweeps.  Columns of ``phi`` with zero norm get zero abundances.
 
     Returns
     -------
@@ -204,14 +205,13 @@ def nnls_abundances(y, phi, tol=1e-8, max_sweeps=1000):
     y = as_matrix(y, "y")
     phi = as_matrix(phi, "phi")
     check_dims(y, phi, None)
-    tol = float(tol)
     gram = phi.T @ phi
     rhs = phi.T @ y
     r = phi.shape[1]
     diag = np.diag(gram).copy()
     active = diag > 0.0
     w = np.zeros((r, y.shape[1]))
-    for _ in range(max_sweeps):
+    for _ in range(1000):
         biggest = 0.0
         for j in range(r):
             if not active[j]:
@@ -220,6 +220,6 @@ def nnls_abundances(y, phi, tol=1e-8, max_sweeps=1000):
             new = np.maximum(w[j] + step, 0.0)
             biggest = max(biggest, float(np.abs(new - w[j]).max()))
             w[j] = new
-        if biggest <= tol * max(1.0, float(np.abs(w).max())):
+        if biggest <= 1e-8 * max(1.0, float(np.abs(w).max())):
             break
     return w.T.copy()

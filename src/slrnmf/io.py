@@ -1,9 +1,11 @@
 """Matrix, report and abundance-map file formats.
 
-Matrices travel as delimited text (default comma), full 17-significant-
-digit decimals so float64 values round-trip exactly.  Lines starting
-with '#' are comments.  Run reports are flat ``key = value`` files with
-dotted key namespaces and one JSON value per key, except that JSON's
+Matrices travel as delimited text (written with commas), full 17-
+significant-digit decimals so float64 values round-trip exactly.  Lines
+starting with '#' are comments; an empty matrix is written as one comment
+recording its shape, and read back at that shape.  Run reports are flat
+``key = value`` files with dotted key namespaces and one JSON value per
+key, except that JSON's
 ``null``/``Infinity``/``NaN`` are spelled ``none``/``inf``/``nan``;
 abundance maps are ASCII PGM (P2, 16-bit) so they can be inspected
 without imaging libraries.
@@ -31,6 +33,9 @@ __all__ = [
 ]
 
 _LAYOUTS = ("bands-by-pixels", "pixels-by-bands")
+
+# The one line of an empty matrix's file.
+_EMPTY_MATRIX = re.compile(r"# empty matrix: (\d+) rows x (\d+) columns")
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -63,8 +68,9 @@ def load_matrix(path, layout="bands-by-pixels", delimiter=",", header=False):
     ------
     ValueError
         Ragged rows (with the offending line number), non-numeric or
-        non-finite tokens (with line and column), empty files, or an
-        unknown layout.
+        non-finite tokens (with line and column), files without data
+        (apart from :func:`save_matrix`'s record of an empty matrix), or
+        an unknown layout.
     """
     if layout not in _LAYOUTS:
         raise ValueError("layout must be one of %s, got %r" % (_LAYOUTS, layout))
@@ -159,28 +165,27 @@ def _parse_tokens(path, delimiter, header):
                     "%s: ragged row at line %d: expected %d values, got %d"
                     % (name, lineno, width, len(values)))
             rows.append(values)
-    if not rows:
+    if rows:
+        return np.asarray(rows, dtype=np.float64)
+    with open(path, "r", encoding="utf-8") as fh:
+        empty = _EMPTY_MATRIX.fullmatch(fh.readline().strip())
+    if empty is None:
         raise ValueError("%s: no numeric data" % name)
-    return np.asarray(rows, dtype=np.float64)
+    return np.zeros((int(empty[1]), int(empty[2])))
 
 
-def save_matrix(path, matrix, delimiter=",", comments=()):
-    """Write a matrix as delimited text with %.17g precision.
+def save_matrix(path, matrix):
+    """Write a matrix as comma-separated text with %.17g precision.
 
-    Optional ``comments`` lines are emitted first, prefixed with '# '.
-    An empty matrix (zero rows or columns) produces a comment-only file
-    recording the shape.
+    An empty matrix (zero rows or columns) produces a one-line comment
+    recording its shape, which :func:`load_matrix` reads back.
     """
     matrix = as_matrix(matrix, "matrix")
     with open(path, "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write("# %s\n" % line)
         if matrix.size == 0:
             fh.write("# empty matrix: %d rows x %d columns\n" % matrix.shape)
             return
-        # One format string per row; a '%' in the delimiter is literal.
-        fields = ["%.17g"] * matrix.shape[1]
-        line = delimiter.replace("%", "%%").join(fields) + "\n"
+        line = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
         for row in matrix:
             fh.write(line % tuple(row.tolist()))
 
@@ -312,17 +317,33 @@ def report_values(report):
     raise TypeError("report must be a dict or a solver report dataclass")
 
 
+def _map_shape(height, width, pixels):
+    """(height, width) of ``pixels`` abundance maps, None if neither is given."""
+    if height is None and width is None:
+        return None
+    if height is None or width is None:
+        raise ValueError("height and width must be given together")
+    height = as_integer(height, "height", 1)
+    width = as_integer(width, "width", 1)
+    if height * width != pixels:
+        raise ValueError("height * width = %d does not match %d pixels"
+                         % (height * width, pixels))
+    return height, width
+
+
 def save_results(phi, w, report, out_dir, height=None, width=None):
     """Write a solve's outputs: endmembers.csv, abundances.csv, report.txt.
 
     When ``height`` and ``width`` are given (pixels = height * width),
     one ``map_<i>.pgm`` abundance image per surviving column is written
     as well, with each map's raw min/max recorded in the report under
-    ``maps.map_<i>``.  Returns a dict of the written paths.
+    ``maps.map_<i>``.  The map geometry is checked before any file is
+    written.  Returns a dict of the written paths.
     """
     phi = as_matrix(phi, "phi")
     w = as_matrix(w, "w")
     check_dims(None, phi, w)
+    shape = _map_shape(height, width, w.shape[0])
     os.makedirs(out_dir, exist_ok=True)
     values = report_values(report)
     paths = {
@@ -333,21 +354,12 @@ def save_results(phi, w, report, out_dir, height=None, width=None):
     }
     save_matrix(paths["endmembers"], phi)
     save_matrix(paths["abundances"], w)
-    if height is not None or width is not None:
-        if height is None or width is None:
-            raise ValueError("height and width must be given together")
-        height = as_integer(height, "height", 1)
-        width = as_integer(width, "width", 1)
-        if height * width != w.shape[0]:
-            raise ValueError(
-                "height * width = %d does not match %d pixels"
-                % (height * width, w.shape[0]))
+    if shape is not None:
         values["maps.count"] = phi.shape[1]
-        values["maps.height"] = height
-        values["maps.width"] = width
+        values["maps.height"], values["maps.width"] = shape
         for i in range(w.shape[1]):
             map_path = os.path.join(out_dir, "map_%d.pgm" % i)
-            lo, hi = write_pgm(map_path, w[:, i].reshape(height, width))
+            lo, hi = write_pgm(map_path, w[:, i].reshape(shape))
             values["maps.map_%d.min" % i] = lo
             values["maps.map_%d.max" % i] = hi
             paths["maps"].append(map_path)

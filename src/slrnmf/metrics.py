@@ -131,20 +131,19 @@ def match_columns(estimated, reference):
 
     Solves the rectangular assignment problem minimizing total spectral
     angle over min(N_est, N_ref) pairs.  ``rank_correct`` records
-    whether the column counts agree exactly.
+    whether the column counts agree exactly.  A matrix without columns
+    matches nothing: no pairs, and a mean angle of NaN.
 
     Raises
     ------
     ValueError
-        Row-count mismatch, or either matrix has no columns.
+        Row-count mismatch.
     """
     estimated = as_matrix(estimated, "estimated")
     reference = as_matrix(reference, "reference")
     if estimated.shape[0] != reference.shape[0]:
         raise ValueError("row counts differ: estimated has %d, reference has %d"
                          % (estimated.shape[0], reference.shape[0]))
-    if estimated.shape[1] == 0 or reference.shape[1] == 0:
-        raise ValueError("cannot match empty matrices")
 
     angles = _angle_matrix(estimated, reference)
     est_idx, ref_idx = _assignment(angles)
@@ -152,7 +151,7 @@ def match_columns(estimated, reference):
     return MatchResult(
         permutation=np.stack([est_idx, ref_idx], axis=1),
         per_pair_sam_degrees=per_pair,
-        mean_sam_degrees=float(per_pair.mean()),
+        mean_sam_degrees=float(per_pair.mean()) if per_pair.size else np.nan,
         unmatched_estimated=np.delete(np.arange(estimated.shape[1]), est_idx),
         unmatched_reference=np.delete(np.arange(reference.shape[1]), ref_idx),
         rank_correct=(estimated.shape[1] == reference.shape[1]),
@@ -202,7 +201,8 @@ def evaluate_unmixing(phi_est, phi_ref, w_est=None, w_ref=None):
 
     Returns the MatchResult with ``abundance_rmse`` and
     ``abundance_scales`` filled in when both abundance matrices are
-    given (scored over the endmember matching's pairs).
+    given (scored over the endmember matching's pairs) and some pair was
+    matched.
     """
     result = match_columns(phi_est, phi_ref)
     if w_est is not None and w_ref is not None:
@@ -210,7 +210,7 @@ def evaluate_unmixing(phi_est, phi_ref, w_est=None, w_ref=None):
         w_ref = as_matrix(w_ref, "w_ref")
         check_dims(None, np.asarray(phi_est), w_est, ("phi_est", "w_est"))
         check_dims(None, np.asarray(phi_ref), w_ref, ("phi_ref", "w_ref"))
-        rmse, scales = abundance_rmse(w_est, w_ref, result.permutation)
-        result.abundance_rmse = rmse
-        result.abundance_scales = scales
+        if result.permutation.size:
+            result.abundance_rmse, result.abundance_scales = abundance_rmse(
+                w_est, w_ref, result.permutation)
     return result

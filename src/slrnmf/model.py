@@ -20,8 +20,8 @@ endmembers.  All arithmetic is float64.
 
 Each input rule of the package lives here once: :func:`as_matrix` for
 matrices, :func:`as_integer` for sizes and counts, :func:`as_weight` for
-delta, lambda1 and eta, and :func:`check_dims` for the shapes of y, phi
-and w.
+delta, lambda1 and eta, :func:`check_interval` for the other real-valued
+solver settings, and :func:`check_dims` for the shapes of y, phi and w.
 
 Nothing here allocates an array of the size of ``y``: the full cost forms
 its residual one block of pixels at a time (at most 8 MiB), and the
@@ -34,6 +34,7 @@ __all__ = [
     "as_matrix",
     "as_integer",
     "as_weight",
+    "check_interval",
     "check_nonneg",
     "check_dims",
     "joint_column_norms",
@@ -68,13 +69,18 @@ def as_integer(value, name, low):
     return int(value)
 
 
+def _real(value):
+    """``value`` as a float; NaN for a string or what ``float`` refuses."""
+    try:
+        return np.nan if isinstance(value, str) else float(value)
+    except (TypeError, ValueError):
+        return np.nan
+
+
 def as_weight(value, name):
     """Return penalty weight ``name`` as a float: finite, with ``eta`` > 0
     and ``delta``, ``lambda1`` >= 0; anything else raises ``ValueError``."""
-    try:
-        weight = np.nan if isinstance(value, str) else float(value)
-    except (TypeError, ValueError):
-        weight = np.nan
+    weight = _real(value)
     if name == "eta":
         ok, rule = 0.0 < weight < np.inf, "> 0"
     else:
@@ -82,6 +88,17 @@ def as_weight(value, name):
     if not ok:
         raise ValueError("%s must be finite and %s, got %s" % (name, rule, value))
     return weight
+
+
+def check_interval(value, name, low, high, ends):
+    """Raise ``ValueError`` unless ``value`` is a number in the interval from
+    ``low`` to ``high`` with ``ends`` such as "[)" (closed below, open above)."""
+    x = _real(value)
+    inside = ((low <= x if ends[0] == "[" else low < x)
+              and (x <= high if ends[1] == "]" else x < high))
+    if not inside:
+        raise ValueError("%s must be in %s%g, %g%s, got %s"
+                         % (name, ends[0], low, high, ends[1], value))
 
 
 def check_nonneg(m, name="matrix"):

@@ -47,7 +47,7 @@ arrays, and the one residual block of :meth:`Objective.total` (at most
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .model import (
     as_matrix,
     as_weight,
     check_dims,
+    check_interval,
     check_nonneg,
     joint_column_norms,
 )
@@ -94,47 +95,47 @@ DEFAULT_LAMBDA1 = 0.012
 _ACCEPT_SLACK = 1e-12
 
 
+def _setting(text, default=MISSING):
+    """A :class:`SolverConfig` field whose one-line help is ``text``."""
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters for :func:`solve`.
+    """Hyperparameters for :func:`solve`, one field per setting.
 
-    ``delta``, ``lambda1`` and ``eta`` may be left as ``None`` to request
-    the data-driven defaults (see :func:`with_defaults`); the resolved
-    values are echoed in the returned report.
+    Each field's ``help`` metadata is its one-line description; the
+    command line builds its solver flags from these fields.  Only ``eta``
+    may be ``None``, for the data-driven default (see :func:`with_defaults`);
+    the resolved value is echoed in the returned report.
     """
 
-    r: int
-    delta: float | None = None
-    lambda1: float | None = None
-    eta: float | None = None
-    max_iter: int = 500
-    tol_rel_cost: float = 1e-6
-    prune_tol: float = 1e-4
-    beta_init: float = 1.0
-    shrink: float = 0.5
-    max_backtracks: int = 20
-    seed: int = 0
+    r: int = _setting("rank overestimate (number of factor columns)")
+    delta: float = _setting("group-sparsity weight", DEFAULT_DELTA)
+    lambda1: float = _setting("elementwise l1 weight on abundances", DEFAULT_LAMBDA1)
+    eta: float | None = _setting("smoothing constant (default: 1e-2 times the mean pixel norm)", None)
+    max_iter: int = _setting("outer iteration cap", 500)
+    tol_rel_cost: float = _setting("relative cost-change stopping tolerance", 1e-6)
+    prune_tol: float = _setting("relative joint-energy pruning threshold", 1e-4)
+    beta_init: float = _setting("initial extrapolation weight", 1.0)
+    shrink: float = _setting("line-search shrink factor", 0.5)
+    max_backtracks: int = _setting("line-search trial cap", 20)
+    seed: int = _setting("initialization seed", 0)
 
     def __post_init__(self):
-        # Counts are stored as ints; weights are only checked, so reports
-        # echo them as given.
+        # Counts are stored as ints; the real-valued settings are only
+        # checked, so reports echo them as given.
         for name, low in (("r", 1), ("max_iter", 0), ("max_backtracks", 1)):
             object.__setattr__(self, name, as_integer(getattr(self, name), name, low))
-        for name in ("delta", "lambda1", "eta"):
-            if getattr(self, name) is not None:
-                as_weight(getattr(self, name), name)
-        if not self.tol_rel_cost >= 0.0:
-            raise ValueError("tol_rel_cost must be >= 0, got %g" % self.tol_rel_cost)
-        if not 0.0 <= self.prune_tol < 1.0:
-            raise ValueError("prune_tol must be in [0, 1), got %g" % self.prune_tol)
-        if not 0.0 < self.beta_init <= 1.0:
-            raise ValueError("beta_init must be in (0, 1], got %g" % self.beta_init)
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must be in (0, 1), got %g" % self.shrink)
-
-    @property
-    def is_resolved(self):
-        return None not in (self.delta, self.lambda1, self.eta)
+        as_weight(self.delta, "delta")
+        as_weight(self.lambda1, "lambda1")
+        if self.eta is not None:
+            as_weight(self.eta, "eta")
+        for name, low, high, ends in (("tol_rel_cost", 0.0, np.inf, "[]"),
+                                      ("prune_tol", 0.0, 1.0, "[)"),
+                                      ("beta_init", 0.0, 1.0, "(]"),
+                                      ("shrink", 0.0, 1.0, "()")):
+            check_interval(getattr(self, name), name, low, high, ends)
 
 
 @dataclass(frozen=True)
@@ -394,24 +395,17 @@ def default_eta(y):
 
 
 def with_defaults(config, y):
-    """Resolve ``None`` hyperparameters; the choices are echoed in reports."""
-    if not config.is_resolved:
+    """Fill an ``eta`` of ``None`` from ``y``; the choice is echoed in reports."""
+    if config.eta is None:
         y = as_matrix(y, "y")
     return _resolve_defaults(config, y)
 
 
 def _resolve_defaults(config, y):
     """:func:`with_defaults` for a ``y`` that :func:`as_matrix` returned."""
-    if config.is_resolved:
+    if config.eta is not None:
         return config
-    updates = {}
-    if config.eta is None:
-        updates["eta"] = default_eta(y)
-    if config.delta is None:
-        updates["delta"] = DEFAULT_DELTA
-    if config.lambda1 is None:
-        updates["lambda1"] = DEFAULT_LAMBDA1
-    return replace(config, **updates)
+    return replace(config, eta=default_eta(y))
 
 
 def solve(y, init_phi, init_w, config, callback=None):
@@ -426,7 +420,7 @@ def solve(y, init_phi, init_w, config, callback=None):
     init_w : (K, r) array
         Nonnegative initial abundances.
     config : SolverConfig
-        Hyperparameters; unresolved entries are filled from the data.
+        Hyperparameters; an ``eta`` of ``None`` is filled from the data.
     callback : callable, optional
         Called with a :class:`SolverState` after every iteration.  Its
         arrays always have r columns: once a column has been dropped they

@@ -1,8 +1,10 @@
-"""Decision record of the 20 acceptance scenes, and the script that writes it.
+"""Decision record of the acceptance and stall scenes, and the script that
+writes it.  The scenes are defined here once; the tests take them from here.
 
 ``decision_record.json`` holds, for each scene of the two acceptance
 protocols (uniform init at 224 x 500, r = 10; VCA init at 224 x 900,
-r = 8; seeds 0-9 each), what the solver decided: the iteration count,
+r = 8; seeds 0-9 each) and for each of the stall scenes (``STALLS``),
+what the solver decided: the iteration count,
 the rank trace, the line searches' accepted trials, the surviving
 columns and ``converged``, with the final cost and mean SAM.  A trial
 count n says the search accepted beta = beta_init * shrink**(n - 1); 0
@@ -35,23 +37,41 @@ from slrnmf.synth import simulate  # noqa: E402
 RECORD_PATH = Path(__file__).with_name("decision_record.json")
 KINDS = ("uniform", "vca")
 SEEDS = range(10)
+# Uniform-init scenes that end away from a stationary point, by name:
+# seeds 31, 37 and 38 of the protocol stop with neither block moving;
+# seed 2 at K = 250 and seed 4 at K = 2000 and 5000 (otherwise the
+# protocol's settings), and scene 0 with Y times 10, stop with one block
+# frozen yet report convergence.
+STALLS = {
+    "uniform-31": dict(seed=31),
+    "uniform-37": dict(seed=37),
+    "uniform-38": dict(seed=38),
+    "uniform-k250-2": dict(seed=2, k=250),
+    "uniform-k2000-4": dict(seed=4, k=2000),
+    "uniform-k5000-4": dict(seed=4, k=5000),
+    "uniform-0-y10": dict(seed=0, scale=10.0),
+}
 # Relative tolerance on the recorded cost and SAM.
 RTOL = 1e-12
 
 
-def run_scene(kind, seed):
-    """Solve one acceptance scene; returns (phi, w, report, mean SAM)."""
+def scene(kind, seed, k=500, scale=1.0):
+    """(y, truth, phi0, w0, config) of one scene of a protocol, ``kind``
+    "uniform" or "vca"; a uniform scene may take another pixel count
+    ``k``, and ``scale`` multiplies its observations."""
     if kind == "uniform":
-        y, truth = simulate(l=224, k=500, n=4, density=0.3, sigma=1e-3,
+        y, truth = simulate(l=224, k=k, n=4, density=0.3, sigma=1e-3,
                             seed=seed)
-        phi0, w0 = init_uniform(224, 500, 10, seed=seed)
-        config = SolverConfig(r=10, seed=seed)
-    else:
-        y, truth = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3,
-                            seed=seed)
-        phi0 = init_vca(y, 8, seed=seed)
-        w0 = nnls_abundances(y, phi0)
-        config = SolverConfig(r=8, seed=seed)
+        phi0, w0 = init_uniform(224, k, 10, seed=seed)
+        return y * scale, truth, phi0, w0, SolverConfig(r=10, seed=seed)
+    y, truth = simulate(l=224, k=900, n=3, density=0.5, sigma=1e-3, seed=seed)
+    phi0 = init_vca(y, 8, seed=seed)
+    return y, truth, phi0, nnls_abundances(y, phi0), SolverConfig(r=8, seed=seed)
+
+
+def run_scene(kind, seed, **options):
+    """Solve one scene (see :func:`scene`); returns (phi, w, report, mean SAM)."""
+    y, truth, phi0, w0, config = scene(kind, seed, **options)
     phi, w, report = solve(y, phi0, w0, config)
     sam = (evaluate_unmixing(phi, truth.phi_true, w, truth.w_true)
            .mean_sam_degrees if phi.shape[1] else None)
@@ -88,10 +108,20 @@ def scene_record(report, sam):
 
 
 def records_of(runs):
-    """Scene name -> record, from ``runs[kind]``: run_scene's returns by seed."""
-    return {"%s-%d" % (kind, seed): scene_record(report, sam)
-            for kind in KINDS
-            for seed, (_, _, report, sam) in zip(SEEDS, runs[kind])}
+    """Scene name -> record, from ``runs[kind]``, run_scene's returns by
+    seed, and ``runs["stalls"]``, by name."""
+    records = {"%s-%d" % (kind, seed): scene_record(report, sam)
+               for kind in KINDS
+               for seed, (_, _, report, sam) in zip(SEEDS, runs[kind])}
+    for name, (_, _, report, sam) in runs["stalls"].items():
+        records[name] = scene_record(report, sam)
+    return records
+
+
+def run_stalls():
+    """run_scene's returns for the ``STALLS`` scenes, by name."""
+    return {name: run_scene("uniform", **options)
+            for name, options in STALLS.items()}
 
 
 def differences(records, expected):
@@ -136,8 +166,8 @@ def write(records):
 
 
 def main():
-    records = records_of({kind: [run_scene(kind, seed) for seed in SEEDS]
-                          for kind in KINDS})
+    runs = {kind: [run_scene(kind, seed) for seed in SEEDS] for kind in KINDS}
+    records = records_of({**runs, "stalls": run_stalls()})
     old = load() if RECORD_PATH.exists() else {}
     write(records)
     for line in differences(records, old):

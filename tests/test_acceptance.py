@@ -86,15 +86,17 @@ def test_rank_recovery_vca_init():
 
 
 def test_decisions_match_the_record():
-    """The 20 protocol runs decide as ``decision_record.json`` records:
-    iterations, rank and trial traces, survivors and ``converged`` exactly,
-    final cost and mean SAM within 1e-12 relative.  The summary line
-    carries a SHA-256 over all factors, for bitwise comparison between
-    two checkouts on one machine."""
+    """The 20 protocol runs and the stall scenes decide as
+    ``decision_record.json`` records: iterations, rank and trial traces,
+    survivors and ``converged`` exactly, final cost and mean SAM within
+    1e-12 relative.  The summary line carries a SHA-256 over all factors,
+    for bitwise comparison between two checkouts on one machine."""
     runs = {kind: protocol(kind)[0] for kind in decision_record.KINDS}
+    runs["stalls"] = decision_record.run_stalls()
     records = decision_record.records_of(runs)
     digest = hashlib.sha256()
-    for phi, w, _, _ in (run for kind in runs for run in runs[kind]):
+    for phi, w, _, _ in [*(run for kind in decision_record.KINDS
+                           for run in runs[kind]), *runs["stalls"].values()]:
         digest.update(phi.tobytes())
         digest.update(w.tobytes())
     problems = decision_record.differences(records, decision_record.load())

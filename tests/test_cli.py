@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from slrnmf.cli import run
+from slrnmf.cli import build_parser, run
 from slrnmf.io import load_matrix, read_report, write_report
 from slrnmf.solver import SolverConfig
 
@@ -135,6 +135,28 @@ def test_unmix_from_report_carries_every_config_field(tmp_path):
     assert {k: values["config." + k] for k in chosen} == chosen
 
 
+@pytest.mark.parametrize("command", ["unmix", "repro-sim"])
+def test_solver_flags_come_from_solver_config(command):
+    # Each SolverConfig field but the seed (whose meaning each command
+    # words itself) is one flag, with the field's type, help and default;
+    # flags default to None, so a report's values are not overridden.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    for f in dataclasses.fields(SolverConfig):
+        if f.name == "seed":
+            continue
+        flags = [a for a in sub._actions
+                 if "--" + f.name.replace("_", "-") in a.option_strings]
+        assert len(flags) == 1, f.name
+        flag = flags[0]
+        assert flag.dest == f.name
+        assert flag.type is (int if f.type is int else float)
+        assert flag.default is None
+        assert flag.help.startswith(f.metadata["help"])
+        if f.default not in (None, dataclasses.MISSING):
+            assert flag.help.endswith("(default %s)" % f.default)
+
+
 def test_unmix_requires_rank(tmp_path):
     synth_dir = make_synth(tmp_path)
     rc = run(["unmix", "--input", str(synth_dir / "observations.csv"),
@@ -237,6 +259,31 @@ def test_eval_scores_and_writes_report(tmp_path):
     assert values["metrics.matched_pairs"] >= 1
     assert values["metrics.mean_sam_degrees"] >= 0.0
     assert values["metrics.abundance_rmse"] >= 0.0
+
+
+def test_eval_scores_a_rank_zero_run(tmp_path, capsys):
+    # delta = 1e6 prunes every column; the empty factors are written, read
+    # back and scored as a wrong rank with nothing matched.
+    scene = tmp_path / "scene"
+    assert run(["synth", "--L", "30", "--K", "40", "--N", "2", "--seed", "0",
+                "--source", "synthetic-smooth", "--out-dir", str(scene)]) == 0
+    fit = tmp_path / "fit"
+    assert run(["unmix", "--input", str(scene / "observations.csv"), "--r", "3",
+                "--delta", "1e6", "--out-dir", str(fit)]) == 0
+    assert read_report(fit / "report.txt")["result.final_effective_rank"] == 0
+    capsys.readouterr()
+    assert run(["eval", "--estimated", str(fit / "endmembers.csv"),
+                "--reference", str(scene / "endmembers_true.csv"),
+                "--est-abundances", str(fit / "abundances.csv"),
+                "--ref-abundances", str(scene / "abundances_true.csv"),
+                "--out", str(tmp_path / "metrics.txt")]) == 0
+    assert "matched pairs: 0" in capsys.readouterr().out
+    values = read_report(tmp_path / "metrics.txt")
+    assert values["metrics.matched_pairs"] == 0
+    assert values["metrics.unmatched_reference"] == [0, 1]
+    assert values["metrics.rank_correct"] is False
+    assert np.isnan(values["metrics.mean_sam_degrees"])
+    assert values["metrics.abundance_rmse"] is None
 
 
 def test_eval_validates_inputs(tmp_path):

@@ -126,8 +126,23 @@ def test_match_columns_tolerates_zero_columns():
 def test_match_columns_validation():
     with pytest.raises(ValueError, match="row counts differ"):
         match_columns(np.ones((4, 2)), np.ones((5, 2)))
-    with pytest.raises(ValueError, match="empty"):
-        match_columns(np.ones((4, 0)), np.ones((4, 2)))
+
+
+def test_rank_zero_estimate_scores_as_no_match():
+    # A solve that pruned every column is scored, not refused: no pairs,
+    # every reference column unmatched, and no angle or abundance error.
+    rng = np.random.default_rng(11)
+    phi_ref = rng.uniform(0.1, 1.0, size=(10, 3))
+    w_ref = rng.uniform(0.0, 1.0, size=(12, 3))
+    result = evaluate_unmixing(np.ones((10, 0)), phi_ref, np.ones((12, 0)), w_ref)
+    assert result.permutation.shape == (0, 2)
+    assert result.per_pair_sam_degrees.size == 0
+    assert math.isnan(result.mean_sam_degrees)
+    assert result.unmatched_estimated.size == 0
+    assert result.unmatched_reference.tolist() == [0, 1, 2]
+    assert not result.rank_correct
+    assert result.abundance_rmse is None
+    assert result.abundance_scales is None
 
 
 def test_abundance_rmse_resolves_scale():

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import decision_record
 import oracles
 import slrnmf.model
 import slrnmf.solver
-from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
+from slrnmf.initializers import init_uniform, init_vca
 from slrnmf.metrics import match_columns
 from slrnmf.model import Objective, _pixel_block
 from slrnmf.solver import (
@@ -17,6 +18,7 @@ from slrnmf.solver import (
     DEFAULT_LAMBDA1,
     SolverConfig,
     SolverDiverged,
+    default_eta,
     line_search,
     solve,
     update_abundances,
@@ -143,7 +145,7 @@ def test_unresolved_config_is_filled_and_echoed():
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
     _, _, report = solve(y, phi0, w0, SolverConfig(r=4, max_iter=3))
-    assert report.config.is_resolved
+    assert report.config.eta == default_eta(y)
     assert report.config.delta == DEFAULT_DELTA
     assert report.config.lambda1 == DEFAULT_LAMBDA1
     assert report.config.eta > 0
@@ -267,28 +269,18 @@ def test_block_step_failure_raises_diverged_with_partial_report():
     assert err.value.report.iterations == 0
 
 
-# Scene sizes of the two acceptance protocols.
-PROTOCOLS = {"uniform": dict(l=224, k=500, n=4, density=0.3, sigma=1e-3),
-             "vca": dict(l=224, k=900, n=3, density=0.5, sigma=1e-3)}
-
-
 def protocol_scene(kind, seed):
-    """Scene, initial factors and config of one acceptance protocol, a
-    224 x 5000 scene costed in two pixel blocks ("multi-block", the CLI
-    benchmark's settings), or a small scene with a dead endmember column
-    ("dead-column")."""
+    """Scene, initial factors and config of one acceptance protocol (from
+    ``decision_record``), a 224 x 5000 scene costed in two pixel blocks
+    ("multi-block", the CLI benchmark's settings), or a small scene with a
+    dead endmember column ("dead-column")."""
     if kind == "multi-block":
         y, _ = simulate(l=224, k=5000, n=4, density=0.3, sigma=1e-3, seed=seed)
         phi0, w0 = init_uniform(224, 5000, 10, seed=seed)
         return y, phi0, w0, SolverConfig(r=10, delta=120.0, seed=seed)
-    if kind == "uniform":
-        y, _ = simulate(**PROTOCOLS[kind], seed=seed)
-        phi0, w0 = init_uniform(224, 500, 10, seed=seed)
-        return y, phi0, w0, SolverConfig(r=10, seed=seed)
-    if kind == "vca":
-        y, _ = simulate(**PROTOCOLS[kind], seed=seed)
-        phi0 = init_vca(y, 8, seed=seed)
-        return y, phi0, nnls_abundances(y, phi0), SolverConfig(r=8, seed=seed)
+    if kind in decision_record.KINDS:
+        y, _, phi0, w0, config = decision_record.scene(kind, seed)
+        return y, phi0, w0, config
     # A zero endmember column at a tiny eta: when its abundance column
     # collapses, the column's energy falls from ||w_i||^2 to eta^2 = 1e-18.
     y = np.random.default_rng(1 + seed).uniform(0, 1, (6, 8))
@@ -398,8 +390,7 @@ def test_dropping_columns_matches_full_width_oracle(kind):
     at a different width.
     """
     for seed in list(range(10)) + ([12] if kind == "vca" else []):
-        y, phi0, w0, config = protocol_scene(kind, seed)
-        _, truth = simulate(**PROTOCOLS[kind], seed=seed)
+        y, truth, phi0, w0, config = decision_record.scene(kind, seed)
         phi_a, w_a, rep_a = solve(y, phi0, w0, config)
         phi_b, w_b, rep_b = oracles.full_width_solve(y, phi0, w0, config)
         assert rep_a.iterations == rep_b.iterations, seed

@@ -189,12 +189,12 @@ def test_with_defaults_fills_only_missing_entries():
     assert resolved.delta == DEFAULT_DELTA
     assert resolved.lambda1 == DEFAULT_LAMBDA1
     assert resolved.eta == pytest.approx(0.04, rel=1e-12)
-    assert resolved.is_resolved
     pinned = SolverConfig(r=2, delta=1.0, lambda1=0.5, eta=0.2)
     assert with_defaults(pinned, y) is pinned
     partial = with_defaults(SolverConfig(r=2, delta=3.0), y)
     assert partial.delta == 3.0
     assert partial.lambda1 == DEFAULT_LAMBDA1
+    assert with_defaults(SolverConfig(r=2, eta=0.5), y).eta == 0.5
 
 
 def test_config_validation():
@@ -231,6 +231,19 @@ def test_config_validation():
             SolverConfig(r=2, prune_tol=tol)
     assert SolverConfig(r=2, prune_tol=0.0).prune_tol == 0.0
     assert SolverConfig(r=2, prune_tol=0.999).prune_tol == 0.999
+    # Non-numbers are ValueErrors, as out-of-range numbers are; only eta
+    # may be None.
+    for name, rule in (("tol_rel_cost", r"\[0, inf\]"), ("prune_tol", r"\[0, 1\)"),
+                       ("beta_init", r"\(0, 1\]"), ("shrink", r"\(0, 1\)")):
+        for bad in ("x", "0.5", None, float("nan")):
+            with pytest.raises(ValueError, match="%s must be in %s, got " % (name, rule)):
+                SolverConfig(**{"r": 2, name: bad})
+    for name in ("delta", "lambda1"):
+        for bad in ("x", None):
+            with pytest.raises(ValueError, match=name + " must be finite"):
+                SolverConfig(**{"r": 2, name: bad})
+    assert SolverConfig(r=2, eta=None).eta is None
+    assert SolverConfig(r=2, tol_rel_cost=float("inf")).tol_rel_cost == float("inf")
 
 
 def random_spd(rng, r, kappa):
