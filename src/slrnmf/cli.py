@@ -317,16 +317,11 @@ def cmd_repro_sim(args):
         phi, w, report, _ = _do_unmix(
             y, run_config, init, os.path.join(seed_dir, "unmix"),
             extra_report={"config.clamp_negatives": False})
-        if report.final_effective_rank > 0:
-            result = metrics.evaluate_unmixing(phi, truth.phi_true, w, truth.w_true)
-            mean_sam = result.mean_sam_degrees
-            rmse = result.abundance_rmse
-            io.write_report(os.path.join(seed_dir, "eval_report.txt"),
-                            _metrics_values(result))
-        else:
-            mean_sam = None
-            rmse = None
-        rows.append((s, report.final_effective_rank, mean_sam, rmse))
+        result = metrics.evaluate_unmixing(phi, truth.phi_true, w, truth.w_true)
+        io.write_report(os.path.join(seed_dir, "eval_report.txt"),
+                        _metrics_values(result))
+        rows.append((s, report.final_effective_rank, result.mean_sam_degrees,
+                     result.abundance_rmse))
 
     recovered = [row for row in rows if row[1] == args.N]
     rate = len(recovered) / len(rows)
@@ -337,10 +332,8 @@ def cmd_repro_sim(args):
 
     print("seed  rank  mean_sam_deg  abundance_rmse")
     for s, rank, sam, rmse in rows:
-        print("%4d  %4d  %12s  %14s"
-              % (s, rank,
-                 "-" if sam is None else "%.4f" % sam,
-                 "-" if rmse is None else "%.6g" % rmse))
+        print("%4d  %4d  %12.4f  %14s"
+              % (s, rank, sam, "-" if rmse is None else "%.6g" % rmse))
     print("rank-recovery rate: %.2f (%d/%d at target %d)"
           % (rate, len(recovered), len(rows), args.N))
     if mean_sam is not None:

@@ -19,6 +19,11 @@ C to the line search, which prices every trial from r-sized Gram terms
 solve, at the initial iterate; every reported cost after it is the
 previous one plus the accepted changes.
 
+The column energies ||phi_i||^2 and ||w_i||^2, shared by the group
+penalty, its reweighting and the pruning, are formed once per block
+update: :func:`solve` takes them at entry, each line search returns its
+accepted block's, and a column drop indexes them.
+
 A solve stops when the relative cost change falls to ``tol_rel_cost``
 (``converged``), when an iteration moves neither block (stalled: both
 line searches rejected every trial, so the next iteration would repeat
@@ -43,7 +48,8 @@ the working cost plus delta * eta per dropped column.
 
 Memory: besides Y, a solve holds O((L + K) r) floats, about six K-by-r
 arrays, and the one residual block of :meth:`Objective.total` (at most
-8 MiB).  It allocates no L-by-K temporary.
+8 MiB).  It allocates no L-by-K temporary.  Pruning and reweighting
+work from the r carried energies and allocate no K-by-r temporary.
 """
 
 import time
@@ -54,14 +60,11 @@ import numpy as np
 from .model import (
     Objective,
     _column_dots,
-    _column_energy,
     as_integer,
     as_matrix,
     as_weight,
     check_dims,
     check_interval,
-    check_nonneg,
-    joint_column_norms,
 )
 
 __all__ = [
@@ -192,15 +195,16 @@ class SolverDiverged(ArithmeticError):
         self.report = report
 
 
-def update_penalty_diag(phi, w, delta, eta):
-    """Reweighting diagonal d_i = delta / sqrt(||phi_i||^2 + ||w_i||^2 + eta^2).
+def update_penalty_diag(energy, delta, eta):
+    """Reweighting diagonal d_i = delta / sqrt(e_i + eta^2).
 
-    Expects float64 ``phi`` (L, r) and ``w`` (K, r), ``delta >= 0`` and
-    ``eta > 0``, as :func:`solve` hands them; nothing is checked here.
-    ``eta > 0`` keeps every entry finite and strictly positive (at most
-    delta/eta, attained by a jointly zero column pair).
+    ``energy`` holds the joint column energies e_i = ||phi_i||^2 +
+    ||w_i||^2, float64 (r,), with ``delta >= 0`` and ``eta > 0``, as
+    :func:`solve` hands them; nothing is checked here.  ``eta > 0`` keeps
+    every entry finite and strictly positive (at most delta/eta, attained
+    by a jointly zero column pair).
     """
-    return delta / np.sqrt(_column_energy(phi, w) + eta * eta)
+    return delta / np.sqrt(energy + eta * eta)
 
 
 def _spd_solve(a, b, context):
@@ -300,7 +304,8 @@ def update_endmembers(objective, w_hat, d_hat):
                         "endmember update")
 
 
-def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost):
+def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost,
+                energies):
     """Backtrack over extrapolation weights until the cost stops increasing.
 
     Tries beta in {beta_init, beta_init*shrink, ...} (at most
@@ -312,7 +317,10 @@ def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost):
     and C: its coefficients are built once per search, after which each
     trial costs O(r) and no L-by-K residual is formed.  The accepted cost
     is reported as ``baseline_cost + f(beta)``.  If no trial is accepted
-    the unchanged block is returned with ``beta = 0.0``.
+    the unchanged block is returned with ``beta = 0.0``.  The accepted
+    block's column energies come back with it: at beta = 1 those of the
+    candidate, which the pricing formed, unchanged at beta = 0, and from
+    one pass over the blend otherwise.
 
     Parameters
     ----------
@@ -330,62 +338,68 @@ def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost):
         Supplies ``beta_init``, ``shrink`` and ``max_backtracks``.
     baseline_cost : float
         Total cost at (phi_hat, w_hat).
+    energies : (array, array)
+        The column dots (||phi_i||^2, ||w_i||^2) at (phi_hat, w_hat).
 
     Returns
     -------
-    (accepted, beta_used, cost) : (array, float, float)
+    (accepted, beta_used, cost, energy) : (array, float, float, array)
+        ``energy`` holds the accepted block's column dots.
     """
     candidate, gram, cross = step
-    prev = w_hat if which == "w" else phi_hat
-    change = objective.change_along(phi_hat, w_hat, candidate, which, gram,
-                                    cross)
+    prev, energy = (w_hat, energies[1]) if which == "w" else (phi_hat, energies[0])
+    change, direction, candidate_energy = objective.change_along(
+        phi_hat, w_hat, candidate, which, gram, cross, energies)
     slack = _ACCEPT_SLACK * abs(baseline_cost)
     beta = config.beta_init
     for _ in range(config.max_backtracks):
         gain = change(beta)
         if gain <= slack:
-            if beta != 1.0:
-                candidate = prev + beta * (candidate - prev)
-            return candidate, beta, baseline_cost + gain
+            if beta == 1.0:
+                return candidate, beta, baseline_cost + gain, candidate_energy
+            blend = prev + beta * direction
+            return blend, beta, baseline_cost + gain, _column_dots(blend, blend)
         beta *= config.shrink
-    return prev, 0.0, baseline_cost
+    return prev, 0.0, baseline_cost, energy
 
 
-def prune_and_report_rank(phi, w, prune_tol):
+def prune_and_report_rank(energy, prune_tol):
     """Columns surviving the relative joint-energy threshold.
 
-    Column i survives iff sqrt(||phi_i||^2 + ||w_i||^2) exceeds
-    ``prune_tol`` times the largest such energy.  Expects float64 ``phi``
-    and ``w`` with equal column counts and ``prune_tol`` in [0, 1), as
-    :func:`solve` hands them.  Returns the surviving indices (ascending);
-    an all-zero factorization yields an empty survivor set (degenerate
-    outcome, rank 0).
+    Column i survives iff sqrt(e_i), e_i = ||phi_i||^2 + ||w_i||^2 the
+    joint column energy in ``energy``, exceeds ``prune_tol`` times the
+    largest such norm.  Expects float64 ``energy`` (r,) and ``prune_tol``
+    in [0, 1), as :func:`solve` hands them.  Returns the surviving indices
+    (ascending); an all-zero factorization yields an empty survivor set
+    (degenerate outcome, rank 0).
     """
-    norms = joint_column_norms(phi, w)
+    norms = np.sqrt(energy)
     cutoff = prune_tol * (norms.max() if norms.size else 0.0)
     return np.flatnonzero(norms > cutoff)
 
 
-def _prune_and_drop(phi, w, alive, prune_tol):
+def _prune_and_drop(phi, w, e_phi, e_w, alive, prune_tol):
     """Count the survivors of pruning and drop the column pairs that are zero.
 
     A pair whose phi and w columns are both all zero adds exactly delta *
     eta to the objective and nothing to any gradient, and every block step
     maps it to zero again, so dropping it changes no iterate.  A survivor
     has positive energy, so the zero scan runs only when some column fails
-    pruning.  ``alive`` indexes the working columns into the initial r.
+    pruning.  ``e_phi`` and ``e_w`` are the column dots of ``phi`` and
+    ``w``, and ``alive`` indexes the working columns into the initial r.
     Returns the new ``alive``, the survivors as indices into the returned
-    working columns, and the compacted (phi, w).
+    working columns, and the compacted (phi, w, e_phi, e_w).
     """
-    kept = prune_and_report_rank(phi, w, prune_tol)
+    kept = prune_and_report_rank(e_phi + e_w, prune_tol)
     if kept.size == phi.shape[1]:
-        return alive, kept, phi, w
+        return alive, kept, phi, w, e_phi, e_w
     keep = np.flatnonzero(phi.any(axis=0) | w.any(axis=0))
     if keep.size == phi.shape[1]:
-        return alive, kept, phi, w
+        return alive, kept, phi, w, e_phi, e_w
     # ``np.take`` returns C-ordered copies; ``phi[:, keep]`` would be F-ordered.
     return (alive[keep], np.searchsorted(keep, kept),
-            np.take(phi, keep, axis=1), np.take(w, keep, axis=1))
+            np.take(phi, keep, axis=1), np.take(w, keep, axis=1),
+            e_phi[keep], e_w[keep])
 
 
 def default_eta(y):
@@ -447,12 +461,9 @@ def solve(y, init_phi, init_w, config, callback=None):
         block step's normal matrix is not positive definite.
     """
     t0 = time.perf_counter()
-    y = as_matrix(y, "y")
-    check_nonneg(y, "y")
-    phi = as_matrix(init_phi, "init_phi").copy()
-    w = as_matrix(init_w, "init_w").copy()
-    check_nonneg(phi, "init_phi")
-    check_nonneg(w, "init_w")
+    y = as_matrix(y, "y", nonneg=True)
+    phi = as_matrix(init_phi, "init_phi", nonneg=True).copy()
+    w = as_matrix(init_w, "init_w", nonneg=True).copy()
     check_dims(y, phi, w, ("init_phi", "init_w"))
     if phi.shape[1] != config.r:
         raise ValueError("init_phi has %d columns, expected r=%d"
@@ -467,14 +478,16 @@ def solve(y, init_phi, init_w, config, callback=None):
     # the working columns that survive pruning; ``pad`` is the cost of the
     # dropped (zero) columns, delta * eta each.  Costs reported and
     # compared include it, the line searches price the working problem
-    # without it.  An overflow here raises SolverDiverged below, not a
-    # warning.
+    # without it.  ``e_phi`` and ``e_w`` are the working columns' dots,
+    # formed here and then carried: each line search returns its block's.
+    # An overflow here raises SolverDiverged below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         initial_cost = cost_prev = objective.total(phi, w)
-        alive, kept, phi, w = _prune_and_drop(phi, w, np.arange(config.r),
-                                              config.prune_tol)
+        alive, kept, phi, w, e_phi, e_w = _prune_and_drop(
+            phi, w, _column_dots(phi, phi), _column_dots(w, w),
+            np.arange(config.r), config.prune_tol)
         pad = (config.r - alive.size) * config.delta * config.eta
-        d = update_penalty_diag(phi, w, config.delta, config.eta)
+        d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
 
     cost_trace = []
     rank_trace = []
@@ -519,12 +532,12 @@ def solve(y, init_phi, init_w, config, callback=None):
             converged = True
             break
         try:
-            w, beta_w, cost_after_w = line_search(
+            w, beta_w, cost_after_w, e_w = line_search(
                 objective, phi, w, update_abundances(objective, phi, d), "w",
-                config, cost_prev - pad)
-            phi, beta_phi, cost_k = line_search(
+                config, cost_prev - pad, (e_phi, e_w))
+            phi, beta_phi, cost_k, e_phi = line_search(
                 objective, phi, w, update_endmembers(objective, w, d), "phi",
-                config, cost_after_w)
+                config, cost_after_w, (e_phi, e_w))
         except np.linalg.LinAlgError as exc:
             raise diverged("%s at iteration %d" % (exc, k)) from exc
 
@@ -532,9 +545,10 @@ def solve(y, init_phi, init_w, config, callback=None):
             raise diverged("non-finite cost %r at iteration %d" % (cost_k, k))
 
         cost_k += pad
-        alive, kept, phi, w = _prune_and_drop(phi, w, alive, config.prune_tol)
+        alive, kept, phi, w, e_phi, e_w = _prune_and_drop(
+            phi, w, e_phi, e_w, alive, config.prune_tol)
         pad = (config.r - alive.size) * config.delta * config.eta
-        d = update_penalty_diag(phi, w, config.delta, config.eta)
+        d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
         cost_trace.append(cost_k)
         rank_trace.append(kept.size)
         beta_w_trace.append(beta_w)

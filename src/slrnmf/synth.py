@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .io import load_matrix
-from .model import as_integer, as_matrix, check_dims, check_nonneg
+from .model import as_integer, as_matrix, check_dims
 
 __all__ = [
     "GroundTruth",
@@ -43,10 +43,8 @@ class GroundTruth:
     seed: int
 
     def __post_init__(self):
-        phi = as_matrix(self.phi_true, "phi_true")
-        w = as_matrix(self.w_true, "w_true")
-        check_nonneg(phi, "phi_true")
-        check_nonneg(w, "w_true")
+        phi = as_matrix(self.phi_true, "phi_true", nonneg=True)
+        w = as_matrix(self.w_true, "w_true", nonneg=True)
         check_dims(None, phi, w, ("phi_true", "w_true"))
         if phi.shape[1] < 1:
             raise ValueError("ground truth needs at least one endmember")

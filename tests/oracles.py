@@ -58,13 +58,29 @@ def direct_total(objective, phi, w):
             + objective.lambda1 * float(np.abs(w).sum()))
 
 
+def column_energies(phi, w):
+    """(||phi_i||^2, ||w_i||^2) per column, each squared and summed directly."""
+    return (phi * phi).sum(axis=0), (w * w).sum(axis=0)
+
+
+def penalty_diag(phi, w, delta, eta):
+    """The penalty diagonal ``solve`` forms at (phi, w), from the energies
+    of :func:`column_energies`."""
+    from slrnmf.solver import update_penalty_diag
+
+    e_phi, e_w = column_energies(phi, w)
+    return update_penalty_diag(e_phi + e_w, delta, eta)
+
+
 def direct_line_search(objective, phi_hat, w_hat, step, which, config,
-                       baseline_cost):
+                       baseline_cost, energies):
     """The backtracking line search priced directly: one full cost per trial.
 
     Same schedule, accept rule (relative slack 1e-12) and blend as
     ``slrnmf.solver.line_search``, with the same signature; of the block
-    step (candidate, gram, cross) only the candidate is used.
+    step (candidate, gram, cross) only the candidate is used, and of the
+    carried ``energies`` nothing: the accepted block's column energies
+    are squared and summed from the block itself.
     """
     candidate = step[0]
     prev = w_hat if which == "w" else phi_hat
@@ -77,9 +93,9 @@ def direct_line_search(objective, phi_hat, w_hat, step, which, config,
         else:
             cost = objective.total(trial, w_hat)
         if cost <= bound:
-            return trial, beta, cost
+            return trial, beta, cost, (trial * trial).sum(axis=0)
         beta *= config.shrink
-    return prev, 0.0, baseline_cost
+    return prev, 0.0, baseline_cost, (prev * prev).sum(axis=0)
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -107,11 +123,10 @@ def solver_gradients(y, phi, w, delta, eta):
     diagonal.  Not an oracle: this is the code that ``fd_gradient`` checks.
     """
     from slrnmf.model import Objective, _fit_gradient
-    from slrnmf.solver import (update_abundances, update_endmembers,
-                               update_penalty_diag)
+    from slrnmf.solver import update_abundances, update_endmembers
 
     objective = Objective(y, delta, 0.0, eta)
-    d = update_penalty_diag(phi, w, delta, eta)
+    d = penalty_diag(phi, w, delta, eta)
     _, gram_w, cross_w = update_abundances(objective, phi, d)
     _, gram_phi, cross_phi = update_endmembers(objective, w, d)
     return (_fit_gradient(w, gram_w, cross_w) + w * d,
@@ -238,20 +253,21 @@ def full_width_solve(y, init_phi, init_w, config):
     objective = Objective(y, config.delta, config.lambda1, config.eta)
     phi = np.array(init_phi, dtype=np.float64)
     w = np.array(init_w, dtype=np.float64)
-    d = update_penalty_diag(phi, w, config.delta, config.eta)
+    e_phi, e_w = column_energies(phi, w)
+    d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
     initial_cost = cost_prev = objective.total(phi, w)
     costs, ranks, betas_w, betas_phi = [], [], [], []
     converged = False
     for _ in range(config.max_iter):
-        w, beta_w, cost_w = line_search(objective, phi, w,
-                                        update_abundances(objective, phi, d),
-                                        "w", config, cost_prev)
-        phi, beta_phi, cost_k = line_search(objective, phi, w,
-                                            update_endmembers(objective, w, d),
-                                            "phi", config, cost_w)
-        d = update_penalty_diag(phi, w, config.delta, config.eta)
+        w, beta_w, cost_w, e_w = line_search(
+            objective, phi, w, update_abundances(objective, phi, d), "w",
+            config, cost_prev, (e_phi, e_w))
+        phi, beta_phi, cost_k, e_phi = line_search(
+            objective, phi, w, update_endmembers(objective, w, d), "phi",
+            config, cost_w, (e_phi, e_w))
+        d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
         costs.append(cost_k)
-        ranks.append(prune_and_report_rank(phi, w, config.prune_tol).size)
+        ranks.append(prune_and_report_rank(e_phi + e_w, config.prune_tol).size)
         betas_w.append(beta_w)
         betas_phi.append(beta_phi)
         if beta_w == 0.0 and beta_phi == 0.0:
@@ -260,7 +276,7 @@ def full_width_solve(y, init_phi, init_w, config):
             converged = True
             break
         cost_prev = cost_k
-    surviving = prune_and_report_rank(phi, w, config.prune_tol)
+    surviving = prune_and_report_rank(e_phi + e_w, config.prune_tol)
     report = SolverReport(
         config=config, iterations=len(costs), initial_cost=initial_cost,
         final_cost=costs[-1] if costs else initial_cost,

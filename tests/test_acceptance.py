@@ -202,7 +202,7 @@ def test_block_updates_near_subproblem_oracles():
         delta, lam = 0.5, 0.01
         phi_hat = np.maximum(phi_t + 0.05 * rng.normal(size=phi_t.shape), 0)
         w_hat = np.maximum(w_t + 0.05 * rng.normal(size=w_t.shape), 0)
-        d = update_penalty_diag(phi_hat, w_hat, delta, eta)
+        d = oracles.penalty_diag(phi_hat, w_hat, delta, eta)
 
         objective = Objective(y, 1.0, lam, 1.0)
         w_step = update_abundances(objective, phi_hat, d)[0]
@@ -238,13 +238,14 @@ def test_penalty_diag_bounds():
         w[:, zero] = 0.0
         delta = float(rng.uniform(0.01, 5.0))
         eta = float(rng.choice([0.5, 0.25, 1.0, 2.0]))  # dyadic: delta/eta exact
-        d = update_penalty_diag(phi, w, delta, eta)
+        e_phi, e_w = oracles.column_energies(phi, w)
+        d = update_penalty_diag(e_phi + e_w, delta, eta)
         ok = ok and (d > 0.0).all() and (d <= delta / eta).all()
         ok = ok and d[zero] == delta / eta
         checked += r
         # arbitrary eta stays within rounding of the closed-form bound
         eta2 = float(rng.uniform(0.01, 1.0))
-        d2 = update_penalty_diag(phi, w, delta, eta2)
+        d2 = update_penalty_diag(e_phi + e_w, delta, eta2)
         bound = delta / eta2
         ok = ok and (d2 > 0.0).all()
         ok = ok and (d2 <= bound + 2 * np.spacing(bound)).all()

@@ -286,6 +286,24 @@ def test_eval_scores_a_rank_zero_run(tmp_path, capsys):
     assert values["metrics.abundance_rmse"] is None
 
 
+def test_repro_sim_scores_a_rank_zero_seed(tmp_path, capsys):
+    # The rank-0 recipe above, as one repro-sim seed: it is scored as eval
+    # scores it, with an eval report and a NaN SAM.
+    out = tmp_path / "sweep"
+    assert run(["repro-sim", "--L", "30", "--K", "40", "--N", "2",
+                "--source", "synthetic-smooth", "--r", "3", "--delta", "1e6",
+                "--n-seeds", "1", "--out-dir", str(out)]) == 0
+    assert "   0     0           nan               -" in capsys.readouterr().out
+    agg = read_report(out / "aggregate.txt")
+    assert agg["repro.ranks"] == [0]
+    assert np.isnan(agg["repro.mean_sam_degrees"][0])
+    assert agg["repro.abundance_rmse"] == [None]
+    values = read_report(out / "seed_0" / "eval_report.txt")
+    assert values["metrics.matched_pairs"] == 0
+    assert values["metrics.unmatched_reference"] == [0, 1]
+    assert np.isnan(values["metrics.mean_sam_degrees"])
+
+
 def test_eval_validates_inputs(tmp_path):
     synth_a = make_synth(tmp_path, "a")
     mismatched = tmp_path / "mis.csv"

@@ -12,9 +12,7 @@ from slrnmf.model import (
     as_matrix,
     as_weight,
     check_dims,
-    check_nonneg,
     cost_total,
-    joint_column_norms,
 )
 from slrnmf.initializers import init_uniform
 from slrnmf.solver import (
@@ -23,7 +21,6 @@ from slrnmf.solver import (
     solve,
     update_abundances,
     update_endmembers,
-    update_penalty_diag,
 )
 from slrnmf.synth import simulate
 
@@ -82,10 +79,15 @@ def test_as_weight_rule():
                 as_weight(bad, name)
 
 
-def test_check_nonneg_rejects_negative():
-    with pytest.raises(ValueError, match="negative"):
-        check_nonneg(np.array([[1.0, -0.5]]), "thing")
-    check_nonneg(np.zeros((2, 2)), "thing")
+def test_as_matrix_rejects_negative_where_asked():
+    with pytest.raises(ValueError, match=r"thing has negative entries \(min -0.5\)"):
+        as_matrix(np.array([[1.0, -0.5]]), "thing", nonneg=True)
+    as_matrix(np.zeros((2, 2)), "thing", nonneg=True)
+    as_matrix(np.array([[1.0, -0.5]]), "thing")
+    # A non-finite entry is named first, whatever the sign of the others.
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="thing contains non-finite entries"):
+            as_matrix(np.array([[-1.0, bad]]), "thing", nonneg=True)
 
 
 def test_check_dims_messages():
@@ -105,15 +107,6 @@ def test_check_dims_messages():
     check_dims(y, np.zeros((4, 7)), None)
     with pytest.raises(ValueError, match="a has 3 rows, expected L=4"):
         check_dims(y, np.zeros((3, 2)), None, ("a", "b"))
-
-
-def test_joint_column_norms_matches_loops():
-    _, phi, w = random_instance(0)
-    norms = joint_column_norms(phi, w)
-    for i in range(phi.shape[1]):
-        expected = np.sqrt(sum(v * v for v in phi[:, i])
-                           + sum(v * v for v in w[:, i]))
-        assert norms[i] == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -280,7 +273,10 @@ def _worst_change_error(obj, phi, w, d, collapse=False):
         if collapse:
             cand = cand.copy()
             cand[:, 0] = 0.0
-        change = obj.change_along(phi, w, cand, which, gram, cross)
+        change, s, cc = obj.change_along(phi, w, cand, which, gram, cross,
+                                         oracles.column_energies(phi, w))
+        assert np.array_equal(s, cand - x)
+        assert np.array_equal(cc, (cand * cand).sum(axis=0))
         step = np.abs(cand - x)
         a = np.abs(2.0 * (x * (cand - x)).sum(axis=0))
         b = (step * step).sum(axis=0)
@@ -311,7 +307,7 @@ def test_change_along_matches_direct_difference():
         w = rng.uniform(0, 1, (k, r))
         obj = Objective(y, rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.05),
                         rng.uniform(0.01, 0.3))
-        d = update_penalty_diag(phi, w, obj.delta, obj.eta)
+        d = oracles.penalty_diag(phi, w, obj.delta, obj.eta)
         worst = max(worst, _worst_change_error(obj, phi, w, d, collapse=t % 2 == 0))
     assert worst <= 1.0, worst
 

@@ -12,7 +12,7 @@ import slrnmf.model
 import slrnmf.solver
 from slrnmf.initializers import init_uniform, init_vca
 from slrnmf.metrics import match_columns
-from slrnmf.model import Objective, _pixel_block
+from slrnmf.model import Objective, _column_dots, _pixel_block
 from slrnmf.solver import (
     DEFAULT_DELTA,
     DEFAULT_LAMBDA1,
@@ -23,7 +23,6 @@ from slrnmf.solver import (
     solve,
     update_abundances,
     update_endmembers,
-    update_penalty_diag,
     with_defaults,
 )
 from slrnmf.synth import simulate
@@ -225,18 +224,26 @@ def test_divergence_raises_with_partial_report(monkeypatch):
 
 
 def test_loop_does_not_rescan_y(monkeypatch):
-    """``y`` is scanned for non-finite entries once per solve, in any step.
+    """``y`` is checked once per solve, in any step, by one min and one
+    max pass.
 
-    Counts every ``as_matrix`` call, the one home of the finite-entry
-    check, on an array of ``y``'s shape, through both modules that call it:
-    ``solve``'s own check, default resolution and the ``Objective``
-    constructor; no other array in the solve has that shape.
+    Counts every ``as_matrix`` call, the one home of the finite-entry and
+    sign checks, on an array of ``y``'s shape, through both modules that
+    call it: ``solve``'s own check, default resolution and the
+    ``Objective`` constructor; no other array in the solve has that shape.
+    Also counts every min and max reduction over such an array, which
+    ``ndarray.min`` and ``ndarray.max`` forward to numpy's ``_methods``
+    module: a third pass over ``y`` fails.
     """
+    try:
+        from numpy._core import _methods
+    except ImportError:  # numpy < 2
+        from numpy.core import _methods
     phi_t, w_t = tiny_truth(0)
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
     as_matrix = slrnmf.model.as_matrix
-    y_scans = []
+    y_scans, y_reductions = [], []
 
     def counting_as_matrix(a, *args, **kwargs):
         if np.shape(a) == y.shape:
@@ -245,13 +252,22 @@ def test_loop_does_not_rescan_y(monkeypatch):
 
     for module in (slrnmf.model, slrnmf.solver):
         monkeypatch.setattr(module, "as_matrix", counting_as_matrix)
+    for name in ("umr_minimum", "umr_maximum"):
+        def counting_reduce(a, *args, _reduce=getattr(_methods, name), **kwargs):
+            if np.shape(a) == y.shape:
+                y_reductions[-1] += 1
+            return _reduce(a, *args, **kwargs)
+
+        monkeypatch.setattr(_methods, name, counting_reduce)
     for max_iter in (1, 5):
         y_scans.append(0)
+        y_reductions.append(0)
         config = SolverConfig(r=4, delta=0.1, lambda1=0.005,
                               max_iter=max_iter, tol_rel_cost=0.0)
         _, _, report = solve(y, phi0, w0, config)
         assert report.iterations == max_iter
     assert y_scans == [1, 1]
+    assert y_reductions == [2, 2]
 
 
 def test_block_step_failure_raises_diverged_with_partial_report():
@@ -346,9 +362,10 @@ def test_line_search_prices_the_gram_of_the_block_step(monkeypatch):
         formed.append(step[1])
         return step
 
-    def pricing(self, phi, w, candidate, which, gram, cross):
+    def pricing(self, phi, w, candidate, which, gram, cross, energies):
         priced.append(gram)
-        return change_along(self, phi, w, candidate, which, gram, cross)
+        return change_along(self, phi, w, candidate, which, gram, cross,
+                            energies)
 
     monkeypatch.setattr(slrnmf.solver, "_newton_step", forming)
     monkeypatch.setattr(Objective, "change_along", pricing)
@@ -364,18 +381,73 @@ def test_line_search_allocates_no_residual():
     y, phi, w, config = protocol_scene("uniform", 0)
     config = with_defaults(config, y)
     obj = Objective(y, config.delta, config.lambda1, config.eta)
-    d = update_penalty_diag(phi, w, config.delta, config.eta)
+    d = oracles.penalty_diag(phi, w, config.delta, config.eta)
+    energies = oracles.column_energies(phi, w)
     baseline = obj.total(phi, w)
     steps = {"w": update_abundances(obj, phi, d),
              "phi": update_endmembers(obj, w, d)}
     for which, step in steps.items():
         tracemalloc.start()
         try:
-            line_search(obj, phi, w, step, which, config, baseline)
+            line_search(obj, phi, w, step, which, config, baseline, energies)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * y.nbytes, (which, peak / y.nbytes)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "vca", "dead-column"])
+def test_carried_energies_never_drift(kind):
+    """The column energies ``solve`` carries out of the line searches and
+    through column drops equal fresh ones: at every iteration the penalty
+    diagonal on the alive columns is, bitwise, the one formed from the
+    column dots of the accepted factors.  Each scene has iterations with a
+    fractional step weight and with a column drop."""
+    y, phi0, w0, config = protocol_scene(kind, 0)
+    states = []
+    _, _, report = solve(y, phi0, w0, config, callback=states.append)
+    c = report.config
+    width, fractional, drops = c.r, 0, 0
+    for s in states:
+        alive = s.phi_hat.any(axis=0) | s.w_hat.any(axis=0)
+        energy = _column_dots(s.phi_hat, s.phi_hat) + _column_dots(s.w_hat, s.w_hat)
+        fresh = c.delta / np.sqrt(energy + c.eta * c.eta)
+        assert np.array_equal(s.d_hat[alive], fresh[alive]), s.k
+        fractional += 0.0 < s.beta_w < 1.0 or 0.0 < s.beta_phi < 1.0
+        drops += alive.sum() < width
+        width = alive.sum()
+    assert fractional and drops, (fractional, drops)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "vca", "dead-column"])
+def test_column_energies_are_formed_once_per_block_update(monkeypatch, kind):
+    """Entry forms each block's column dots once, and the initial cost one
+    ``_column_energy``; an iteration forms none, and takes the three
+    column dots of each line search's pricing plus one per search that
+    accepts a fractional step weight, for the blend."""
+    y, phi0, w0, config = protocol_scene(kind, 0)
+    config = with_defaults(config, y)
+    counts = {"_column_dots": 0, "_column_energy": 0}
+    for module, name in ((slrnmf.model, "_column_dots"),
+                         (slrnmf.solver, "_column_dots"),
+                         (slrnmf.model, "_column_energy")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    seen = []
+    solve(y, phi0, w0, config,
+          callback=lambda state: seen.append((state, dict(counts))))
+    before = {"_column_dots": 2, "_column_energy": 1}
+    fractional = 0
+    for state, after in seen:
+        blends = (0.0 < state.beta_w < 1.0) + (0.0 < state.beta_phi < 1.0)
+        assert after["_column_energy"] == before["_column_energy"], state.k
+        assert after["_column_dots"] - before["_column_dots"] == 6 + blends, state.k
+        fractional += blends
+        before = after
+    assert fractional
 
 
 @pytest.mark.parametrize("kind", ["uniform", "vca"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from slrnmf.model import Objective
+from slrnmf.model import Objective, _column_dots
 from slrnmf.solver import (
     _spd_solve,
     SolverConfig,
@@ -21,14 +21,18 @@ from slrnmf.solver import (
 
 
 def test_update_penalty_diag_matches_loops():
+    # From the column dots ``solve`` forms; on one column they take
+    # numpy's dot path, which sums in another order.
     rng = np.random.default_rng(5)
-    phi = rng.uniform(0, 1, size=(6, 4))
-    w = rng.uniform(0, 1, size=(9, 4))
     delta, eta = 0.8, 0.05
-    d = update_penalty_diag(phi, w, delta, eta)
-    for i in range(4):
-        nsq = sum(v * v for v in phi[:, i]) + sum(v * v for v in w[:, i])
-        assert d[i] == pytest.approx(delta / np.sqrt(nsq + eta * eta), rel=1e-14)
+    for l, k, r in ((6, 9, 4), (224, 500, 1)):
+        phi = rng.uniform(0, 1, size=(l, r))
+        w = rng.uniform(0, 1, size=(k, r))
+        energy = _column_dots(phi, phi) + _column_dots(w, w)
+        d = update_penalty_diag(energy, delta, eta)
+        for i in range(r):
+            nsq = sum(v * v for v in phi[:, i]) + sum(v * v for v in w[:, i])
+            assert d[i] == pytest.approx(delta / np.sqrt(nsq + eta * eta), rel=1e-14)
 
 
 def test_update_penalty_diag_bounds_and_zero_columns():
@@ -38,7 +42,7 @@ def test_update_penalty_diag_bounds_and_zero_columns():
     phi[:, 1] = 0.0
     w[:, 1] = 0.0
     delta, eta = 2.0, 0.25
-    d = update_penalty_diag(phi, w, delta, eta)
+    d = update_penalty_diag(_column_dots(phi, phi) + _column_dots(w, w), delta, eta)
     assert (d > 0.0).all()
     assert (d <= delta / np.sqrt(eta * eta)).all()
     assert d[1] == delta / eta
@@ -102,13 +106,15 @@ def _search_setup(seed=12):
 
 def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
-    d = update_penalty_diag(phi, w, 0.2, 0.1)
+    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
     step = update_abundances(obj, phi, d)
     cand = step[0]
-    accepted, beta, cost = line_search(obj, phi, w, step, "w", config,
-                                       obj.total(phi, w))
+    accepted, beta, cost, energy = line_search(
+        obj, phi, w, step, "w", config, obj.total(phi, w),
+        oracles.column_energies(phi, w))
     assert beta == 1.0
     assert accepted is cand
+    assert np.array_equal(energy, (cand * cand).sum(axis=0))
     assert cost == pytest.approx(obj.total(phi, cand), rel=1e-14)
     assert cost <= obj.total(phi, w)
 
@@ -117,34 +123,41 @@ def test_line_search_backs_off_or_stalls_on_bad_candidate():
     y, phi, w, obj, config = _search_setup()
     baseline = obj.total(phi, w)
     bad = w + 100.0  # big uphill move
-    accepted, beta, cost = line_search(obj, phi, w, (bad, phi.T @ phi, y.T @ phi),
-                                       "w", config, baseline)
+    accepted, beta, cost, energy = line_search(
+        obj, phi, w, (bad, phi.T @ phi, y.T @ phi), "w", config, baseline,
+        oracles.column_energies(phi, w))
     assert cost <= baseline * (1 + 1e-12)
     if beta == 0.0:
         assert accepted is w
         assert cost == baseline
     else:
         assert beta < 1.0
+    assert np.array_equal(energy, (accepted * accepted).sum(axis=0))
 
 
 def test_line_search_beta_zero_on_hopeless_candidate():
     y, phi, w, obj, config = _search_setup()
     # So large that every shrunken blend is still uphill.
     bad = w + 1e9
-    accepted, beta, cost = line_search(obj, phi, w, (bad, phi.T @ phi, y.T @ phi),
-                                       "w", config, obj.total(phi, w))
+    energies = oracles.column_energies(phi, w)
+    accepted, beta, cost, energy = line_search(
+        obj, phi, w, (bad, phi.T @ phi, y.T @ phi), "w", config,
+        obj.total(phi, w), energies)
     assert beta == 0.0
     assert accepted is w
     assert cost == obj.total(phi, w)
+    assert energy is energies[1]
 
 
 def test_line_search_searches_the_named_block():
     y, phi, w, obj, config = _search_setup()
-    d = update_penalty_diag(phi, w, 0.2, 0.1)
-    accepted, beta, cost = line_search(obj, phi, w, update_endmembers(obj, w, d),
-                                       "phi", config, obj.total(phi, w))
+    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
+    accepted, beta, cost, energy = line_search(
+        obj, phi, w, update_endmembers(obj, w, d), "phi", config,
+        obj.total(phi, w), oracles.column_energies(phi, w))
     assert accepted.shape == phi.shape
     assert cost <= obj.total(phi, w)
+    assert np.array_equal(energy, (accepted * accepted).sum(axis=0))
 
 
 def test_line_search_blends_at_a_backed_off_weight():
@@ -153,13 +166,15 @@ def test_line_search_blends_at_a_backed_off_weight():
     uphill at full weight; it is clipped at zero, because the search
     prices nonnegative candidates only."""
     y, phi, w, obj, config = _search_setup()
-    d = update_penalty_diag(phi, w, 0.2, 0.1)
+    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
     cand, gram, cross = update_abundances(obj, phi, d)
     overshoot = np.maximum(w + 5.0 * (cand - w), 0.0)
-    accepted, beta, cost = line_search(obj, phi, w, (overshoot, gram, cross),
-                                       "w", config, obj.total(phi, w))
+    accepted, beta, cost, energy = line_search(
+        obj, phi, w, (overshoot, gram, cross), "w", config, obj.total(phi, w),
+        oracles.column_energies(phi, w))
     assert 0.0 < beta < 1.0
     assert np.array_equal(accepted, w + beta * (overshoot - w))
+    assert np.array_equal(energy, (accepted * accepted).sum(axis=0))
     assert cost == pytest.approx(obj.total(phi, accepted), rel=1e-13)
 
 
@@ -169,11 +184,12 @@ def test_prune_keeps_columns_above_relative_cutoff():
     phi[:, 0] = 1.0          # energy 2.0
     w[:, 1] = 1e-6           # tiny joint energy
     phi[0, 2] = 0.5          # moderate
-    assert list(prune_and_report_rank(phi, w, 1e-4)) == [0, 2]
+    e_phi, e_w = oracles.column_energies(phi, w)
+    assert list(prune_and_report_rank(e_phi + e_w, 1e-4)) == [0, 2]
 
 
 def test_prune_all_zero_reports_rank_zero():
-    assert prune_and_report_rank(np.zeros((3, 2)), np.zeros((4, 2)), 1e-4).size == 0
+    assert prune_and_report_rank(np.zeros(2), 1e-4).size == 0
 
 
 def test_default_eta_scales_with_column_norms():
