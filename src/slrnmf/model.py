@@ -19,14 +19,17 @@ overestimated factorization rank into an estimate of the true number of
 endmembers.  All arithmetic is float64.
 
 Each input rule of the package lives here once: :func:`as_matrix` for
-matrices (finite, and nonnegative where asked), :func:`as_integer` for
-sizes and counts, :func:`as_weight` for delta, lambda1 and eta,
-:func:`check_interval` for the other real-valued solver settings, and
-:func:`check_dims` for the shapes of y, phi and w.
+matrices (finite, and nonnegative where asked), which the solver's scan
+of ``y`` applies in the same blocked pass that forms its pixel norms,
+:func:`as_integer` for sizes and counts, :func:`as_weight` for delta,
+lambda1 and eta, :func:`check_interval` for the other real-valued solver
+settings, and :func:`check_dims` for the shapes of y, phi and w.
 
-Nothing here allocates an array of the size of ``y``: the full cost forms
-its residual one block of pixels at a time (at most 8 MiB), and the
-line-search prices work from r-sized Gram terms.
+Nothing here allocates an array of the size of ``y``.  The direct cost
+(:meth:`Objective.total`) forms its residual one block of pixels at a
+time (at most 8 MiB), and the scan of ``y`` reads it in the same blocks.
+The Gram-form cost (:meth:`Objective.total_gram`) and the line-search
+pricing work from r-sized Gram terms.
 """
 
 import numpy as np
@@ -42,22 +45,34 @@ __all__ = [
 ]
 
 
-def as_matrix(a, name="matrix", nonneg=False):
-    """Coerce to a float64 2-D array, rejecting complex and non-finite
-    entries, and negative ones if ``nonneg``; one min and one max pass
-    decide both."""
+def _real_matrix(a, name):
+    """``a`` as a float64 2-D array; complex input and other ranks raise."""
     m = np.asarray(a)
     if np.iscomplexobj(m):
         raise ValueError("%s must be real, got dtype %s" % (name, m.dtype))
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("%s must be a 2-D array, got shape %s" % (name, (m.shape,)))
-    # NaN and +-inf reach the extremes, so no L-by-K mask is needed.
-    low, high = (m.min(), m.max()) if m.size else (0.0, 0.0)
+    return m
+
+
+def _check_extremes(name, low, high, nonneg):
+    """Judge matrix ``name`` by its smallest and largest entries: NaN and
+    +-inf reach the extremes, so no L-by-K mask is needed, and a
+    non-finite entry is named before a negative one."""
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("%s contains non-finite entries" % name)
     if nonneg and low < 0.0:
         raise ValueError("%s has negative entries (min %g)" % (name, low))
+
+
+def as_matrix(a, name="matrix", nonneg=False):
+    """Coerce to a float64 2-D array, rejecting complex and non-finite
+    entries, and negative ones if ``nonneg``; one min and one max pass
+    decide both."""
+    m = _real_matrix(a, name)
+    low, high = (m.min(), m.max()) if m.size else (0.0, 0.0)
+    _check_extremes(name, low, high, nonneg)
     return m
 
 
@@ -125,8 +140,9 @@ def check_dims(y, phi, w, names=("phi", "w")):
                          % (phi_name, w_name, phi.shape[1], w.shape[1]))
 
 
-# Residual bytes per block of pixels in ``Objective.total``: 4,681 pixels
-# at L = 224.  A scene of at most one block is costed in a single pass.
+# Residual bytes per block of pixels in ``Objective.total``, and the bytes
+# of y per block of its scan: 4,681 pixels at L = 224.  A scene of at most
+# one block is costed in a single pass.
 _RESIDUAL_BLOCK_BYTES = 8 * 2**20
 
 
@@ -140,12 +156,43 @@ def _column_dots(a, b):
 
     Precision: on C-ordered arrays wider than one column this sums each
     column's n products in row order, bitwise as ``(a * b).sum(axis=0)``;
-    on a single column ``einsum`` takes numpy's dot path, whose order can
-    differ in the last bits (measured at 224 x 1: up to 8e-16 relative
-    over 2,000 uniform draws).  Both forms sum the same n products, each
-    within gamma_n sum_j |a_ji b_ji| (gamma_n = n eps / (1 - n eps)).
+    on a single contiguous column ``einsum`` takes numpy's dot path, whose
+    order can differ in the last bits (measured at 224 x 1: up to 8e-16
+    relative over 2,000 uniform draws).  A one-column strided view, such
+    as one column of a C-ordered matrix, is summed in row order.  Both
+    forms sum the same n products, each within gamma_n sum_j |a_ji b_ji|
+    (gamma_n = n eps / (1 - n eps)).
     """
     return np.einsum("ij,ij->j", a, b)
+
+
+def _scan_observations(y):
+    """(Y, pixel norms): ``as_matrix(y, "y", nonneg=True)`` and the squared
+    pixel norms ||y_j||^2, from one pass over y.
+
+    The pass takes y in the pixel blocks of :meth:`Objective.total` and
+    reads each block's min, max and column dots while it is in cache;
+    the rules and messages are :func:`as_matrix`'s.  The norms are
+    bitwise ``_column_dots(y, y)``, also for a one-pixel last block: a
+    block is a view into y, and a one-column view of a wider y is either
+    strided, which ``einsum`` sums in row order as it does the whole, or
+    (y Fortran-ordered) contiguous, as every column of the whole is.
+    """
+    y = _real_matrix(y, "y")
+    l, k = y.shape
+    norms = np.zeros(k)
+    low = high = 0.0
+    if y.size:
+        low, high = np.inf, -np.inf
+        step = _pixel_block(l)
+        for j in range(0, k, step):
+            block = y[:, j:j + step]
+            # np.minimum and np.maximum carry a NaN through.
+            low = np.minimum(low, block.min())
+            high = np.maximum(high, block.max())
+            norms[j:j + step] = _column_dots(block, block)
+    _check_extremes("y", low, high, True)
+    return y, norms
 
 
 def _squared_residual(y, phi, w):
@@ -235,6 +282,44 @@ class Objective:
                         for j in range(0, y.shape[1], step))
         penalty = float(np.sum(np.sqrt(_column_energy(phi, w) + self.eta * self.eta)))
         return fit + self.delta * penalty + self.lambda1 * float(np.abs(w).sum())
+
+    def total_gram(self, phi, w, cross, energies, y_squared):
+        """:meth:`total` at nonnegative (phi, w) from products that
+        :func:`slrnmf.solver.solve` forms anyway, reading no Y.
+
+        ``cross`` is C = Y^T Phi (K-by-r), ``energies`` the column dots
+        (||phi_i||^2, ||w_i||^2) and ``y_squared`` ||Y||_F^2.  The fit is
+        taken in Gram form, the penalty from the energies and the L1 term
+        as lambda1 sum(W), which W >= 0 makes exact::
+
+            fit = 0.5 (||Y||^2 - 2 <C, W> + <P, Q>),  P = Phi^T Phi, Q = W^T W
+
+        It costs O((L + K) r^2) besides C, against :meth:`total`'s pass
+        over Y and L-by-K-by-r product.  A non-finite result is returned
+        as inf: the expanded fit turns an overflow into inf - inf = nan.
+        So does a Y with ||Y||_F above about 1.3e154, where ||Y||^2
+        overflows although the direct form may not.
+
+        Precision: every entry is nonnegative, so each of the three fit
+        terms, C's entries included, is a sum of nonnegative products
+        rounded at most n = L + K + r^2 times along any path, and lies
+        within gamma_n of itself (gamma_n = n eps / (1 - n eps)).  The fit
+        therefore errs by at most gamma_{n+2} S, S = 0.5 (||Y||^2 +
+        2 <C, W> + <P, Q>), and by about eps S in practice; the penalty
+        and L1 terms round as in :meth:`total`.  :meth:`total` rounds at
+        the residual's scale instead, which is smaller near a fit.  The
+        offset is absolute and rides in every cost
+        :func:`slrnmf.solver.solve` reports after the initial one, yet no
+        decision reads it: the accept slack is relative to the baseline
+        and the stop rule compares differences.
+        """
+        e_phi, e_w = energies
+        inner = float(np.trace(w.T @ cross))
+        gram = float(np.vdot(phi.T @ phi, w.T @ w))
+        fit = 0.5 * (y_squared - 2.0 * inner + gram)
+        penalty = float(np.sum(np.sqrt(e_phi + e_w + self.eta * self.eta)))
+        cost = fit + self.delta * penalty + self.lambda1 * float(w.sum())
+        return cost if np.isfinite(cost) else np.inf
 
     def change_along(self, phi, w, candidate, which, gram, cross, energies):
         """Cost change f(beta) = total(X + beta*S) - total(X) along one block.

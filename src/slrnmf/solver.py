@@ -13,11 +13,14 @@ One outer iteration does:
    whose joint energy exceeds a relative tolerance are counted,
 5. refresh of the penalty diagonal from the working columns.
 
-The backtracking never forms a residual: each block step hands its P and
-C to the line search, which prices every trial from r-sized Gram terms
+No step forms a residual: each block step hands its P and C to the
+line search, which prices every trial from r-sized Gram terms
 (:meth:`Objective.change_along`).  The full cost is evaluated once per
-solve, at the initial iterate; every reported cost after it is the
-previous one plus the accepted changes.
+solve, at the initial iterate, in Gram form (:meth:`Objective.total_gram`)
+from the C = Y^T Phi that the first abundance step then takes; every
+reported cost after it is the previous one plus the accepted changes.
+Before it iterates, a solve reads Y once: one blocked scan checks it and
+forms the squared pixel norms, which give the default eta and ||Y||^2.
 
 The column energies ||phi_i||^2 and ||w_i||^2, shared by the group
 penalty, its reweighting and the pruning, are formed once per block
@@ -47,19 +50,23 @@ move the iterate.  Reported costs are those of the width-r factorization:
 the working cost plus delta * eta per dropped column.
 
 Memory: besides Y, a solve holds O((L + K) r) floats, about six K-by-r
-arrays, and the one residual block of :meth:`Objective.total` (at most
-8 MiB).  It allocates no L-by-K temporary.  Pruning and reweighting
-work from the r carried energies and allocate no K-by-r temporary.
+arrays, and at entry the K squared pixel norms of its scan.  It
+allocates no L-by-K temporary and no residual block; the first abundance
+step's C, formed at entry, is freed with that step.  Pruning and reweighting work
+from the r carried energies and allocate no K-by-r temporary, and a
+callback's state pads its arrays to r columns only when they are read.
 """
 
 import time
 from dataclasses import MISSING, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .model import (
     Objective,
     _column_dots,
+    _scan_observations,
     as_integer,
     as_matrix,
     as_weight,
@@ -141,7 +148,6 @@ class SolverConfig:
             check_interval(getattr(self, name), name, low, high, ends)
 
 
-@dataclass(frozen=True)
 class SolverState:
     """Per-iteration snapshot handed to the ``solve`` callback.
 
@@ -151,16 +157,40 @@ class SolverState:
     means the block did not move), ``k`` the 1-based iteration counter
     and ``last_cost`` the total cost at (phi_hat, w_hat).  The arrays have
     all r columns; dropped ones are exactly zero, with ``d_hat`` = delta
-    / eta there.
+    / eta there.  They are padded to r columns when first read, so a
+    callback that reads only the scalars makes no r-wide copies.
     """
 
-    phi_hat: np.ndarray
-    w_hat: np.ndarray
-    d_hat: np.ndarray
-    beta_w: float
-    beta_phi: float
-    k: int
-    last_cost: float
+    def __init__(self, working, alive, config, beta_w, beta_phi, k, last_cost):
+        # (phi, w, d) on the working columns, which ``alive`` indexes
+        # into the initial r.
+        self._working = working
+        self._alive = alive
+        self._config = config
+        self.beta_w = beta_w
+        self.beta_phi = beta_phi
+        self.k = k
+        self.last_cost = last_cost
+
+    def _padded(self, i, fill):
+        a, r = self._working[i], self._config.r
+        if self._alive.size == r:
+            return a
+        full = np.full(a.shape[:-1] + (r,), fill)
+        full[..., self._alive] = a
+        return full
+
+    @cached_property
+    def phi_hat(self):
+        return self._padded(0, 0.0)
+
+    @cached_property
+    def w_hat(self):
+        return self._padded(1, 0.0)
+
+    @cached_property
+    def d_hat(self):
+        return self._padded(2, self._config.delta / self._config.eta)
 
 
 @dataclass
@@ -275,20 +305,29 @@ def _newton_step(fixed, d, cross, shift, context):
     return np.maximum(x, 0.0, out=x), gram, cross
 
 
-def update_abundances(objective, phi_hat, d_hat):
+def abundance_cross(y, phi):
+    """C = Y^T Phi, K-by-r, the abundance step's product with Y.
+
+    Formed as (Phi^T Y)^T, so that C^T, which the step's solve takes, is
+    C-ordered.
+    """
+    return (phi.T @ y).T
+
+
+def update_abundances(objective, phi_hat, d_hat, cross):
     """One inexact proximal Newton step for the abundance block.
 
     Solves (Phi^T Phi + D) X = Phi^T Y, Y = ``objective.y``, for the r-by-K
     Newton target, transposes to K-by-r, soft-thresholds at
     ``objective.lambda1`` and projects onto the nonnegative orthant, which
-    together are max(x - lambda1, 0).  Expects ``phi_hat`` float64 (L, r)
-    and ``d_hat`` float64 (r,), as :func:`solve` hands them.  Returns the
-    candidate, P = Phi^T Phi and C = Y^T Phi (K-by-r), the step that
-    :func:`line_search` takes.  The step holds two K-by-r arrays: the
-    cross product and the solution.
+    together are max(x - lambda1, 0).  Expects ``phi_hat`` float64 (L, r),
+    ``d_hat`` float64 (r,) and ``cross`` = :func:`abundance_cross` at
+    ``phi_hat``, as :func:`solve` hands them.  Returns the candidate,
+    P = Phi^T Phi and C, the step that :func:`line_search` takes.  The
+    step holds two K-by-r arrays: the cross product and the solution.
     """
-    return _newton_step(phi_hat, d_hat, (phi_hat.T @ objective.y).T,
-                        objective.lambda1, "abundance update")
+    return _newton_step(phi_hat, d_hat, cross, objective.lambda1,
+                        "abundance update")
 
 
 def update_endmembers(objective, w_hat, d_hat):
@@ -403,23 +442,26 @@ def _prune_and_drop(phi, w, e_phi, e_w, alive, prune_tol):
 
 
 def default_eta(y):
-    """Smoothing floor: 1e-2 times the mean pixel (column) norm of ``y``."""
-    scale = float(np.sqrt(_column_dots(y, y)).mean()) if y.size else 0.0
+    """Smoothing floor: 1e-2 times the mean pixel (column) norm of ``y``.
+
+    :func:`solve` takes it from the squared pixel norms its scan of ``y``
+    forms, which are bitwise ``_column_dots(y, y)``, so both give the
+    same eta.
+    """
+    return _eta_of(_column_dots(y, y))
+
+
+def _eta_of(pixel_norms):
+    """:func:`default_eta` from the squared pixel norms ||y_j||^2."""
+    scale = float(np.sqrt(pixel_norms).mean()) if pixel_norms.size else 0.0
     return max(1e-2 * scale, _ETA_FLOOR)
 
 
 def with_defaults(config, y):
     """Fill an ``eta`` of ``None`` from ``y``; the choice is echoed in reports."""
-    if config.eta is None:
-        y = as_matrix(y, "y")
-    return _resolve_defaults(config, y)
-
-
-def _resolve_defaults(config, y):
-    """:func:`with_defaults` for a ``y`` that :func:`as_matrix` returned."""
     if config.eta is not None:
         return config
-    return replace(config, eta=default_eta(y))
+    return replace(config, eta=default_eta(as_matrix(y, "y")))
 
 
 def solve(y, init_phi, init_w, config, callback=None):
@@ -438,7 +480,8 @@ def solve(y, init_phi, init_w, config, callback=None):
     callback : callable, optional
         Called with a :class:`SolverState` after every iteration.  Its
         arrays always have r columns: once a column has been dropped they
-        are padded with zero columns, and ``d_hat`` with delta / eta.
+        are padded, when first read, with zero columns, and ``d_hat`` with
+        delta / eta.
 
     Returns
     -------
@@ -448,9 +491,12 @@ def solve(y, init_phi, init_w, config, callback=None):
         per-iteration traces.  Costs are those of the width-r iterate, so
         a column below ``prune_tol`` that is not yet zero at exit counts in
         ``final_cost`` but not in the returned factors; the cost trace is
-        non-increasing.  ``report.converged`` is true when the relative
-        cost change fell to ``tol_rel_cost`` or every column became zero;
-        a stalled solve and one stopped by ``max_iter`` report false.
+        non-increasing.  ``initial_cost`` is priced in Gram form, within
+        the bound of :meth:`Objective.total_gram` of the direct form, and
+        every later cost carries its rounding.  ``report.converged`` is
+        true when the relative cost change fell to ``tol_rel_cost`` or
+        every column became zero; a stalled solve and one stopped by
+        ``max_iter`` report false.
 
     Raises
     ------
@@ -458,10 +504,13 @@ def solve(y, init_phi, init_w, config, callback=None):
         For invalid input, including a resolved ``eta`` that is not finite.
     SolverDiverged
         When the cost is not finite, at the initial iterate or later, or a
-        block step's normal matrix is not positive definite.
+        block step's normal matrix is not positive definite.  An overflow
+        at the initial iterate, also of ||Y||^2 alone (||Y||_F above about
+        1.3e154), reads as an infinite cost and raises before any block
+        step.
     """
     t0 = time.perf_counter()
-    y = as_matrix(y, "y", nonneg=True)
+    y, pixel_norms = _scan_observations(y)
     phi = as_matrix(init_phi, "init_phi", nonneg=True).copy()
     w = as_matrix(init_w, "init_w", nonneg=True).copy()
     check_dims(y, phi, w, ("init_phi", "init_w"))
@@ -469,8 +518,10 @@ def solve(y, init_phi, init_w, config, callback=None):
         raise ValueError("init_phi has %d columns, expected r=%d"
                          % (phi.shape[1], config.r))
 
-    # ``y`` was checked above; neither step scans it again.
-    config = _resolve_defaults(config, y)
+    # ``y`` was scanned above; nothing reads it again before the products
+    # of the block steps.
+    if config.eta is None:
+        config = replace(config, eta=_eta_of(pixel_norms))
     objective = Objective._of_checked(y, config.delta, config.lambda1,
                                       config.eta)
 
@@ -480,14 +531,19 @@ def solve(y, init_phi, init_w, config, callback=None):
     # compared include it, the line searches price the working problem
     # without it.  ``e_phi`` and ``e_w`` are the working columns' dots,
     # formed here and then carried: each line search returns its block's.
-    # An overflow here raises SolverDiverged below, not a warning.
+    # ``cross`` is the first abundance step's C = Y^T Phi, which prices
+    # the initial cost first.  An overflow here raises SolverDiverged
+    # below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        initial_cost = cost_prev = objective.total(phi, w)
         alive, kept, phi, w, e_phi, e_w = _prune_and_drop(
             phi, w, _column_dots(phi, phi), _column_dots(w, w),
             np.arange(config.r), config.prune_tol)
         pad = (config.r - alive.size) * config.delta * config.eta
         d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
+        cross = abundance_cross(y, phi)
+        initial_cost = cost_prev = pad + objective.total_gram(
+            phi, w, cross, (e_phi, e_w), float(pixel_norms.sum()))
+    del pixel_norms  # K floats, not held while iterating
 
     cost_trace = []
     rank_trace = []
@@ -515,13 +571,6 @@ def solve(y, init_phi, init_w, config, callback=None):
     def diverged(message):
         return SolverDiverged(message, build_report())
 
-    def full_width(a, fill):
-        if alive.size == config.r:
-            return a
-        full = np.full(a.shape[:-1] + (config.r,), fill)
-        full[..., alive] = a
-        return full
-
     if not np.isfinite(initial_cost):
         raise diverged("non-finite cost %r at the initial iterate"
                        % (initial_cost,))
@@ -531,10 +580,13 @@ def solve(y, init_phi, init_w, config, callback=None):
             # Nothing is left to move: the zero factorization is stationary.
             converged = True
             break
+        if k > 1:
+            cross = abundance_cross(y, phi)
         try:
             w, beta_w, cost_after_w, e_w = line_search(
-                objective, phi, w, update_abundances(objective, phi, d), "w",
-                config, cost_prev - pad, (e_phi, e_w))
+                objective, phi, w, update_abundances(objective, phi, d, cross),
+                "w", config, cost_prev - pad, (e_phi, e_w))
+            del cross
             phi, beta_phi, cost_k, e_phi = line_search(
                 objective, phi, w, update_endmembers(objective, w, d), "phi",
                 config, cost_after_w, (e_phi, e_w))
@@ -555,11 +607,8 @@ def solve(y, init_phi, init_w, config, callback=None):
         beta_phi_trace.append(beta_phi)
 
         if callback is not None:
-            callback(SolverState(phi_hat=full_width(phi, 0.0),
-                                 w_hat=full_width(w, 0.0),
-                                 d_hat=full_width(d, config.delta / config.eta),
-                                 beta_w=beta_w, beta_phi=beta_phi,
-                                 k=k, last_cost=cost_k))
+            callback(SolverState((phi, w, d), alive, config, beta_w,
+                                 beta_phi, k, cost_k))
 
         if beta_w == 0.0 and beta_phi == 0.0:
             # Stalled: with neither block moved, pruning dropped nothing

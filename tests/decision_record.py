@@ -149,6 +149,18 @@ def differences(records, expected):
     return sorted(lines)
 
 
+def largest_gaps(records, expected):
+    """The largest relative gap from ``expected`` of the recorded final
+    cost and of the mean SAM, over the scenes both hold."""
+    gaps = {"final_cost": 0.0, "mean_sam_deg": 0.0}
+    for name in records.keys() & expected.keys():
+        for field in gaps:
+            got, want = records[name][field], expected[name][field]
+            if None not in (got, want) and want != 0.0:
+                gaps[field] = max(gaps[field], abs(got - want) / abs(want))
+    return gaps
+
+
 def load():
     with open(RECORD_PATH, encoding="utf-8") as fh:
         return json.load(fh)

@@ -58,6 +58,28 @@ def direct_total(objective, phi, w):
             + objective.lambda1 * float(np.abs(w).sum()))
 
 
+def gram_total_bound(objective, phi, w):
+    """Largest gap allowed between ``Objective.total_gram`` and
+    ``Objective.total`` at nonnegative (phi, w).
+
+    The sum of three rounding scales: the one the docstring of
+    ``total_gram`` states for its fit, gamma_{n+2} S with n = L + K + r^2
+    and S = 0.5 (||Y||^2 + 2 <Y^T Phi, W> + <Phi^T Phi, W^T W>); that of
+    ``total``'s residual, eps (r + 1) ||R|| (||Y|| + ||Phi W^T||); and eps
+    per unit of the cost, for the penalty and L1 terms both forms share.
+    The terms are formed here directly, as float64 sums.
+    """
+    eps = np.finfo(np.float64).eps
+    y = objective.y
+    n = sum(y.shape) + phi.shape[1] ** 2 + 2
+    fit = phi @ w.T
+    s = 0.5 * (np.sum(y * y) + 2.0 * np.sum(y * fit) + np.sum(fit * fit))
+    resid = np.linalg.norm(y - fit)
+    scale = (phi.shape[1] + 1) * resid * (np.linalg.norm(y) + np.linalg.norm(fit))
+    return (n * eps / (1.0 - n * eps) * s + eps * scale
+            + 4.0 * eps * abs(objective.total(phi, w)))
+
+
 def column_energies(phi, w):
     """(||phi_i||^2, ||w_i||^2) per column, each squared and summed directly."""
     return (phi * phi).sum(axis=0), (w * w).sum(axis=0)
@@ -123,11 +145,12 @@ def solver_gradients(y, phi, w, delta, eta):
     diagonal.  Not an oracle: this is the code that ``fd_gradient`` checks.
     """
     from slrnmf.model import Objective, _fit_gradient
-    from slrnmf.solver import update_abundances, update_endmembers
+    from slrnmf.solver import abundance_cross, update_abundances, update_endmembers
 
     objective = Objective(y, delta, 0.0, eta)
     d = penalty_diag(phi, w, delta, eta)
-    _, gram_w, cross_w = update_abundances(objective, phi, d)
+    _, gram_w, cross_w = update_abundances(objective, phi, d,
+                                           abundance_cross(y, phi))
     _, gram_phi, cross_phi = update_endmembers(objective, w, d)
     return (_fit_gradient(w, gram_w, cross_w) + w * d,
             _fit_gradient(phi, gram_phi, cross_phi) + phi * d)
@@ -245,9 +268,10 @@ def full_width_solve(y, init_phi, init_w, config):
     block steps with the package on purpose.  Returns (phi, w, report).
     """
     from slrnmf.model import Objective
-    from slrnmf.solver import (SolverReport, line_search, prune_and_report_rank,
-                               update_abundances, update_endmembers,
-                               update_penalty_diag, with_defaults)
+    from slrnmf.solver import (SolverReport, abundance_cross, line_search,
+                               prune_and_report_rank, update_abundances,
+                               update_endmembers, update_penalty_diag,
+                               with_defaults)
 
     config = with_defaults(config, y)
     objective = Objective(y, config.delta, config.lambda1, config.eta)
@@ -260,8 +284,9 @@ def full_width_solve(y, init_phi, init_w, config):
     converged = False
     for _ in range(config.max_iter):
         w, beta_w, cost_w, e_w = line_search(
-            objective, phi, w, update_abundances(objective, phi, d), "w",
-            config, cost_prev, (e_phi, e_w))
+            objective, phi, w,
+            update_abundances(objective, phi, d, abundance_cross(y, phi)),
+            "w", config, cost_prev, (e_phi, e_w))
         phi, beta_phi, cost_k, e_phi = line_search(
             objective, phi, w, update_endmembers(objective, w, d), "phi",
             config, cost_w, (e_phi, e_w))

@@ -20,6 +20,7 @@ from slrnmf.model import Objective
 from slrnmf.cli import run
 from slrnmf.solver import (
     SolverConfig,
+    abundance_cross,
     default_eta,
     solve,
     update_abundances,
@@ -89,8 +90,9 @@ def test_decisions_match_the_record():
     """The 20 protocol runs and the stall scenes decide as
     ``decision_record.json`` records: iterations, rank and trial traces,
     survivors and ``converged`` exactly, final cost and mean SAM within
-    1e-12 relative.  The summary line carries a SHA-256 over all factors,
-    for bitwise comparison between two checkouts on one machine."""
+    1e-12 relative.  The summary line carries the largest relative cost
+    and SAM gaps, to read against that tolerance, and a SHA-256 over all
+    factors, for bitwise comparison between two checkouts on one machine."""
     runs = {kind: protocol(kind)[0] for kind in decision_record.KINDS}
     runs["stalls"] = decision_record.run_stalls()
     records = decision_record.records_of(runs)
@@ -99,10 +101,14 @@ def test_decisions_match_the_record():
                            for run in runs[kind]), *runs["stalls"].values()]:
         digest.update(phi.tobytes())
         digest.update(w.tobytes())
-    problems = decision_record.differences(records, decision_record.load())
+    expected = decision_record.load()
+    problems = decision_record.differences(records, expected)
+    gaps = decision_record.largest_gaps(records, expected)
     ok = not problems
-    detail = ("%d scenes, %d fields off the record; factors sha256 %s"
-                % (len(records), len(problems), digest.hexdigest()))
+    detail = ("%d scenes, %d fields off the record; largest relative gaps: "
+              "cost %.1e, SAM %.1e (RTOL %.0e); factors sha256 %s"
+              % (len(records), len(problems), gaps["final_cost"],
+                 gaps["mean_sam_deg"], decision_record.RTOL, digest.hexdigest()))
     record("decisions match tests/decision_record.json", ok, detail)
     assert ok, "\n".join(problems)
 
@@ -171,7 +177,7 @@ def test_soft_threshold_against_grid_search():
         z = float(rng.uniform(-4.0, 4.0))
         lam = float(rng.uniform(0.0, 2.0))
         step = update_abundances(Objective([[z]], 1.0, lam, 1.0),
-                                 np.ones((1, 1)), np.zeros(1))[0]
+                                 np.ones((1, 1)), np.zeros(1), np.array([[z]]))[0]
         ours = float(step[0, 0])
         ref = oracles.prox_l1_grid(z, lam, lo=0.0)
         worst = max(worst, abs(ours - ref))
@@ -205,7 +211,8 @@ def test_block_updates_near_subproblem_oracles():
         d = oracles.penalty_diag(phi_hat, w_hat, delta, eta)
 
         objective = Objective(y, 1.0, lam, 1.0)
-        w_step = update_abundances(objective, phi_hat, d)[0]
+        w_step = update_abundances(objective, phi_hat, d,
+                                   abundance_cross(y, phi_hat))[0]
         m_step = oracles.subproblem_w_value(y, phi_hat, d, lam, w_step)
         m_opt = oracles.subproblem_w_value(
             y, phi_hat, d, lam, oracles.cd_w_oracle(y, phi_hat, d, lam))

@@ -1,26 +1,34 @@
 """Cost and gradient arithmetic against naive loop-based references."""
 
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+import slrnmf.model
 from slrnmf.model import (
     Objective,
+    _column_dots,
     _pixel_block,
+    _scan_observations,
     as_matrix,
     as_weight,
     check_dims,
     cost_total,
 )
-from slrnmf.initializers import init_uniform
+from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
 from slrnmf.solver import (
     SolverConfig,
+    abundance_cross,
     default_eta,
     solve,
     update_abundances,
     update_endmembers,
+    with_defaults,
 )
 from slrnmf.synth import simulate
 
@@ -88,6 +96,44 @@ def test_as_matrix_rejects_negative_where_asked():
     for bad in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="thing contains non-finite entries"):
             as_matrix(np.array([[-1.0, bad]]), "thing", nonneg=True)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 2.0]]) + 0j,
+    np.zeros(3),
+    np.array([[1.0, -0.5, 2.0, 0.5, 3.0, -2.0, 1.0]]),
+    np.array([[-1.0, 0.5, 2.0, 0.5, np.nan, 1.0, 1.0]]),
+    np.array([[1.0, 0.5, 2.0, 0.5, 3.0, 1.0, np.inf]]),
+    np.array([[1.0, 0.5, -np.inf, 0.5, 3.0, 1.0, -1.0]]),
+], ids=["complex", "1-D", "negative", "nan", "inf", "-inf"])
+def test_scan_keeps_the_rules_of_as_matrix(monkeypatch, bad):
+    """The scan of y rejects what ``as_matrix(y, "y", nonneg=True)``
+    rejects, with its message, across blocks of 3 pixels: the smallest
+    entry of all blocks is named, and a non-finite entry in one block
+    before a negative one in another."""
+    monkeypatch.setattr(slrnmf.model, "_RESIDUAL_BLOCK_BYTES", 8 * 3)
+    with pytest.raises(ValueError) as expected:
+        as_matrix(bad, "y", nonneg=True)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(str(expected.value))):
+        _scan_observations(bad)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_scan_norms_are_column_dots(monkeypatch, layout):
+    """The scan returns ``y`` as ``as_matrix`` does and its pixel norms
+    bitwise as ``_column_dots(y, y)`` for each memory layout, in blocks of
+    3 pixels; at 1, 4 and 7 pixels the last block is one pixel wide."""
+    monkeypatch.setattr(slrnmf.model, "_RESIDUAL_BLOCK_BYTES", 8 * 5 * 3)
+    rng = np.random.default_rng(4)
+    for k in (0, 1, 2, 3, 4, 6, 7, 8, 11):
+        y = rng.uniform(0.0, 1.0, (5, 2 * k))
+        y = {"C": y[:, :k].copy(), "F": np.asfortranarray(y[:, :k]),
+             "strided": y[:, ::2]}[layout]
+        checked, norms = _scan_observations(y)
+        assert checked is as_matrix(y)
+        assert np.array_equal(norms, _column_dots(y, y)), k
+    empty, norms = _scan_observations(np.zeros((0, 4)))
+    assert empty.shape == (0, 4) and np.array_equal(norms, np.zeros(4))
 
 
 def test_check_dims_messages():
@@ -233,6 +279,75 @@ def test_blocked_total_of_empty_scenes(shape):
     assert obj.total(phi, w) == oracles.direct_total(obj, phi, w)
 
 
+def _initial_cost_gaps(y, phi0, w0, config):
+    """The initial cost of a solve, in units of ``oracles.gram_total_bound``,
+    against ``Objective.total`` and the direct total at the initial factors."""
+    config = with_defaults(config, y)
+    _, _, report = solve(y, phi0, w0, replace(config, max_iter=0))
+    obj = Objective(y, config.delta, config.lambda1, config.eta)
+    bound = oracles.gram_total_bound(obj, phi0, w0)
+    return (abs(report.initial_cost - obj.total(phi0, w0)) / bound,
+            abs(report.initial_cost - oracles.direct_total(obj, phi0, w0)) / bound)
+
+
+def _near_fit():
+    """VCA and NNLS on a noiseless scene: the fit is a sliver of ||Y||^2."""
+    y, _ = simulate(l=224, k=900, n=3, density=0.5, sigma=0.0, seed=0)
+    phi0 = init_vca(y, 3, seed=0)
+    return y, phi0, nnls_abundances(y, phi0), SolverConfig(r=3)
+
+
+def _uniform_scene(l, k, r):
+    y, _ = simulate(l=l, k=k, n=min(4, r), density=0.3, sigma=1e-3, seed=1)
+    phi0, w0 = init_uniform(l, k, r, seed=1)
+    return y, phi0, w0, SolverConfig(r=r)
+
+
+@pytest.mark.parametrize("scene", [
+    lambda: _uniform_scene(224, 500, 10),
+    _near_fit,
+    lambda: _uniform_scene(224, 2 * 4681 + 17, 10),
+    lambda: _uniform_scene(224, 500, 1),
+    lambda: _uniform_scene(224, 1, 4),
+], ids=["uniform", "near-fit", "multi-block", "one-column", "one-pixel"])
+def test_initial_cost_matches_direct_form(scene):
+    y, phi0, w0, config = scene()
+    assert max(_initial_cost_gaps(y, phi0, w0, config)) <= 1.0
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(l=st.integers(1, 12), k=st.integers(1, 12), r=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1),
+       scales=st.tuples(*[st.integers(-3, 3)] * 3),
+       zero=st.integers(-1, 4),
+       weights=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 1.0),
+                         st.floats(1e-3, 1.0)))
+def test_initial_cost_matches_direct_form_on_random_instances(
+        l, k, r, seed, scales, zero, weights):
+    """Random shapes, scales over six decades and a zero column pair
+    (dropped before the cost is priced) where ``zero`` names one."""
+    rng = np.random.default_rng(seed)
+    y, phi0, w0 = (10.0 ** s * rng.uniform(0.0, 1.0, shape)
+                   for s, shape in zip(scales, ((l, k), (l, r), (k, r))))
+    if zero < r:
+        phi0[:, zero] = w0[:, zero] = 0.0
+    delta, lambda1, eta = weights
+    config = SolverConfig(r=r, delta=delta, lambda1=lambda1, eta=eta)
+    assert max(_initial_cost_gaps(y, phi0, w0, config)) <= 1.0
+
+
+def test_gram_total_reads_an_overflow_as_inf():
+    """Near 1e160 every fit term overflows and the expanded fit is
+    inf - inf; the cost is inf, as the direct form has it."""
+    y, phi, w = (1e160 * m for m in random_instance(5))
+    obj = Objective(y, 0.5, 0.01, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = obj.total_gram(phi, w, (phi.T @ y).T, oracles.column_energies(phi, w),
+                              float(np.sum(_column_dots(y, y))))
+        assert np.isinf(obj.total(phi, w))
+    assert cost == np.inf
+
+
 def test_objective_total_holds_one_residual_block():
     # 224 x 40,000: about 8.5 blocks of 8 MiB, 0.117 of y.nbytes each; the
     # whole-residual form peaks at 1.0 x y.nbytes.
@@ -247,11 +362,18 @@ def test_objective_total_holds_one_residual_block():
     assert peak < 0.15 * y.nbytes, "peak %.3f x y.nbytes" % (peak / y.nbytes)
 
 
-@pytest.mark.parametrize("k", [500, 900, 5000])
+@pytest.mark.parametrize("k", [500, 900, 5000, 4681 + 1, 2 * 4681 + 1])
 def test_default_eta_matches_squared_form(k):
+    """``default_eta`` against the squared form, and the eta that ``solve``
+    resolves from its scan's norms against ``default_eta``, bitwise; at
+    4,681 + 1 and 2 x 4,681 + 1 pixels the scan's last block is one pixel
+    wide."""
     y, _ = simulate(l=224, k=k, n=4, density=0.3, sigma=1e-3, seed=k)
     scale = float(np.sqrt((y * y).sum(axis=0)).mean())
     assert default_eta(y) == max(1e-2 * scale, 1e-12)
+    phi0, w0 = init_uniform(224, k, 2, seed=0)
+    _, _, report = solve(y, phi0, w0, SolverConfig(r=2, max_iter=0))
+    assert report.config.eta == default_eta(y)
 
 
 def _worst_change_error(obj, phi, w, d, collapse=False):
@@ -267,7 +389,8 @@ def _worst_change_error(obj, phi, w, d, collapse=False):
     for which in ("w", "phi"):
         x, fixed = (w, phi) if which == "w" else (phi, w)
         if which == "w":
-            cand, gram, cross = update_abundances(obj, phi, d)
+            cand, gram, cross = update_abundances(obj, phi, d,
+                                                  abundance_cross(obj.y, phi))
         else:
             cand, gram, cross = update_endmembers(obj, w, d)
         if collapse:

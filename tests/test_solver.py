@@ -18,6 +18,7 @@ from slrnmf.solver import (
     DEFAULT_LAMBDA1,
     SolverConfig,
     SolverDiverged,
+    abundance_cross,
     default_eta,
     line_search,
     solve,
@@ -207,67 +208,75 @@ def test_input_validation():
 
 
 def test_divergence_raises_with_partial_report(monkeypatch):
+    """Endmembers near 1e160 on data of unit scale: the initial cost
+    overflows, and the solve raises before any Newton solve."""
     phi_t, w_t = tiny_truth(0)
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
-
-    class BrokenObjective(Objective):
-        def total(self, phi, w):
-            return float("-inf")
-
-    monkeypatch.setattr(slrnmf.solver, "Objective", BrokenObjective)
-    with pytest.raises(SolverDiverged) as err:
-        solve(y, phi0, w0, TINY)
-    assert "non-finite cost" in str(err.value)
+    solves = []
+    monkeypatch.setattr(slrnmf.solver, "_spd_solve",
+                        lambda *args: solves.append(1))
+    with pytest.raises(SolverDiverged, match="non-finite cost inf at the "
+                                             "initial iterate") as err:
+        solve(y, 1e160 * phi0, w0, TINY)
     assert err.value.report is not None
     assert err.value.report.iterations == 0
+    assert solves == []
 
 
 def test_loop_does_not_rescan_y(monkeypatch):
-    """``y`` is checked once per solve, in any step, by one min and one
-    max pass.
+    """A solve reads each element of ``y`` in one scan before it
+    iterates, and checks it nowhere else.
 
-    Counts every ``as_matrix`` call, the one home of the finite-entry and
-    sign checks, on an array of ``y``'s shape, through both modules that
-    call it: ``solve``'s own check, default resolution and the
-    ``Objective`` constructor; no other array in the solve has that shape.
-    Also counts every min and max reduction over such an array, which
-    ``ndarray.min`` and ``ndarray.max`` forward to numpy's ``_methods``
-    module: a third pass over ``y`` fails.
+    The scan's pixel blocks are shrunk to 3 pixels, so a 6 x 7 ``y``
+    takes blocks of 3, 3 and 1 pixels.
+    Every min and max reduction and every column dot over memory of ``y``
+    is recorded by the columns it covers: each kind covers each column
+    once, whatever the iteration count.  ``ndarray.min`` and ``.max``
+    forward to numpy's ``_methods`` module.  ``as_matrix``, the other home
+    of the input rules, never sees an array of ``y``'s shape.
     """
     try:
         from numpy._core import _methods
     except ImportError:  # numpy < 2
         from numpy.core import _methods
-    phi_t, w_t = tiny_truth(0)
-    y = phi_t @ w_t.T
-    phi0, w0 = init_uniform(6, 8, 4, 0)
+    y = np.random.default_rng(3).uniform(0.0, 1.0, (6, 7))
+    phi0, w0 = init_uniform(6, 7, 4, 0)
+    monkeypatch.setattr(slrnmf.model, "_RESIDUAL_BLOCK_BYTES", 8 * 6 * 3)
     as_matrix = slrnmf.model.as_matrix
-    y_scans, y_reductions = [], []
+    y_checks, spans = [], {}
+
+    def columns(a):
+        offset = a.__array_interface__["data"][0] - y.__array_interface__["data"][0]
+        return offset // y.itemsize, offset // y.itemsize + a.shape[1]
 
     def counting_as_matrix(a, *args, **kwargs):
         if np.shape(a) == y.shape:
-            y_scans[-1] += 1
+            y_checks.append(1)
         return as_matrix(a, *args, **kwargs)
+
+    def recording(kind, original):
+        def record(a, *args, **kwargs):
+            if np.shares_memory(a, y):
+                spans.setdefault(kind, []).append(columns(a))
+            return original(a, *args, **kwargs)
+        return record
 
     for module in (slrnmf.model, slrnmf.solver):
         monkeypatch.setattr(module, "as_matrix", counting_as_matrix)
     for name in ("umr_minimum", "umr_maximum"):
-        def counting_reduce(a, *args, _reduce=getattr(_methods, name), **kwargs):
-            if np.shape(a) == y.shape:
-                y_reductions[-1] += 1
-            return _reduce(a, *args, **kwargs)
-
-        monkeypatch.setattr(_methods, name, counting_reduce)
+        monkeypatch.setattr(_methods, name, recording(name, getattr(_methods, name)))
+    monkeypatch.setattr(slrnmf.model, "_column_dots",
+                        recording("_column_dots", slrnmf.model._column_dots))
     for max_iter in (1, 5):
-        y_scans.append(0)
-        y_reductions.append(0)
+        spans.clear()
         config = SolverConfig(r=4, delta=0.1, lambda1=0.005,
                               max_iter=max_iter, tol_rel_cost=0.0)
         _, _, report = solve(y, phi0, w0, config)
         assert report.iterations == max_iter
-    assert y_scans == [1, 1]
-    assert y_reductions == [2, 2]
+        assert spans == {kind: [(0, 3), (3, 6), (6, 7)] for kind in
+                         ("umr_minimum", "umr_maximum", "_column_dots")}
+    assert y_checks == []
 
 
 def test_block_step_failure_raises_diverged_with_partial_report():
@@ -332,22 +341,42 @@ def test_stall_is_not_convergence(seed, iterations):
 
 
 def test_full_cost_is_evaluated_once_per_solve(monkeypatch):
+    """The full cost is priced once per solve, at the initial iterate, in
+    Gram form: ``Objective.total`` is never called.  Each iteration forms
+    one C = Y^T Phi, and the first, formed before any line search, is the
+    C that priced the initial cost and that the first abundance step
+    takes."""
     phi_t, w_t = tiny_truth(0)
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
-    total = Objective.total
-    calls = []
+    events, formed, priced, taken = [], [], [], []
 
-    def counting_total(self, phi, w):
-        calls.append(1)
-        return total(self, phi, w)
+    def wrap(owner, name, log=None, arg=None):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(Objective, "total", counting_total)
+        def wrapped(*args):
+            events.append(name)
+            result = original(*args)
+            if log is not None:
+                log.append(result if arg is None else args[arg])
+            return result
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    wrap(Objective, "total")
+    wrap(Objective, "total_gram", priced, 3)
+    wrap(slrnmf.solver, "abundance_cross", formed)
+    wrap(slrnmf.solver, "update_abundances", taken, 3)
+    wrap(slrnmf.solver, "line_search")
     config = SolverConfig(r=4, delta=0.1, lambda1=0.005, eta=0.05,
                           max_iter=20, tol_rel_cost=0.0)
     _, _, report = solve(y, phi0, w0, config)
     assert report.iterations == 20
-    assert len(calls) == 1
+    iteration = ["update_abundances", "line_search", "line_search"]
+    assert events == (["abundance_cross", "total_gram"] + iteration
+                      + (["abundance_cross"] + iteration) * 19)
+    assert priced[0] is formed[0]
+    assert all(a is b for a, b in zip(formed, taken))
 
 
 def test_line_search_prices_the_gram_of_the_block_step(monkeypatch):
@@ -384,7 +413,7 @@ def test_line_search_allocates_no_residual():
     d = oracles.penalty_diag(phi, w, config.delta, config.eta)
     energies = oracles.column_energies(phi, w)
     baseline = obj.total(phi, w)
-    steps = {"w": update_abundances(obj, phi, d),
+    steps = {"w": update_abundances(obj, phi, d, abundance_cross(y, phi)),
              "phi": update_endmembers(obj, w, d)}
     for which, step in steps.items():
         tracemalloc.start()
@@ -421,10 +450,11 @@ def test_carried_energies_never_drift(kind):
 
 @pytest.mark.parametrize("kind", ["uniform", "vca", "dead-column"])
 def test_column_energies_are_formed_once_per_block_update(monkeypatch, kind):
-    """Entry forms each block's column dots once, and the initial cost one
-    ``_column_energy``; an iteration forms none, and takes the three
-    column dots of each line search's pricing plus one per search that
-    accepts a fractional step weight, for the blend."""
+    """Entry forms each block's column dots once, and the scan of ``y``
+    one per pixel block (each scene is one block); nothing forms a
+    ``_column_energy``.  An iteration takes the three column dots of
+    each line search's pricing plus one per search that accepts a
+    fractional step weight, for the blend."""
     y, phi0, w0, config = protocol_scene(kind, 0)
     config = with_defaults(config, y)
     counts = {"_column_dots": 0, "_column_energy": 0}
@@ -439,7 +469,7 @@ def test_column_energies_are_formed_once_per_block_update(monkeypatch, kind):
     seen = []
     solve(y, phi0, w0, config,
           callback=lambda state: seen.append((state, dict(counts))))
-    before = {"_column_dots": 2, "_column_energy": 1}
+    before = {"_column_dots": 2 + 1, "_column_energy": 0}
     fractional = 0
     for state, after in seen:
         blends = (0.0 < state.beta_w < 1.0) + (0.0 < state.beta_phi < 1.0)
@@ -501,6 +531,32 @@ def test_callback_state_keeps_width_r_after_drops():
     assert np.array_equal(last.phi_hat[:, kept], phi)
 
 
+def test_callback_states_pad_only_when_read(monkeypatch):
+    """After a column drop, a callback that reads only the scalars of its
+    states makes no r-wide array; one that reads an array pads it on the
+    first read only."""
+    y, phi0, w0, config = protocol_scene("uniform", 0)
+    padded = []
+    full = np.full
+
+    def counting_full(shape, *args, **kwargs):
+        padded.append(shape)
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", counting_full)
+    costs = []
+    _, _, report = solve(y, phi0, w0, config,
+                         callback=lambda s: costs.append((s.k, s.last_cost)))
+    assert report.final_effective_rank < config.r  # the scene drops columns
+    assert len(costs) == report.iterations and padded == []
+    states = []
+    solve(y, phi0, w0, config, callback=states.append)
+    last = states[-1]
+    for name in ("phi_hat", "w_hat", "d_hat", "phi_hat", "w_hat", "d_hat"):
+        assert getattr(last, name).shape[-1] == config.r
+    assert padded == [(224, config.r), (500, config.r), (config.r,)]
+
+
 def test_zero_init_column_is_dropped_before_iterating():
     phi_t, w_t = tiny_truth(0)
     y = phi_t @ w_t.T
@@ -538,30 +594,26 @@ def test_all_zero_observations_never_factor_an_empty_system(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "vca", "multi-block"])
-def test_blocked_total_matches_direct_total_in_solves(monkeypatch, kind):
-    """Costing the residual in pixel blocks changes no decision of a solve.
-
-    A scene of one block costs bitwise the same; past one block only the
-    costs move, in the last digits.
-    """
+def test_blocked_total_matches_direct_total_in_solves(kind):
+    """The initial cost a solve reports, priced in Gram form, agrees with
+    both the blocked ``Objective.total`` and the direct total at the
+    initial iterate, within the bound of ``Objective.total_gram``.  The
+    two totals agree bitwise on a scene of one block, and in the last
+    digits past one."""
     y, phi0, w0, config = protocol_scene(kind, 0)
     multi = y.shape[1] > _pixel_block(y.shape[0])
     assert multi == (kind == "multi-block")
-    phi_a, w_a, rep_a = solve(y, phi0, w0, config)
-    monkeypatch.setattr(Objective, "total", oracles.direct_total)
-    phi_b, w_b, rep_b = solve(y, phi0, w0, config)
-    assert rep_a.iterations == rep_b.iterations
-    for name in ("beta_w_trace", "beta_phi_trace", "effective_rank_trace",
-                 "surviving_columns"):
-        assert np.array_equal(getattr(rep_a, name), getattr(rep_b, name)), name
-    assert np.array_equal(phi_a, phi_b)
-    assert np.array_equal(w_a, w_b)
-    costs_a = np.append(rep_a.cost_trace, rep_a.initial_cost)
-    costs_b = np.append(rep_b.cost_trace, rep_b.initial_cost)
+    config = with_defaults(config, y)
+    _, _, report = solve(y, phi0, w0, replace(config, max_iter=0))
+    obj = Objective(y, config.delta, config.lambda1, config.eta)
+    blocked, direct = obj.total(phi0, w0), oracles.direct_total(obj, phi0, w0)
     if multi:
-        assert np.allclose(costs_a, costs_b, rtol=1e-12, atol=0.0)
+        assert blocked == pytest.approx(direct, rel=1e-12, abs=0.0)
     else:
-        assert np.array_equal(costs_a, costs_b)
+        assert blocked == direct
+    bound = oracles.gram_total_bound(obj, phi0, w0)
+    assert abs(report.initial_cost - blocked) <= bound
+    assert abs(report.initial_cost - direct) <= bound
 
 
 @pytest.mark.parametrize("kind", ["uniform", "vca", "multi-block"])

@@ -8,6 +8,7 @@ from slrnmf.model import Objective, _column_dots
 from slrnmf.solver import (
     _spd_solve,
     SolverConfig,
+    abundance_cross,
     default_eta,
     line_search,
     prune_and_report_rank,
@@ -54,9 +55,12 @@ def test_update_abundances_solves_the_newton_system():
     phi = rng.uniform(0, 1, size=(8, 3))
     d = rng.uniform(0.1, 1.0, size=3)
     lam = 0.02
-    out, gram, cross = update_abundances(Objective(y, 1.0, lam, 1.0), phi, d)
-    assert np.array_equal(gram, phi.T @ phi)
+    cross = abundance_cross(y, phi)
     assert np.allclose(cross, y.T @ phi, rtol=1e-14)
+    out, gram, returned = update_abundances(Objective(y, 1.0, lam, 1.0), phi, d,
+                                            cross)
+    assert np.array_equal(gram, phi.T @ phi)
+    assert returned is cross
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     expected = np.maximum(np.sign(target) * np.maximum(np.abs(target) - lam, 0.0), 0.0)
     assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
@@ -68,7 +72,8 @@ def test_update_abundances_zero_l1_is_projected_ridge():
     y = rng.uniform(0, 1, size=(6, 9))
     phi = rng.uniform(0, 1, size=(6, 2))
     d = np.array([0.3, 0.7])
-    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, d)[0]
+    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, d,
+                            abundance_cross(y, phi))[0]
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10)
 
@@ -77,7 +82,8 @@ def test_update_abundances_reports_bad_pivot():
     y = np.ones((4, 5))
     phi = np.ones((4, 2))  # duplicate columns, singular normal matrix
     with pytest.raises(np.linalg.LinAlgError) as err:
-        update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros(2))
+        update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros(2),
+                          abundance_cross(y, phi))
     assert "abundance update" in str(err.value)
     assert "smallest eigenvalue" in str(err.value)
 
@@ -107,7 +113,7 @@ def _search_setup(seed=12):
 def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
     d = oracles.penalty_diag(phi, w, 0.2, 0.1)
-    step = update_abundances(obj, phi, d)
+    step = update_abundances(obj, phi, d, abundance_cross(y, phi))
     cand = step[0]
     accepted, beta, cost, energy = line_search(
         obj, phi, w, step, "w", config, obj.total(phi, w),
@@ -167,7 +173,7 @@ def test_line_search_blends_at_a_backed_off_weight():
     prices nonnegative candidates only."""
     y, phi, w, obj, config = _search_setup()
     d = oracles.penalty_diag(phi, w, 0.2, 0.1)
-    cand, gram, cross = update_abundances(obj, phi, d)
+    cand, gram, cross = update_abundances(obj, phi, d, abundance_cross(y, phi))
     overshoot = np.maximum(w + 5.0 * (cand - w), 0.0)
     accepted, beta, cost, energy = line_search(
         obj, phi, w, (overshoot, gram, cross), "w", config, obj.total(phi, w),
