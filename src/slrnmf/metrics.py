@@ -192,8 +192,11 @@ def abundance_rmse(estimated, reference, permutation):
     ref = reference[:, permutation[:, 1]]
     energy = (est * est).sum(axis=0)
     scales = np.where(energy > 0.0, (est * ref).sum(axis=0) / np.where(energy > 0.0, energy, 1.0), 0.0)
-    diff = est * scales - ref
-    return float(np.sqrt((diff * diff).mean())), scales
+    # ``est`` is a copy (fancy indexing): the matched difference est *
+    # scales - ref is formed in its buffer, bitwise.
+    est *= scales
+    est -= ref
+    return float(np.sqrt((est * est).mean())), scales
 
 
 def evaluate_unmixing(phi_est, phi_ref, w_est=None, w_ref=None):

@@ -20,16 +20,18 @@ endmembers.  All arithmetic is float64.
 
 Each input rule of the package lives here once: :func:`as_matrix` for
 matrices (finite, and nonnegative where asked), which the solver's scan
-of ``y`` applies in the same blocked pass that forms its pixel norms,
-:func:`as_integer` for sizes and counts, :func:`as_weight` for delta,
-lambda1 and eta, :func:`check_interval` for the other real-valued solver
-settings, and :func:`check_dims` for the shapes of y, phi and w.
+of ``y`` applies in the same blocked pass that forms its pixel norms and
+its first product with the endmembers, :func:`as_integer` for sizes and
+counts, :func:`as_weight` for delta, lambda1 and eta,
+:func:`check_interval` for the other real-valued solver settings, and
+:func:`check_dims` for the shapes of y, phi and w.
 
 Nothing here allocates an array of the size of ``y``.  The direct cost
 (:meth:`Objective.total`) forms its residual one block of pixels at a
 time (at most 8 MiB), and the scan of ``y`` reads it in the same blocks.
 The Gram-form cost (:meth:`Objective.total_gram`) and the line-search
-pricing work from r-sized Gram terms.
+pricing (:meth:`Objective.change_along`) work from r-sized terms, which
+:class:`SearchTerms` sums over the blocks of a step.
 """
 
 import numpy as np
@@ -166,33 +168,54 @@ def _column_dots(a, b):
     return np.einsum("ij,ij->j", a, b)
 
 
-def _scan_observations(y):
-    """(Y, pixel norms): ``as_matrix(y, "y", nonneg=True)`` and the squared
-    pixel norms ||y_j||^2, from one pass over y.
+def _cross_block(phi, block, out=None):
+    """The rows of C = Y^T Phi of one pixel block, as (Phi^T Y_b)^T so that
+    their transpose is C-ordered; into ``out`` (r-by-B) when given.
 
-    The pass takes y in the pixel blocks of :meth:`Objective.total` and
-    reads each block's min, max and column dots while it is in cache;
-    the rules and messages are :func:`as_matrix`'s.  The norms are
-    bitwise ``_column_dots(y, y)``, also for a one-pixel last block: a
-    block is a view into y, and a one-column view of a wider y is either
-    strided, which ``einsum`` sums in row order as it does the whole, or
-    (y Fortran-ordered) contiguous, as every column of the whole is.
+    On a scene of one block this is the whole product.  Past one, each
+    entry is still the dot of one band vector with one pixel, but the
+    BLAS may order its L products differently by block (measured at
+    K = 2 x 4,681, r = 4: last-bit differences).
+    """
+    return np.matmul(phi.T, block, out=out).T
+
+
+def _scan_observations(y, phi):
+    """(Y, pixel norms, ||Y||^2, C) from one pass over y.
+
+    Y is ``as_matrix(y, "y", nonneg=True)``, the norms are ||y_j||^2 and C
+    = Y^T Phi (K-by-r, the transpose of a C-ordered array).  The pass takes
+    y in the pixel blocks of :meth:`Objective.total` and reads each block's
+    min, column dots and rows of C while it is in cache.  A NaN or -inf
+    entry reaches the minimum and a +inf one the norms' sum, so y's
+    maximum is taken only when that sum is not finite, to tell a +inf
+    entry from squares that overflow: a finite y passes, however large.
+    The rules, messages and their precedence are :func:`as_matrix`'s.  The
+    norms are bitwise ``_column_dots(y, y)``, also for a one-pixel last
+    block: a block is a view into y, and a one-column view of a wider y
+    is either strided, which ``einsum`` sums in row order as it does the
+    whole, or (y Fortran-ordered) contiguous, as every column of the
+    whole is.
     """
     y = _real_matrix(y, "y")
     l, k = y.shape
     norms = np.zeros(k)
-    low = high = 0.0
+    cross = np.zeros((phi.shape[1], k))
+    low = 0.0
     if y.size:
-        low, high = np.inf, -np.inf
+        low = np.inf
         step = _pixel_block(l)
         for j in range(0, k, step):
             block = y[:, j:j + step]
-            # np.minimum and np.maximum carry a NaN through.
+            # np.minimum carries a NaN through.
             low = np.minimum(low, block.min())
-            high = np.maximum(high, block.max())
             norms[j:j + step] = _column_dots(block, block)
+            _cross_block(phi, block, cross[:, j:j + step])
+    y_squared = float(norms.sum())
+    # A finite sum of squares rules out a +inf entry.
+    high = 0.0 if np.isfinite(y_squared) else y.max()
     _check_extremes("y", low, high, True)
-    return y, norms
+    return y, norms, y_squared, cross.T
 
 
 def _squared_residual(y, phi, w):
@@ -229,6 +252,52 @@ def _fit_gradient(x, gram, cross):
     P = W^T W and C = Y W for X = Phi.
     """
     return x @ gram - cross
+
+
+class SearchTerms:
+    """The r-sized reductions of one block step S = Z - X that price its
+    line search, summed over blocks of rows.
+
+    A block step makes one for its candidate Z: ``gram`` is P = F^T F, the
+    Gram of the fixed block F, and ``shift`` the step's soft threshold
+    (lambda1 for W, 0 for Phi), which weighs sum(S) in the slope.  Each
+    :meth:`add` takes one block of rows of X, of Z and of C, the product
+    of Y with F oriented like X, while they are in cache, and adds
+
+    * ``slope``, the fit gradient along the step, <X P - C, S>;
+    * ``step_sum``, sum(S);
+    * ``step_gram``, S^T S;
+    * ``xs``, the column dots <x_i, s_i>;
+    * ``zz``, the column dots ||z_i||^2: the block's energies at beta = 1.
+
+    Precision: on a step of one block of rows each term is the one formed
+    over the whole block, bitwise.  Past one, a term is the sum of per-block
+    sums: a block of B rows sums its B r products (B for a column dot) and
+    the n / B block sums are added in turn, so the summation rounds at
+    gamma_{B r + n/B} of the terms' magnitudes, as :meth:`Objective.total`'s
+    fit does, against gamma_{n r} for one sum over all n rows: blocking
+    never loosens the bound.  The products X P - C and S^T S round as in
+    the one-block form.
+    """
+
+    def __init__(self, gram, shift):
+        r = gram.shape[0]
+        self.gram = gram
+        self.shift = shift
+        self.slope = 0.0
+        self.step_sum = 0.0
+        self.step_gram = np.zeros((r, r))
+        self.xs = np.zeros(r)
+        self.zz = np.zeros(r)
+
+    def add(self, x, candidate, cross):
+        """Add the terms of one block of rows of X, Z = ``candidate`` and C."""
+        step = candidate - x
+        self.slope += float(np.vdot(_fit_gradient(x, self.gram, cross), step))
+        self.step_sum += float(step.sum())
+        self.step_gram += step.T @ step
+        self.xs += _column_dots(x, step)
+        self.zz += _column_dots(candidate, candidate)
 
 
 class Objective:
@@ -321,38 +390,40 @@ class Objective:
         cost = fit + self.delta * penalty + self.lambda1 * float(w.sum())
         return cost if np.isfinite(cost) else np.inf
 
-    def change_along(self, phi, w, candidate, which, gram, cross, energies):
+    def change_along(self, terms, x, candidate, x_energy, fixed_energy):
         """Cost change f(beta) = total(X + beta*S) - total(X) along one block.
 
-        X is the block named by ``which`` (``"w"`` or ``"phi"``), S =
-        ``candidate`` - X, and the other block F stays fixed.  ``gram`` is
-        P = F^T F and ``cross`` the product of Y with F, oriented like X
-        (Y^T Phi for ``w``, Y W for ``phi``), both as the block's Newton
-        step formed them; ``energies`` holds the column dots
-        (||phi_i||^2, ||w_i||^2) at (phi, w), as :func:`slrnmf.solver.solve`
-        carries them.  X and ``candidate`` must be nonnegative.  Setting
-        up reads X and the candidate only, never F, and costs O(n r^2), n
-        the rows of X; the returned function of beta in (0, 1] costs O(r)
-        per call and allocates nothing of size L-by-K::
+        X is the searched block, S = ``candidate`` - X, and ``terms`` the
+        :class:`SearchTerms` of that step; the other block F stays fixed.
+        ``x_energy`` and ``fixed_energy`` hold the column dots ||x_i||^2
+        and ||f_i||^2, as :func:`slrnmf.solver.solve` carries them.  X and
+        ``candidate`` must be nonnegative.  Setting up costs O(r^2) and
+        reads neither block; the returned function of beta in (0, 1]
+        costs O(r) per call and allocates nothing of size L-by-K::
 
-            f(beta) = beta <G, S> + beta^2 / 2 <S P, S>   (= <P, S^T S>)
-                      + lambda1 beta sum(S)                  (w block only)
+            f(beta) = beta (<G, S> + shift sum(S))
+                      + beta^2 / 2 <S P, S>                  (= <P, S^T S>)
                       + delta sum_i n_i / (sqrt(e_i + n_i) + sqrt(e_i))
 
-        with P = F^T F, G = X P - C the fit gradient, e_i = ||phi_i||^2 +
-        ||w_i||^2 + eta^2 at X, and n_i = beta a_i + beta^2 b_i, a_i =
-        2 <x_i, s_i>, b_i = ||s_i||^2.  The L1 term is exact because both
-        endpoints are nonnegative.  e_i + n_i, the energy at the trial,
-        is summed as ||f_i||^2 + eta^2 + (1 - beta)^2 ||x_i||^2
-        + 2 beta (1 - beta) <x_i, c_i> + beta^2 ||c_i||^2, all terms
+        with P = F^T F, G = X P - C the fit gradient, shift = lambda1 for
+        W and 0 for Phi, e_i = ||f_i||^2 + ||x_i||^2 + eta^2 at X, and n_i
+        = beta a_i + beta^2 b_i, a_i = 2 <x_i, s_i>, b_i = ||s_i||^2.  The
+        L1 term is exact because both endpoints are nonnegative.  e_i +
+        n_i, the energy at the trial, is summed as ||f_i||^2 + eta^2
+        + (1 - beta)^2 ||x_i||^2 + 2 beta (1 - beta) <x_i, z_i>
+        + beta^2 ||z_i||^2, z_i the candidate's columns, all terms
         nonnegative, so it keeps full relative precision even when a
-        column collapses to zero.
+        column collapses to zero.  At beta = 1 the middle terms are +0.0
+        for finite energies, so it is ||f_i||^2 + eta^2 + ||z_i||^2
+        exactly; the dots <x_i, z_i>, one pass over X and the candidate,
+        are formed only when a fractional beta is first priced.
 
         Precision: each term of f multiplies the step S by quantities at
         X, so f rounds at about n eps times the magnitude of its own terms
         (n = L + r for ``w``, K + r for ``phi``: the inner dimensions of
         the products behind C and G), which shrinks with the step and does
-        not grow with the cost.  The direct difference of two ``total``
+        not grow with the cost; :class:`SearchTerms` states what summing
+        them over row blocks adds.  The direct difference of two ``total``
         calls rounds at the scale of the costs: about eps (|total| +
         (r + 1) ||R|| (||Y|| + ||Phi W^T||)) per call, R = Y - Phi W^T.
         The expanded fit ||Y||^2 - 2 tr(Phi^T Y W) + tr(Phi^T Phi W^T W)
@@ -361,30 +432,28 @@ class Objective:
         tests bound |f - direct difference| by the sum of the first two
         scales.  A cost reported as baseline + f(beta) adds one rounding
         at eps |cost| per accepted step.
-
-        Returns (f, S, cc): the function, the step and the candidate's
-        column dots ||c_i||^2, the searched block's energies at beta = 1.
         """
-        e_phi, e_w = energies
-        x, xx, fixed_energy = (w, e_w, e_phi) if which == "w" else (phi, e_phi, e_w)
-        step = candidate - x
-        slope = float(np.vdot(_fit_gradient(x, gram, cross), step))
-        if which == "w":
-            slope += self.lambda1 * float(step.sum())
-        step_gram = step.T @ step
-        curvature = 0.5 * float(np.vdot(step_gram, gram))
+        slope = terms.slope + terms.shift * terms.step_sum
+        curvature = 0.5 * float(np.vdot(terms.step_gram, terms.gram))
         rest = fixed_energy + self.eta * self.eta
-        xc = _column_dots(x, candidate)
-        cc = _column_dots(candidate, candidate)
-        root = np.sqrt(rest + xx)
-        a = 2.0 * _column_dots(x, step)
-        b = np.diagonal(step_gram)
+        root = np.sqrt(rest + x_energy)
+        a = 2.0 * terms.xs
+        b = np.diagonal(terms.step_gram)
+        zz = terms.zz
         delta = self.delta
+        xz = None
 
         def change(beta):
-            keep = 1.0 - beta
-            trial = rest + keep * keep * xx + 2.0 * beta * keep * xc + beta * beta * cc
-            group = np.sum((beta * a + beta * beta * b) / (np.sqrt(trial) + root))
+            nonlocal xz
+            if beta == 1.0:
+                trial = rest + zz
+            else:
+                if xz is None:
+                    xz = _column_dots(x, candidate)
+                keep = 1.0 - beta
+                trial = (rest + keep * keep * x_energy
+                         + 2.0 * beta * keep * xz + beta * beta * zz)
+            group = ((beta * a + beta * beta * b) / (np.sqrt(trial) + root)).sum()
             return beta * slope + beta * beta * curvature + delta * float(group)
 
-        return change, step, cc
+        return change

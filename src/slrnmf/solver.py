@@ -3,24 +3,30 @@
 One outer iteration does:
 
 1. abundance block: one ridge-regularized Newton step, soft-thresholded
-   and projected onto the nonnegative orthant, which forms the block's
-   Gram P = Phi^T Phi and cross product C = Y^T Phi once,
-2. a backtracked extrapolation toward that target, priced from the same
-   P and C, until the total cost stops increasing,
+   and projected onto the nonnegative orthant, taken one pixel block of Y
+   at a time from the block's Gram P = Phi^T Phi and the rows of the
+   cross product C = Y^T Phi,
+2. a backtracked extrapolation toward that target, priced from r-sized
+   terms the step summed while each block was in cache, until the total
+   cost stops increasing,
 3. endmember block: the same step without the soft-threshold, from
-   P = W^T W and C = Y W, and the same backtracking,
+   P = W^T W and C = Y W, as one block of L rows, and the same
+   backtracking,
 4. pruning: column pairs that are exactly zero are dropped, and those
    whose joint energy exceeds a relative tolerance are counted,
 5. refresh of the penalty diagonal from the working columns.
 
-No step forms a residual: each block step hands its P and C to the
-line search, which prices every trial from r-sized Gram terms
-(:meth:`Objective.change_along`).  The full cost is evaluated once per
-solve, at the initial iterate, in Gram form (:meth:`Objective.total_gram`)
-from the C = Y^T Phi that the first abundance step then takes; every
-reported cost after it is the previous one plus the accepted changes.
-Before it iterates, a solve reads Y once: one blocked scan checks it and
-forms the squared pixel norms, which give the default eta and ||Y||^2.
+There is one block path.  A step forms M = (P + D)^-1 once, and for each
+block of rows writes the candidate's rows max(C_b M - shift, 0) and adds
+their search terms (:class:`SearchTerms`): the slope, sum and Gram of the
+step and two column dots.  No step forms a residual, and the line search
+prices every trial from those terms (:meth:`Objective.change_along`).
+The full cost is evaluated once per solve, at the initial iterate, in
+Gram form (:meth:`Objective.total_gram`); every reported cost after it is
+the previous one plus the accepted changes.  Before it iterates, a solve
+reads Y once: one blocked scan checks it and forms the squared pixel
+norms, which give the default eta and ||Y||^2, and C = Y^T Phi, which
+prices the initial cost and serves the first abundance step.
 
 The column energies ||phi_i||^2 and ||w_i||^2, shared by the group
 penalty, its reweighting and the pruning, are formed once per block
@@ -49,14 +55,20 @@ steps and line searches work on the other columns alone.  A pair below
 move the iterate.  Reported costs are those of the width-r factorization:
 the working cost plus delta * eta per dropped column.
 
-Memory: besides Y, a solve holds O((L + K) r) floats, about six K-by-r
-arrays, and at entry the K squared pixel norms of its scan.  It
-allocates no L-by-K temporary and no residual block; the first abundance
-step's C, formed at entry, is freed with that step.  Pruning and reweighting work
-from the r carried energies and allocate no K-by-r temporary, and a
-callback's state pads its arrays to r columns only when they are read.
+Memory: besides Y and the initial factors, a solve holds two K-by-r
+arrays: the abundances and their step's candidate, into whose buffer a
+fractional step weight blends.  In the first abundance step the scan's
+C = Y^T Phi is the other one, and the abundances are still the caller's.
+Later steps form C, and every step its step and gradient, one pixel
+block at a time.  A solve allocates no L-by-K temporary and no residual
+block; at entry it also holds the K squared pixel norms of its scan.
+Pruning and reweighting work from the r carried energies and allocate no
+K-by-r temporary, and a callback's state pads its arrays to r columns
+only when they are read.  The inputs are never written, and the
+returned factors share no memory with them.
 """
 
+import math
 import time
 from dataclasses import MISSING, dataclass, field, replace
 from functools import cached_property
@@ -65,7 +77,11 @@ import numpy as np
 
 from .model import (
     Objective,
+    SearchTerms,
     _column_dots,
+    _cross_block,
+    _pixel_block,
+    _real_matrix,
     _scan_observations,
     as_integer,
     as_matrix,
@@ -237,19 +253,19 @@ def update_penalty_diag(energy, delta, eta):
     return delta / np.sqrt(energy + eta * eta)
 
 
-def _spd_solve(a, b, context):
-    """Solve the SPD system a @ x = b through the inverse of its Cholesky factor.
+def _spd_inverse(a, context):
+    """The inverse of the SPD matrix ``a``, through the inverse of its Cholesky factor.
 
-    Factors a = C C^T, inverts the r-by-r triangle C and applies
-    a^-1 = C^-T C^-1 to every column of ``b`` in one GEMM.  The r-cubed
-    work is independent of the width of ``b``, and one GEMM does less
-    than LAPACK's two triangular solves (``dpotrs``) with a copy of ``b``.
-    The product is taken in the transposed orientation, so the solution
-    comes back in Fortran order like ``dpotrs``' and the block steps'
-    transposes are C-ordered.  A factorization failure raises
-    ``LinAlgError`` naming the smallest eigenvalue of ``a`` relative to
-    the largest in magnitude: a ratio at the unit roundoff (about 1e-16),
-    of either sign, means ``a`` is numerically singular.
+    Factors a = C C^T, inverts the r-by-r triangle C and returns a^-1 =
+    C^-T C^-1, a SYRK, so exactly symmetric.  A block step applies it to
+    each block of rows b^T of its product with Y, x^T = b^T a^-1: the
+    r-cubed work is done once per step, independent of the number of
+    rows, and one GEMM per block does less than LAPACK's two triangular
+    solves (``dpotrs``) with a copy of the right-hand side.  A
+    factorization failure raises ``LinAlgError`` naming the smallest
+    eigenvalue of ``a`` relative to the largest in magnitude: a ratio at
+    the unit roundoff (about 1e-16), of either sign, means ``a`` is
+    numerically singular.
 
     Precision (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2nd ed., ch. 10 and 14; u the unit roundoff, kappa = kappa_2(a)).
@@ -281,66 +297,73 @@ def _spd_solve(a, b, context):
             "%s: normal matrix is not positive definite (smallest eigenvalue "
             "%.6e relative to the largest)"
             % (context, eig[0] / scale if scale else 0.0)) from None
-    # ``inv_factor.T @ inv_factor`` is a SYRK, so the inverse is exactly
-    # symmetric and b^T a^-1 is the transpose of a^-1 b.
-    return (b.T @ (inv_factor.T @ inv_factor)).T
+    return inv_factor.T @ inv_factor
 
 
-def _newton_step(fixed, d, cross, shift, context):
-    """One block's projected Newton step: (target, P, C).
-
-    P = F^T F is the Gram of F = ``fixed``, the other block, and C =
-    ``cross`` the product of Y with F, n-by-r like the block.  The target
-    max(X - shift, 0), n-by-r, takes X^T from (P + D) X^T = C^T, D =
-    diag(``d``); P is returned without D, for :func:`line_search`.  The
-    solve goes through :func:`_spd_solve`, whose docstring bounds its
-    difference from a backward stable Cholesky solve; the shift and the
-    projection run in place on its solution.
-    """
+def _block_step(fixed, d, shift, context):
+    """The inverse M = (P + D)^-1 of a block's normal matrix, P = F^T F the
+    Gram of F = ``fixed``, D = diag(``d``), and the step's empty
+    :class:`SearchTerms`, which carry P and the soft threshold ``shift``."""
     gram = fixed.T @ fixed
     a = gram.copy()
     a.flat[::a.shape[0] + 1] += d
-    x = _spd_solve(a, cross.T, context).T
-    x -= shift
-    return np.maximum(x, 0.0, out=x), gram, cross
+    return _spd_inverse(a, context), SearchTerms(gram, shift)
 
 
-def abundance_cross(y, phi):
-    """C = Y^T Phi, K-by-r, the abundance step's product with Y.
+def _candidate_rows(inverse, terms, cross, x, out):
+    """One block of rows of a Newton step: writes the candidate's rows
+    max(C_b M - shift, 0) into ``out`` and adds their search terms.
 
-    Formed as (Phi^T Y)^T, so that C^T, which the step's solve takes, is
-    C-ordered.
+    C_b = ``cross`` holds the rows of the product of Y with the fixed
+    block and ``x`` those of the searched block.  The shift and the
+    projection run in place on ``out``, a C-ordered row block.
     """
-    return (phi.T @ y).T
+    z = np.matmul(cross, inverse, out=out)
+    z -= terms.shift
+    np.maximum(z, 0.0, out=z)
+    terms.add(x, z, cross)
 
 
-def update_abundances(objective, phi_hat, d_hat, cross):
+def update_abundances(objective, phi_hat, w_hat, d_hat, cross):
     """One inexact proximal Newton step for the abundance block.
 
     Solves (Phi^T Phi + D) X = Phi^T Y, Y = ``objective.y``, for the r-by-K
     Newton target, transposes to K-by-r, soft-thresholds at
     ``objective.lambda1`` and projects onto the nonnegative orthant, which
     together are max(x - lambda1, 0).  Expects ``phi_hat`` float64 (L, r),
-    ``d_hat`` float64 (r,) and ``cross`` = :func:`abundance_cross` at
-    ``phi_hat``, as :func:`solve` hands them.  Returns the candidate,
-    P = Phi^T Phi and C, the step that :func:`line_search` takes.  The
-    step holds two K-by-r arrays: the cross product and the solution.
+    ``w_hat`` float64 (K, r) and ``d_hat`` float64 (r,), as :func:`solve`
+    hands them.  ``cross`` is C = Y^T Phi when already formed (the scan's,
+    at the first step), else None, and each pixel block's rows of C are
+    formed from Y.  Returns the candidate and its :class:`SearchTerms`,
+    the step that :func:`line_search` takes.  The candidate, C-ordered,
+    is the one K-by-r array the step allocates: C, the step and the
+    gradient exist one pixel block at a time.
     """
-    return _newton_step(phi_hat, d_hat, cross, objective.lambda1,
-                        "abundance update")
+    inverse, terms = _block_step(phi_hat, d_hat, objective.lambda1,
+                                 "abundance update")
+    y = objective.y
+    candidate = np.empty(w_hat.shape)
+    step = _pixel_block(y.shape[0])
+    for j in range(0, y.shape[1], step):
+        rows = slice(j, j + step)
+        block = _cross_block(phi_hat, y[:, rows]) if cross is None else cross[rows]
+        _candidate_rows(inverse, terms, block, w_hat[rows], candidate[rows])
+    return candidate, terms
 
 
-def update_endmembers(objective, w_hat, d_hat):
+def update_endmembers(objective, phi_hat, w_hat, d_hat):
     """One Newton step for the endmember block, projected onto the orthant.
 
     Solves (W^T W + D) X = W^T Y^T, Y = ``objective.y``, and transposes
-    back to L-by-r.  Expects ``w_hat`` float64 (K, r) and ``d_hat``
-    float64 (r,), as :func:`solve` hands them.  Returns the candidate,
-    P = W^T W and C = Y W (L-by-r), the step that :func:`line_search`
-    takes.
+    back to L-by-r, from C = Y W as one block of L rows.  Expects
+    ``phi_hat`` float64 (L, r), ``w_hat`` float64 (K, r) and ``d_hat``
+    float64 (r,), as :func:`solve` hands them.  Returns the candidate and
+    its :class:`SearchTerms`, the step that :func:`line_search` takes.
     """
-    return _newton_step(w_hat, d_hat, objective.y @ w_hat, 0.0,
-                        "endmember update")
+    inverse, terms = _block_step(w_hat, d_hat, 0.0, "endmember update")
+    candidate = np.empty(phi_hat.shape)
+    _candidate_rows(inverse, terms, objective.y @ w_hat, phi_hat, candidate)
+    return candidate, terms
 
 
 def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost,
@@ -351,15 +374,15 @@ def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost,
     ``max_backtracks`` trials) and accepts the first (largest) one whose
     cost change f(beta) = cost(X + beta*(candidate - X)) - cost(X) is at
     most 1e-12 times the baseline's magnitude; the accepted block is the
-    candidate itself at beta = 1 and that blend otherwise.  f is priced
-    in closed form by :meth:`Objective.change_along` from the step's P
-    and C: its coefficients are built once per search, after which each
-    trial costs O(r) and no L-by-K residual is formed.  The accepted cost
-    is reported as ``baseline_cost + f(beta)``.  If no trial is accepted
-    the unchanged block is returned with ``beta = 0.0``.  The accepted
-    block's column energies come back with it: at beta = 1 those of the
-    candidate, which the pricing formed, unchanged at beta = 0, and from
-    one pass over the blend otherwise.
+    candidate itself at beta = 1 and that blend otherwise, formed in
+    place in the candidate's buffer.  f is priced in closed form by
+    :meth:`Objective.change_along` from the step's search terms, after
+    which each trial costs O(r) and no L-by-K residual is formed.  The
+    accepted cost is reported as ``baseline_cost + f(beta)``.  If no
+    trial is accepted the unchanged block is returned with ``beta = 0.0``.
+    The accepted block's column energies come back with it: at beta = 1
+    those of the candidate, which the step summed, unchanged at beta = 0,
+    and from one pass over the blend otherwise.
 
     Parameters
     ----------
@@ -367,10 +390,10 @@ def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost,
         Bound cost evaluator.
     phi_hat, w_hat : arrays
         Current iterates; the block not being searched is held fixed.
-    step : (candidate, gram, cross)
+    step : (candidate, terms)
         The block step's return: the proposed nonnegative iterate for the
-        searched block, the Gram P of the fixed block and the product C
-        of Y with it, oriented like the searched block.
+        searched block, whose buffer the search may overwrite, and its
+        :class:`SearchTerms`.
     which : {"w", "phi"}
         Which block ``candidate`` replaces.
     config : SolverConfig
@@ -385,18 +408,22 @@ def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost,
     (accepted, beta_used, cost, energy) : (array, float, float, array)
         ``energy`` holds the accepted block's column dots.
     """
-    candidate, gram, cross = step
-    prev, energy = (w_hat, energies[1]) if which == "w" else (phi_hat, energies[0])
-    change, direction, candidate_energy = objective.change_along(
-        phi_hat, w_hat, candidate, which, gram, cross, energies)
+    candidate, terms = step
+    e_phi, e_w = energies
+    prev, energy, fixed = (w_hat, e_w, e_phi) if which == "w" else (phi_hat, e_phi, e_w)
+    change = objective.change_along(terms, prev, candidate, energy, fixed)
     slack = _ACCEPT_SLACK * abs(baseline_cost)
     beta = config.beta_init
     for _ in range(config.max_backtracks):
         gain = change(beta)
         if gain <= slack:
             if beta == 1.0:
-                return candidate, beta, baseline_cost + gain, candidate_energy
-            blend = prev + beta * direction
+                return candidate, beta, baseline_cost + gain, terms.zz
+            # prev + beta * (candidate - prev), bitwise
+            blend = candidate
+            blend -= prev
+            blend *= beta
+            blend += prev
             return blend, beta, baseline_cost + gain, _column_dots(blend, blend)
         beta *= config.shrink
     return prev, 0.0, baseline_cost, energy
@@ -510,20 +537,15 @@ def solve(y, init_phi, init_w, config, callback=None):
         step.
     """
     t0 = time.perf_counter()
-    y, pixel_norms = _scan_observations(y)
-    phi = as_matrix(init_phi, "init_phi", nonneg=True).copy()
-    w = as_matrix(init_w, "init_w", nonneg=True).copy()
+    y = _real_matrix(y, "y")
+    # C order, which the block steps' candidates take, so that no result
+    # depends on the layout of the caller's arrays; those are not copied.
+    phi = np.ascontiguousarray(as_matrix(init_phi, "init_phi", nonneg=True))
+    w = np.ascontiguousarray(as_matrix(init_w, "init_w", nonneg=True))
     check_dims(y, phi, w, ("init_phi", "init_w"))
     if phi.shape[1] != config.r:
         raise ValueError("init_phi has %d columns, expected r=%d"
                          % (phi.shape[1], config.r))
-
-    # ``y`` was scanned above; nothing reads it again before the products
-    # of the block steps.
-    if config.eta is None:
-        config = replace(config, eta=_eta_of(pixel_norms))
-    objective = Objective._of_checked(y, config.delta, config.lambda1,
-                                      config.eta)
 
     # ``alive`` indexes the working columns into the initial r and ``kept``
     # the working columns that survive pruning; ``pad`` is the cost of the
@@ -531,19 +553,24 @@ def solve(y, init_phi, init_w, config, callback=None):
     # compared include it, the line searches price the working problem
     # without it.  ``e_phi`` and ``e_w`` are the working columns' dots,
     # formed here and then carried: each line search returns its block's.
-    # ``cross`` is the first abundance step's C = Y^T Phi, which prices
-    # the initial cost first.  An overflow here raises SolverDiverged
-    # below, not a warning.
+    # The scan of ``y`` forms the first abundance step's C = Y^T Phi
+    # (``cross``), which prices the initial cost first; nothing reads ``y``
+    # again before the products of the block steps.  An overflow here
+    # raises SolverDiverged below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         alive, kept, phi, w, e_phi, e_w = _prune_and_drop(
             phi, w, _column_dots(phi, phi), _column_dots(w, w),
             np.arange(config.r), config.prune_tol)
+        y, pixel_norms, y_squared, cross = _scan_observations(y, phi)
+        if config.eta is None:
+            config = replace(config, eta=_eta_of(pixel_norms))
+        del pixel_norms  # K floats, not held while iterating
+        objective = Objective._of_checked(y, config.delta, config.lambda1,
+                                          config.eta)
         pad = (config.r - alive.size) * config.delta * config.eta
         d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
-        cross = abundance_cross(y, phi)
         initial_cost = cost_prev = pad + objective.total_gram(
-            phi, w, cross, (e_phi, e_w), float(pixel_norms.sum()))
-    del pixel_norms  # K floats, not held while iterating
+            phi, w, cross, (e_phi, e_w), y_squared)
 
     cost_trace = []
     rank_trace = []
@@ -571,7 +598,7 @@ def solve(y, init_phi, init_w, config, callback=None):
     def diverged(message):
         return SolverDiverged(message, build_report())
 
-    if not np.isfinite(initial_cost):
+    if not math.isfinite(initial_cost):
         raise diverged("non-finite cost %r at the initial iterate"
                        % (initial_cost,))
 
@@ -580,20 +607,18 @@ def solve(y, init_phi, init_w, config, callback=None):
             # Nothing is left to move: the zero factorization is stationary.
             converged = True
             break
-        if k > 1:
-            cross = abundance_cross(y, phi)
         try:
             w, beta_w, cost_after_w, e_w = line_search(
-                objective, phi, w, update_abundances(objective, phi, d, cross),
+                objective, phi, w, update_abundances(objective, phi, w, d, cross),
                 "w", config, cost_prev - pad, (e_phi, e_w))
-            del cross
+            cross = None  # the scan's C serves the first abundance step only
             phi, beta_phi, cost_k, e_phi = line_search(
-                objective, phi, w, update_endmembers(objective, w, d), "phi",
-                config, cost_after_w, (e_phi, e_w))
+                objective, phi, w, update_endmembers(objective, phi, w, d),
+                "phi", config, cost_after_w, (e_phi, e_w))
         except np.linalg.LinAlgError as exc:
             raise diverged("%s at iteration %d" % (exc, k)) from exc
 
-        if not np.isfinite(cost_k):
+        if not math.isfinite(cost_k):
             raise diverged("non-finite cost %r at iteration %d" % (cost_k, k))
 
         cost_k += pad
@@ -622,4 +647,8 @@ def solve(y, init_phi, init_w, config, callback=None):
 
     if kept.size < alive.size:
         phi, w = np.take(phi, kept, axis=1), np.take(w, kept, axis=1)
+    # A block that never moved is still the caller's array.
+    phi, w = (a.copy() if isinstance(given, np.ndarray)
+              and np.may_share_memory(a, given) else a
+              for a, given in ((phi, init_phi), (w, init_w)))
     return phi, w, build_report()

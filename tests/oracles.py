@@ -100,9 +100,10 @@ def direct_line_search(objective, phi_hat, w_hat, step, which, config,
 
     Same schedule, accept rule (relative slack 1e-12) and blend as
     ``slrnmf.solver.line_search``, with the same signature; of the block
-    step (candidate, gram, cross) only the candidate is used, and of the
+    step (candidate, terms) only the candidate is used, and of the
     carried ``energies`` nothing: the accepted block's column energies
-    are squared and summed from the block itself.
+    are squared and summed from the block itself.  The blend is a new
+    array; the candidate is not written.
     """
     candidate = step[0]
     prev = w_hat if which == "w" else phi_hat
@@ -139,21 +140,21 @@ def fd_gradient(f, x, h=1e-6):
 
 def solver_gradients(y, phi, w, delta, eta):
     """Gradients of the smooth objective (lambda1 = 0) in w and phi, as
-    ``solve`` forms them: X P - C + X diag(d), the fit gradient that
-    ``Objective.change_along`` prices line-search trials with, P and C the
-    Gram and cross product each block step returns and d the penalty
-    diagonal.  Not an oracle: this is the code that ``fd_gradient`` checks.
+    ``solve`` forms them: X P - C + X diag(d), the fit gradient whose
+    slope along a step ``SearchTerms`` sums, P the Gram each block step
+    carries in its terms, C = Y^T Phi or Y W in the orientation the steps
+    form it, and d the penalty diagonal.  Not an oracle: this is the code
+    that ``fd_gradient`` checks.
     """
-    from slrnmf.model import Objective, _fit_gradient
-    from slrnmf.solver import abundance_cross, update_abundances, update_endmembers
+    from slrnmf.model import Objective, _cross_block, _fit_gradient
+    from slrnmf.solver import update_abundances, update_endmembers
 
     objective = Objective(y, delta, 0.0, eta)
     d = penalty_diag(phi, w, delta, eta)
-    _, gram_w, cross_w = update_abundances(objective, phi, d,
-                                           abundance_cross(y, phi))
-    _, gram_phi, cross_phi = update_endmembers(objective, w, d)
-    return (_fit_gradient(w, gram_w, cross_w) + w * d,
-            _fit_gradient(phi, gram_phi, cross_phi) + phi * d)
+    gram_w = update_abundances(objective, phi, w, d, None)[1].gram
+    gram_phi = update_endmembers(objective, phi, w, d)[1].gram
+    return (_fit_gradient(w, gram_w, _cross_block(phi, y)) + w * d,
+            _fit_gradient(phi, gram_phi, y @ w) + phi * d)
 
 
 def prox_l1_grid(z, lam, lo=-8.0, hi=8.0, step=1e-4):
@@ -268,7 +269,7 @@ def full_width_solve(y, init_phi, init_w, config):
     block steps with the package on purpose.  Returns (phi, w, report).
     """
     from slrnmf.model import Objective
-    from slrnmf.solver import (SolverReport, abundance_cross, line_search,
+    from slrnmf.solver import (SolverReport, line_search,
                                prune_and_report_rank, update_abundances,
                                update_endmembers, update_penalty_diag,
                                with_defaults)
@@ -284,11 +285,10 @@ def full_width_solve(y, init_phi, init_w, config):
     converged = False
     for _ in range(config.max_iter):
         w, beta_w, cost_w, e_w = line_search(
-            objective, phi, w,
-            update_abundances(objective, phi, d, abundance_cross(y, phi)),
+            objective, phi, w, update_abundances(objective, phi, w, d, None),
             "w", config, cost_prev, (e_phi, e_w))
         phi, beta_phi, cost_k, e_phi = line_search(
-            objective, phi, w, update_endmembers(objective, w, d), "phi",
+            objective, phi, w, update_endmembers(objective, phi, w, d), "phi",
             config, cost_w, (e_phi, e_w))
         d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
         costs.append(cost_k)
@@ -317,8 +317,8 @@ def direct_spd_solve(a, b, context):
     """Cholesky solve of a @ x = b by LAPACK ``dpotrf``/``dpotrs``.
 
     The package's solve before it applied the inverse of the Cholesky
-    factor, with the same signature and failure message; usable as a
-    drop-in for ``slrnmf.solver._spd_solve``.
+    factor, with its failure message: the reference the block solve
+    through ``slrnmf.solver._spd_inverse`` is gated against.
     """
     factor, info = dpotrf(a, lower=0, clean=0)
     if info:
@@ -329,6 +329,14 @@ def direct_spd_solve(a, b, context):
             "%.6e relative to the largest)"
             % (context, eig[0] / scale if scale else 0.0))
     return dpotrs(factor, b, lower=0)[0]
+
+
+def direct_spd_inverse(a, context):
+    """The inverse of the SPD matrix ``a`` by LAPACK's Cholesky solve of
+    a X = I, with the failure message of :func:`direct_spd_solve`; usable
+    as a drop-in for ``slrnmf.solver._spd_inverse``.
+    """
+    return direct_spd_solve(a, np.eye(a.shape[0]), context)
 
 
 def scipy_init_vca(y, r, seed):

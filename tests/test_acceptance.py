@@ -20,7 +20,6 @@ from slrnmf.model import Objective
 from slrnmf.cli import run
 from slrnmf.solver import (
     SolverConfig,
-    abundance_cross,
     default_eta,
     solve,
     update_abundances,
@@ -176,8 +175,8 @@ def test_soft_threshold_against_grid_search():
     for _ in range(1000):
         z = float(rng.uniform(-4.0, 4.0))
         lam = float(rng.uniform(0.0, 2.0))
-        step = update_abundances(Objective([[z]], 1.0, lam, 1.0),
-                                 np.ones((1, 1)), np.zeros(1), np.array([[z]]))[0]
+        step = update_abundances(Objective([[z]], 1.0, lam, 1.0), np.ones((1, 1)),
+                                 np.zeros((1, 1)), np.zeros(1), np.array([[z]]))[0]
         ours = float(step[0, 0])
         ref = oracles.prox_l1_grid(z, lam, lo=0.0)
         worst = max(worst, abs(ours - ref))
@@ -211,14 +210,13 @@ def test_block_updates_near_subproblem_oracles():
         d = oracles.penalty_diag(phi_hat, w_hat, delta, eta)
 
         objective = Objective(y, 1.0, lam, 1.0)
-        w_step = update_abundances(objective, phi_hat, d,
-                                   abundance_cross(y, phi_hat))[0]
+        w_step = update_abundances(objective, phi_hat, w_hat, d, None)[0]
         m_step = oracles.subproblem_w_value(y, phi_hat, d, lam, w_step)
         m_opt = oracles.subproblem_w_value(
             y, phi_hat, d, lam, oracles.cd_w_oracle(y, phi_hat, d, lam))
         worst_w = max(worst_w, m_step / m_opt)
 
-        phi_step = update_endmembers(objective, w_hat, d)[0]
+        phi_step = update_endmembers(objective, phi_hat, w_hat, d)[0]
         p_step = oracles.subproblem_phi_value(y, w_hat, d, phi_step)
         p_opt = oracles.subproblem_phi_value(
             y, w_hat, d, oracles.pg_phi_oracle(y, w_hat, d))

@@ -19,7 +19,7 @@ MODULES = ["slrnmf"] + ["slrnmf." + m.name
 # Solver and model steps: importable from their own modules, not re-exported.
 STEP_INTERNALS = {
     "slrnmf.model": ["Objective", "cost_total"],
-    "slrnmf.solver": ["abundance_cross", "update_abundances", "update_endmembers",
+    "slrnmf.solver": ["update_abundances", "update_endmembers",
                       "update_penalty_diag", "line_search",
                       "prune_and_report_rank", "default_eta"],
 }

@@ -174,6 +174,27 @@ def test_abundance_rmse_zero_estimate_gets_zero_scale():
     assert rmse == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_abundance_rmse_matches_the_direct_difference(m):
+    """The matched difference is formed in place, bitwise the direct
+    est * scales - ref, and the inputs are left as they were."""
+    rng = np.random.default_rng(20 + m)
+    est_all = rng.uniform(0.0, 1.0, size=(60, 5))
+    ref_all = rng.uniform(0.0, 1.0, size=(60, 4))
+    est_all[:, 2] = 0.0  # a zero column takes scale 0
+    perm = np.stack([rng.permutation(5)[:m], rng.permutation(4)[:m]], axis=1)
+    given = est_all.copy(), ref_all.copy()
+    rmse, scales = abundance_rmse(est_all, ref_all, perm)
+    est, ref = est_all[:, perm[:, 0]], ref_all[:, perm[:, 1]]
+    energy = (est * est).sum(axis=0)
+    direct_scales = np.where(energy > 0.0, (est * ref).sum(axis=0)
+                             / np.where(energy > 0.0, energy, 1.0), 0.0)
+    diff = est * direct_scales - ref
+    assert np.array_equal(scales, direct_scales)
+    assert rmse == float(np.sqrt((diff * diff).mean()))
+    assert np.array_equal(est_all, given[0]) and np.array_equal(ref_all, given[1])
+
+
 def test_abundance_rmse_validation():
     with pytest.raises(ValueError, match="row counts"):
         abundance_rmse(np.ones((3, 2)), np.ones((4, 2)), np.array([[0, 0]]))

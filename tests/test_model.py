@@ -12,6 +12,7 @@ import oracles
 import slrnmf.model
 from slrnmf.model import (
     Objective,
+    SearchTerms,
     _column_dots,
     _pixel_block,
     _scan_observations,
@@ -23,7 +24,6 @@ from slrnmf.model import (
 from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
 from slrnmf.solver import (
     SolverConfig,
-    abundance_cross,
     default_eta,
     solve,
     update_abundances,
@@ -115,25 +115,44 @@ def test_scan_keeps_the_rules_of_as_matrix(monkeypatch, bad):
     with pytest.raises(ValueError) as expected:
         as_matrix(bad, "y", nonneg=True)
     with pytest.raises(ValueError, match="^%s$" % re.escape(str(expected.value))):
-        _scan_observations(bad)
+        _scan_observations(bad, np.ones((1, 2)))
+
+
+def test_scan_passes_a_finite_y_whose_squares_overflow():
+    """Near 1e160 the squared norms overflow to inf: the scan then takes
+    y's maximum, which is finite, and passes y as ``as_matrix`` does."""
+    y = np.full((2, 3), 1e160)
+    with np.errstate(over="ignore"):
+        checked, norms, y_squared, _ = _scan_observations(y, np.ones((2, 1)))
+    assert checked is as_matrix(y, "y", nonneg=True)
+    assert np.isinf(norms).all() and y_squared == np.inf
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_scan_norms_are_column_dots(monkeypatch, layout):
-    """The scan returns ``y`` as ``as_matrix`` does and its pixel norms
-    bitwise as ``_column_dots(y, y)`` for each memory layout, in blocks of
-    3 pixels; at 1, 4 and 7 pixels the last block is one pixel wide."""
+    """The scan returns ``y`` as ``as_matrix`` does, its pixel norms
+    bitwise as ``_column_dots(y, y)`` and their sum, for each memory
+    layout, in blocks of 3 pixels; at 1, 4 and 7 pixels the last block is
+    one pixel wide.  Its C = Y^T Phi is the transpose of a C-ordered
+    array, and on one block bitwise (Phi^T Y)^T."""
     monkeypatch.setattr(slrnmf.model, "_RESIDUAL_BLOCK_BYTES", 8 * 5 * 3)
     rng = np.random.default_rng(4)
+    phi = rng.uniform(0.0, 1.0, (5, 2))
     for k in (0, 1, 2, 3, 4, 6, 7, 8, 11):
         y = rng.uniform(0.0, 1.0, (5, 2 * k))
         y = {"C": y[:, :k].copy(), "F": np.asfortranarray(y[:, :k]),
              "strided": y[:, ::2]}[layout]
-        checked, norms = _scan_observations(y)
+        checked, norms, y_squared, cross = _scan_observations(y, phi)
         assert checked is as_matrix(y)
         assert np.array_equal(norms, _column_dots(y, y)), k
-    empty, norms = _scan_observations(np.zeros((0, 4)))
+        assert y_squared == float(norms.sum())
+        assert cross.T.flags.c_contiguous
+        assert np.allclose(cross, y.T @ phi, rtol=1e-14, atol=0.0), k
+        if k <= 3:
+            assert np.array_equal(cross, (phi.T @ y).T), k
+    empty, norms, y_squared, cross = _scan_observations(np.zeros((0, 4)), phi[:0])
     assert empty.shape == (0, 4) and np.array_equal(norms, np.zeros(4))
+    assert y_squared == 0.0 and np.array_equal(cross, np.zeros((4, 2)))
 
 
 def test_check_dims_messages():
@@ -376,30 +395,41 @@ def test_default_eta_matches_squared_form(k):
     assert report.config.eta == default_eta(y)
 
 
-def _worst_change_error(obj, phi, w, d, collapse=False):
+def _worst_change_error(obj, phi, w, d, collapse=False, block=None):
     """Largest |f(beta) - (total(trial) - total(base))| over both blocks and
     the backtracking schedule, in units of the bound the precision argument
     of ``Objective.change_along`` gives: eps times the two totals' rounding
     scales plus n times the magnitude of f's own terms, n the inner
-    dimension of the products they come from."""
+    dimension of the products they come from.
+
+    f is priced from ``SearchTerms`` of the step from each block to its
+    Newton candidate (column 0 zeroed where ``collapse``), summed in row
+    blocks of ``block`` rows (all rows at once by default).
+    """
     worst = 0.0
     energy = (phi * phi).sum(axis=0) + (w * w).sum(axis=0) + obj.eta ** 2
+    e_phi, e_w = oracles.column_energies(phi, w)
     base = obj.total(phi, w)
     base_scale = _total_rounding_scale(obj, phi, w)
     for which in ("w", "phi"):
-        x, fixed = (w, phi) if which == "w" else (phi, w)
         if which == "w":
-            cand, gram, cross = update_abundances(obj, phi, d,
-                                                  abundance_cross(obj.y, phi))
+            x, fixed, x_energy, fixed_energy = w, phi, e_w, e_phi
+            cand = update_abundances(obj, phi, w, d, None)[0]
+            cross, shift = (phi.T @ obj.y).T, obj.lambda1
         else:
-            cand, gram, cross = update_endmembers(obj, w, d)
+            x, fixed, x_energy, fixed_energy = phi, w, e_phi, e_w
+            cand = update_endmembers(obj, phi, w, d)[0]
+            cross, shift = obj.y @ w, 0.0
         if collapse:
-            cand = cand.copy()
             cand[:, 0] = 0.0
-        change, s, cc = obj.change_along(phi, w, cand, which, gram, cross,
-                                         oracles.column_energies(phi, w))
-        assert np.array_equal(s, cand - x)
-        assert np.array_equal(cc, (cand * cand).sum(axis=0))
+        terms = SearchTerms(fixed.T @ fixed, shift)
+        rows = block or x.shape[0]
+        for j in range(0, x.shape[0], rows):
+            terms.add(x[j:j + rows], cand[j:j + rows], cross[j:j + rows])
+        assert np.allclose(terms.zz, (cand * cand).sum(axis=0), rtol=1e-14, atol=0.0)
+        if block is None:
+            assert np.array_equal(terms.zz, (cand * cand).sum(axis=0))
+        change = obj.change_along(terms, x, cand, x_energy, fixed_energy)
         step = np.abs(cand - x)
         a = np.abs(2.0 * (x * (cand - x)).sum(axis=0))
         b = (step * step).sum(axis=0)
@@ -408,13 +438,13 @@ def _worst_change_error(obj, phi, w, d, collapse=False):
             trial = cand if beta == 1.0 else x + beta * (cand - x)
             pair = (phi, trial) if which == "w" else (trial, w)
             direct = obj.total(*pair) - base
-            terms = (beta * np.vdot(x @ gram + np.abs(cross), step)
-                     + beta * beta * np.vdot(step @ gram, step)
-                     + obj.lambda1 * beta * step.sum()
-                     + obj.delta * ((beta * a + beta * beta * b)
-                                    / np.sqrt(energy)).sum())
+            terms_scale = (beta * np.vdot(x @ terms.gram + np.abs(cross), step)
+                           + beta * beta * np.vdot(step @ terms.gram, step)
+                           + obj.lambda1 * beta * step.sum()
+                           + obj.delta * ((beta * a + beta * beta * b)
+                                          / np.sqrt(energy)).sum())
             bound = EPS * (base_scale + _total_rounding_scale(obj, *pair)
-                           + sum(fixed.shape) * terms)
+                           + sum(fixed.shape) * terms_scale)
             worst = max(worst, abs(change(beta) - direct) / bound)
     return worst
 
@@ -431,7 +461,8 @@ def test_change_along_matches_direct_difference():
         obj = Objective(y, rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.05),
                         rng.uniform(0.01, 0.3))
         d = oracles.penalty_diag(phi, w, obj.delta, obj.eta)
-        worst = max(worst, _worst_change_error(obj, phi, w, d, collapse=t % 2 == 0))
+        worst = max(worst, _worst_change_error(obj, phi, w, d, collapse=t % 2 == 0,
+                                               block=(None, 1, 4)[t % 3]))
     assert worst <= 1.0, worst
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import decision_record
 import oracles
@@ -18,7 +19,6 @@ from slrnmf.solver import (
     DEFAULT_LAMBDA1,
     SolverConfig,
     SolverDiverged,
-    abundance_cross,
     default_eta,
     line_search,
     solve,
@@ -214,7 +214,7 @@ def test_divergence_raises_with_partial_report(monkeypatch):
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
     solves = []
-    monkeypatch.setattr(slrnmf.solver, "_spd_solve",
+    monkeypatch.setattr(slrnmf.solver, "_spd_inverse",
                         lambda *args: solves.append(1))
     with pytest.raises(SolverDiverged, match="non-finite cost inf at the "
                                              "initial iterate") as err:
@@ -225,16 +225,19 @@ def test_divergence_raises_with_partial_report(monkeypatch):
 
 
 def test_loop_does_not_rescan_y(monkeypatch):
-    """A solve reads each element of ``y`` in one scan before it
-    iterates, and checks it nowhere else.
+    """A solve checks each element of ``y`` in one scan before it
+    iterates, and nowhere else; the scan also forms the first abundance
+    step's C = Y^T Phi.
 
     The scan's pixel blocks are shrunk to 3 pixels, so a 6 x 7 ``y``
-    takes blocks of 3, 3 and 1 pixels.
-    Every min and max reduction and every column dot over memory of ``y``
-    is recorded by the columns it covers: each kind covers each column
-    once, whatever the iteration count.  ``ndarray.min`` and ``.max``
-    forward to numpy's ``_methods`` module.  ``as_matrix``, the other home
-    of the input rules, never sees an array of ``y``'s shape.
+    takes blocks of 3, 3 and 1 pixels.  Every min and max reduction,
+    every column dot and every product of Phi with a block of ``y``
+    (``_cross_block``) over memory of ``y`` is recorded by the columns it
+    covers.  The scan takes one min, one column dot and one product per
+    block, and no max of a finite ``y``; each later iteration takes one
+    product per block, in its abundance step.  ``ndarray.min`` and
+    ``.max`` forward to numpy's ``_methods`` module.  ``as_matrix``, the
+    other home of the input rules, never sees an array of ``y``'s shape.
     """
     try:
         from numpy._core import _methods
@@ -255,27 +258,30 @@ def test_loop_does_not_rescan_y(monkeypatch):
             y_checks.append(1)
         return as_matrix(a, *args, **kwargs)
 
-    def recording(kind, original):
-        def record(a, *args, **kwargs):
-            if np.shares_memory(a, y):
-                spans.setdefault(kind, []).append(columns(a))
-            return original(a, *args, **kwargs)
+    def recording(kind, original, arg=0):
+        def record(*args, **kwargs):
+            if np.shares_memory(args[arg], y):
+                spans.setdefault(kind, []).append(columns(args[arg]))
+            return original(*args, **kwargs)
         return record
 
+    cross_block = recording("_cross_block", slrnmf.model._cross_block, 1)
     for module in (slrnmf.model, slrnmf.solver):
         monkeypatch.setattr(module, "as_matrix", counting_as_matrix)
+        monkeypatch.setattr(module, "_cross_block", cross_block)
     for name in ("umr_minimum", "umr_maximum"):
         monkeypatch.setattr(_methods, name, recording(name, getattr(_methods, name)))
     monkeypatch.setattr(slrnmf.model, "_column_dots",
                         recording("_column_dots", slrnmf.model._column_dots))
+    blocks = [(0, 3), (3, 6), (6, 7)]
     for max_iter in (1, 5):
         spans.clear()
         config = SolverConfig(r=4, delta=0.1, lambda1=0.005,
                               max_iter=max_iter, tol_rel_cost=0.0)
         _, _, report = solve(y, phi0, w0, config)
         assert report.iterations == max_iter
-        assert spans == {kind: [(0, 3), (3, 6), (6, 7)] for kind in
-                         ("umr_minimum", "umr_maximum", "_column_dots")}
+        assert spans == {"umr_minimum": blocks, "_column_dots": blocks,
+                         "_cross_block": blocks * max_iter}
     assert y_checks == []
 
 
@@ -342,61 +348,60 @@ def test_stall_is_not_convergence(seed, iterations):
 
 def test_full_cost_is_evaluated_once_per_solve(monkeypatch):
     """The full cost is priced once per solve, at the initial iterate, in
-    Gram form: ``Objective.total`` is never called.  Each iteration forms
-    one C = Y^T Phi, and the first, formed before any line search, is the
-    C that priced the initial cost and that the first abundance step
-    takes."""
+    Gram form: ``Objective.total`` is never called.  The scan of ``y``
+    forms the C = Y^T Phi that prices the initial cost, and the first
+    abundance step takes that object; later steps take none and form
+    their C from ``y``, one pixel block at a time."""
     phi_t, w_t = tiny_truth(0)
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
     events, formed, priced, taken = [], [], [], []
 
-    def wrap(owner, name, log=None, arg=None):
+    def wrap(owner, name, log=None, pick=None):
         original = getattr(owner, name)
 
         def wrapped(*args):
             events.append(name)
             result = original(*args)
             if log is not None:
-                log.append(result if arg is None else args[arg])
+                log.append(pick(args, result))
             return result
 
         monkeypatch.setattr(owner, name, wrapped)
 
     wrap(Objective, "total")
-    wrap(Objective, "total_gram", priced, 3)
-    wrap(slrnmf.solver, "abundance_cross", formed)
-    wrap(slrnmf.solver, "update_abundances", taken, 3)
+    wrap(Objective, "total_gram", priced, lambda args, result: args[3])
+    wrap(slrnmf.solver, "_scan_observations", formed, lambda args, result: result[3])
+    wrap(slrnmf.solver, "update_abundances", taken, lambda args, result: args[4])
     wrap(slrnmf.solver, "line_search")
     config = SolverConfig(r=4, delta=0.1, lambda1=0.005, eta=0.05,
                           max_iter=20, tol_rel_cost=0.0)
     _, _, report = solve(y, phi0, w0, config)
     assert report.iterations == 20
     iteration = ["update_abundances", "line_search", "line_search"]
-    assert events == (["abundance_cross", "total_gram"] + iteration
-                      + (["abundance_cross"] + iteration) * 19)
+    assert events == ["_scan_observations", "total_gram"] + iteration * 20
     assert priced[0] is formed[0]
-    assert all(a is b for a, b in zip(formed, taken))
+    assert taken[0] is formed[0]
+    assert all(cross is None for cross in taken[1:])
 
 
 def test_line_search_prices_the_gram_of_the_block_step(monkeypatch):
     """Each block's Gram is formed once per iteration: the one the line
-    search prices with is the object the block's Newton step returned."""
+    search prices with is the object the block's step formed."""
     formed, priced = [], []
-    newton_step = slrnmf.solver._newton_step
+    block_step = slrnmf.solver._block_step
     change_along = Objective.change_along
 
     def forming(*args):
-        step = newton_step(*args)
-        formed.append(step[1])
-        return step
+        inverse, terms = block_step(*args)
+        formed.append(terms.gram)
+        return inverse, terms
 
-    def pricing(self, phi, w, candidate, which, gram, cross, energies):
-        priced.append(gram)
-        return change_along(self, phi, w, candidate, which, gram, cross,
-                            energies)
+    def pricing(self, terms, *args):
+        priced.append(terms.gram)
+        return change_along(self, terms, *args)
 
-    monkeypatch.setattr(slrnmf.solver, "_newton_step", forming)
+    monkeypatch.setattr(slrnmf.solver, "_block_step", forming)
     monkeypatch.setattr(Objective, "change_along", pricing)
     phi_t, w_t = tiny_truth(0)
     phi0, w0 = init_uniform(6, 8, 4, 0)
@@ -413,8 +418,8 @@ def test_line_search_allocates_no_residual():
     d = oracles.penalty_diag(phi, w, config.delta, config.eta)
     energies = oracles.column_energies(phi, w)
     baseline = obj.total(phi, w)
-    steps = {"w": update_abundances(obj, phi, d, abundance_cross(y, phi)),
-             "phi": update_endmembers(obj, w, d)}
+    steps = {"w": update_abundances(obj, phi, w, d, None),
+             "phi": update_endmembers(obj, phi, w, d)}
     for which, step in steps.items():
         tracemalloc.start()
         try:
@@ -452,11 +457,13 @@ def test_carried_energies_never_drift(kind):
 def test_column_energies_are_formed_once_per_block_update(monkeypatch, kind):
     """Entry forms each block's column dots once, and the scan of ``y``
     one per pixel block (each scene is one block); nothing forms a
-    ``_column_energy``.  An iteration takes the three column dots of
-    each line search's pricing plus one per search that accepts a
-    fractional step weight, for the blend."""
+    ``_column_energy``.  An iteration takes the two column dots of each
+    block step's search terms, one <x_i, z_i> per line search that tries
+    a fractional step weight, and one more per search that accepts one,
+    for the blend."""
     y, phi0, w0, config = protocol_scene(kind, 0)
     config = with_defaults(config, y)
+    assert config.beta_init == 1.0 and config.max_backtracks > 1
     counts = {"_column_dots": 0, "_column_energy": 0}
     for module, name in ((slrnmf.model, "_column_dots"),
                          (slrnmf.solver, "_column_dots"),
@@ -470,14 +477,17 @@ def test_column_energies_are_formed_once_per_block_update(monkeypatch, kind):
     solve(y, phi0, w0, config,
           callback=lambda state: seen.append((state, dict(counts))))
     before = {"_column_dots": 2 + 1, "_column_energy": 0}
-    fractional = 0
+    fractional = full = 0
     for state, after in seen:
-        blends = (0.0 < state.beta_w < 1.0) + (0.0 < state.beta_phi < 1.0)
+        betas = (state.beta_w, state.beta_phi)
+        tried = sum(beta != 1.0 for beta in betas)
+        blends = sum(0.0 < beta < 1.0 for beta in betas)
         assert after["_column_energy"] == before["_column_energy"], state.k
-        assert after["_column_dots"] - before["_column_dots"] == 6 + blends, state.k
+        assert after["_column_dots"] - before["_column_dots"] == 4 + tried + blends, state.k
         fractional += blends
+        full += 2 - tried
         before = after
-    assert fractional
+    assert fractional and full
 
 
 @pytest.mark.parametrize("kind", ["uniform", "vca"])
@@ -576,14 +586,14 @@ def test_zero_init_column_is_dropped_before_iterating():
 
 
 def test_all_zero_observations_never_factor_an_empty_system(monkeypatch):
-    spd_solve = slrnmf.solver._spd_solve
+    spd_inverse = slrnmf.solver._spd_inverse
     sizes = []
 
-    def recording(a, b, context):
+    def recording(a, context):
         sizes.append(a.shape[0])
-        return spd_solve(a, b, context)
+        return spd_inverse(a, context)
 
-    monkeypatch.setattr(slrnmf.solver, "_spd_solve", recording)
+    monkeypatch.setattr(slrnmf.solver, "_spd_inverse", recording)
     y = np.zeros((5, 7))
     phi0, w0 = init_uniform(5, 7, 3, 0)
     phi, w, report = solve(y, phi0, w0, SolverConfig(r=3, max_iter=50))
@@ -618,12 +628,13 @@ def test_blocked_total_matches_direct_total_in_solves(kind):
 
 @pytest.mark.parametrize("kind", ["uniform", "vca", "multi-block"])
 def test_inverse_factor_solve_matches_cholesky_solve_in_solves(monkeypatch, kind):
-    """Solving the block systems through the inverse Cholesky factor
-    changes no decision of a solve against LAPACK's Cholesky solve; the
-    factors move in the last digits (VCA scene 0 reaches kappa 9e5)."""
+    """Inverting the block steps' normal matrices through the inverse
+    Cholesky factor changes no decision of a solve against LAPACK's
+    Cholesky solve for the inverse; the factors move in the last digits
+    (VCA scene 0 reaches kappa 9e5)."""
     y, phi0, w0, config = protocol_scene(kind, 0)
     phi_a, w_a, rep_a = solve(y, phi0, w0, config)
-    monkeypatch.setattr(slrnmf.solver, "_spd_solve", oracles.direct_spd_solve)
+    monkeypatch.setattr(slrnmf.solver, "_spd_inverse", oracles.direct_spd_inverse)
     phi_b, w_b, rep_b = solve(y, phi0, w0, config)
     assert rep_a.iterations == rep_b.iterations
     for name in ("beta_w_trace", "beta_phi_trace", "effective_rank_trace",
@@ -635,8 +646,12 @@ def test_inverse_factor_solve_matches_cholesky_solve_in_solves(monkeypatch, kind
 
 def test_solve_holds_no_full_size_temporary():
     # 224 x 40,000: Y is 71.7 MB.  The solve holds K-by-r arrays (0.045 x
-    # y.nbytes each) and one residual block (0.117); an L-by-K temporary
-    # alone would be 1.0.
+    # y.nbytes each) and none of size L-by-K, which alone would be 1.0: C
+    # (0.045) and the candidate while the first abundance step runs, then
+    # the abundances and the next candidate, whose buffer takes the blend
+    # of a fractional step weight.  C, the step and its gradient exist one
+    # pixel block (0.005 each) at a time, so the peak stays below three
+    # K-by-r arrays.
     rng = np.random.default_rng(0)
     y = rng.uniform(0.0, 1.0, (224, 40_000))
     phi0, w0 = init_uniform(224, 40_000, 10, seed=0)
@@ -648,4 +663,106 @@ def test_solve_holds_no_full_size_temporary():
     finally:
         tracemalloc.stop()
     assert report.iterations == 3
+    # the blend path runs: two of the three abundance searches back off
+    assert report.beta_w_trace.tolist() == [1.0, 1 / 32, 1 / 32]
     assert peak < 0.4 * y.nbytes, "peak %.3f x y.nbytes" % (peak / y.nbytes)
+    assert peak < 3 * w0.nbytes, "peak %.2f K-by-r arrays" % (peak / w0.nbytes)
+
+
+@pytest.mark.parametrize("kind", ["converging", "max_iter=0", "stall"])
+def test_solve_leaves_its_inputs_alone(kind):
+    """Nothing writes into ``init_phi`` or ``init_w``, and the returned
+    factors share no memory with them, also where a block never moves: at
+    ``max_iter = 0``, and on a solve that stalls at its first iteration
+    (restarted from the iterate before stall scene 31's stall)."""
+    y, phi0, w0, config = protocol_scene("uniform", 31 if kind == "stall" else 0)
+    if kind == "max_iter=0":
+        config = replace(config, max_iter=0)
+    if kind == "stall":
+        states = []
+        solve(y, phi0, w0, replace(config, max_iter=1), callback=states.append)
+        phi0, w0 = states[0].phi_hat, states[0].w_hat
+    given = [a.copy() for a in (phi0, w0)]
+    phi, w, report = solve(y, phi0, w0, config)
+    if kind == "stall":
+        assert report.iterations == 1
+        assert report.beta_w_trace[0] == report.beta_phi_trace[0] == 0.0
+    for a, b in zip((phi0, w0), given):
+        assert a.tobytes() == b.tobytes()
+    for out in (phi, w):
+        assert not any(np.shares_memory(out, a) for a in (phi0, w0))
+
+
+def test_results_do_not_depend_on_the_layout_of_the_initial_factors():
+    """Fortran-ordered initial factors give the C-ordered ones' factors and
+    costs bitwise: ``solve`` takes them in C order, as its steps write."""
+    y, phi0, w0, config = protocol_scene("uniform", 1)
+    phi_a, w_a, rep_a = solve(y, phi0, w0, config)
+    phi_b, w_b, rep_b = solve(y, np.asfortranarray(phi0), np.asfortranarray(w0),
+                              config)
+    assert np.array_equal(rep_a.cost_trace, rep_b.cost_trace)
+    assert np.array_equal(phi_a, phi_b) and np.array_equal(w_a, w_b)
+
+
+# Bounds for a solve whose sums run over other pixel blocks.  A blocked
+# sum rounds at gamma_{B r + n/B}, never looser than the one-block sum's
+# gamma_{n r} (see ``SearchTerms``), so each accepted step moves the two
+# solves apart by rounding of the size of its own terms.  Measured: below
+# 3e-14 in cost and 1.3e-14 in factors over 300 instances of the property
+# below; 2e-13 in final cost and 4e-15 in factors on protocol scene 0 at
+# 97-pixel blocks; 8e-14 in cost on the record's two-block scene.  The
+# bounds are the record's RTOL.
+BLOCKED_COST_RTOL = 1e-12
+BLOCKED_FACTOR_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("kind", ["uniform", "vca"])
+def test_closed_form_search_matches_direct_form_in_pixel_blocks(monkeypatch, kind):
+    """The closed-form search against the direct one with the pixel
+    blocks shrunk to 97 pixels, so that every abundance step sums its
+    search terms over six blocks: the same decisions, and factors within
+    ``BLOCKED_FACTOR_RTOL``.  They are not bitwise equal: the closed form
+    carries the candidate's column energies summed block by block, the
+    direct search sums them over the whole block, and the penalty
+    diagonals built from them differ in the last digits."""
+    monkeypatch.setattr(slrnmf.model, "_RESIDUAL_BLOCK_BYTES", 8 * 224 * 97)
+    assert _pixel_block(224) == 97
+    y, phi0, w0, config = protocol_scene(kind, 0)
+    phi_a, w_a, rep_a = solve(y, phi0, w0, config)
+    monkeypatch.setattr(slrnmf.solver, "line_search", oracles.direct_line_search)
+    phi_b, w_b, rep_b = solve(y, phi0, w0, config)
+    assert rep_a.iterations == rep_b.iterations
+    assert np.array_equal(rep_a.beta_w_trace, rep_b.beta_w_trace)
+    assert np.array_equal(rep_a.beta_phi_trace, rep_b.beta_phi_trace)
+    for a, b in ((phi_a, phi_b), (w_a, w_b)):
+        assert np.linalg.norm(a - b) <= BLOCKED_FACTOR_RTOL * np.linalg.norm(b)
+    assert rep_a.final_cost == pytest.approx(rep_b.final_cost, rel=1e-10)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(l=st.integers(1, 12), k=st.integers(1, 40), r=st.integers(1, 5),
+       block=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_pixel_blocks_keep_the_decisions(l, k, r, block, seed):
+    """A solve whose abundance steps, scan and initial cost run in pixel
+    blocks of ``block`` pixels makes the decisions of the one-block solve
+    (iterations, step weights, ranks, survivors, ``converged``); its costs
+    agree within ``BLOCKED_COST_RTOL`` and its factors within
+    ``BLOCKED_FACTOR_RTOL``, relative."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.0, 1.0, (l, k))
+    phi0, w0 = init_uniform(l, k, r, seed=seed % 1000)
+    config = SolverConfig(r=r, delta=0.1, lambda1=0.005, eta=0.05, max_iter=30)
+    phi_a, w_a, rep_a = solve(y, phi0, w0, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slrnmf.model, "_RESIDUAL_BLOCK_BYTES", 8 * l * block)
+        phi_b, w_b, rep_b = solve(y, phi0, w0, config)
+    for name in ("iterations", "converged", "final_effective_rank"):
+        assert getattr(rep_a, name) == getattr(rep_b, name), name
+    for name in ("beta_w_trace", "beta_phi_trace", "effective_rank_trace",
+                 "surviving_columns"):
+        assert np.array_equal(getattr(rep_a, name), getattr(rep_b, name)), name
+    costs_a = np.append(rep_a.cost_trace, rep_a.initial_cost)
+    costs_b = np.append(rep_b.cost_trace, rep_b.initial_cost)
+    assert np.allclose(costs_b, costs_a, rtol=BLOCKED_COST_RTOL, atol=0.0)
+    for a, b in ((phi_a, phi_b), (w_a, w_b)):
+        assert np.linalg.norm(a - b) <= BLOCKED_FACTOR_RTOL * np.linalg.norm(a)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from slrnmf.model import Objective, _column_dots
+from slrnmf.model import Objective, SearchTerms, _column_dots
 from slrnmf.solver import (
-    _spd_solve,
+    _spd_inverse,
     SolverConfig,
-    abundance_cross,
     default_eta,
     line_search,
     prune_and_report_rank,
@@ -49,22 +48,42 @@ def test_update_penalty_diag_bounds_and_zero_columns():
     assert d[1] == delta / eta
 
 
+def assert_terms_of(terms, x, cand, gram, cross, shift):
+    """``terms`` are the search terms of the step from ``x`` to ``cand``,
+    each within 1e-13 relative of its direct form."""
+    s = cand - x
+    assert terms.gram is gram or np.array_equal(terms.gram, gram)
+    assert terms.shift == shift
+    assert terms.slope == pytest.approx(float(np.sum((x @ gram - cross) * s)),
+                                        rel=1e-13, abs=1e-15)
+    assert terms.step_sum == pytest.approx(float(s.sum()), rel=1e-13, abs=1e-15)
+    for got, want in ((terms.step_gram, s.T @ s), (terms.xs, (x * s).sum(axis=0)),
+                      (terms.zz, (cand * cand).sum(axis=0))):
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
 def test_update_abundances_solves_the_newton_system():
+    """The step forms the rows of C = Y^T Phi from Y, or takes them from
+    the C it is given, with the same candidate; its search terms are
+    those of the step from w to the candidate."""
     rng = np.random.default_rng(7)
     y = rng.uniform(0, 1, size=(8, 11))
     phi = rng.uniform(0, 1, size=(8, 3))
+    w = rng.uniform(0, 1, size=(11, 3))
     d = rng.uniform(0.1, 1.0, size=3)
     lam = 0.02
-    cross = abundance_cross(y, phi)
-    assert np.allclose(cross, y.T @ phi, rtol=1e-14)
-    out, gram, returned = update_abundances(Objective(y, 1.0, lam, 1.0), phi, d,
-                                            cross)
-    assert np.array_equal(gram, phi.T @ phi)
-    assert returned is cross
+    obj = Objective(y, 1.0, lam, 1.0)
+    out, terms = update_abundances(obj, phi, w, d, None)
+    given, given_terms = update_abundances(obj, phi, w, d, (phi.T @ y).T)
+    assert np.array_equal(terms.gram, phi.T @ phi)
+    assert np.array_equal(out, given)
+    assert out.flags.c_contiguous
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     expected = np.maximum(np.sign(target) * np.maximum(np.abs(target) - lam, 0.0), 0.0)
     assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
     assert (out >= 0.0).all()
+    for t in (terms, given_terms):
+        assert_terms_of(t, w, out, phi.T @ phi, y.T @ phi, lam)
 
 
 def test_update_abundances_zero_l1_is_projected_ridge():
@@ -72,8 +91,8 @@ def test_update_abundances_zero_l1_is_projected_ridge():
     y = rng.uniform(0, 1, size=(6, 9))
     phi = rng.uniform(0, 1, size=(6, 2))
     d = np.array([0.3, 0.7])
-    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, d,
-                            abundance_cross(y, phi))[0]
+    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros((9, 2)),
+                            d, None)[0]
     target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10)
 
@@ -82,8 +101,8 @@ def test_update_abundances_reports_bad_pivot():
     y = np.ones((4, 5))
     phi = np.ones((4, 2))  # duplicate columns, singular normal matrix
     with pytest.raises(np.linalg.LinAlgError) as err:
-        update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros(2),
-                          abundance_cross(y, phi))
+        update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros((5, 2)),
+                          np.zeros(2), None)
     assert "abundance update" in str(err.value)
     assert "smallest eigenvalue" in str(err.value)
 
@@ -91,13 +110,23 @@ def test_update_abundances_reports_bad_pivot():
 def test_update_endmembers_solves_the_newton_system():
     rng = np.random.default_rng(9)
     y = rng.uniform(0, 1, size=(7, 10))
+    phi = rng.uniform(0, 1, size=(7, 3))
     w = rng.uniform(0, 1, size=(10, 3))
     d = rng.uniform(0.05, 0.5, size=3)
-    out, gram, cross = update_endmembers(Objective(y, 1.0, 0.0, 1.0), w, d)
-    assert np.array_equal(gram, w.T @ w)
-    assert np.allclose(cross, y @ w, rtol=1e-14)
+    out, terms = update_endmembers(Objective(y, 1.0, 0.0, 1.0), phi, w, d)
+    assert np.array_equal(terms.gram, w.T @ w)
     target = np.linalg.solve(w.T @ w + np.diag(d), w.T @ y.T).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10, atol=1e-12)
+    assert out.flags.c_contiguous
+    assert_terms_of(terms, phi, out, w.T @ w, y @ w, 0.0)
+
+
+def step_of(x, cand, gram, cross, shift):
+    """A block step (candidate, terms) to ``cand`` from ``x``, its terms
+    summed in one block."""
+    terms = SearchTerms(gram, shift)
+    terms.add(x, cand, cross)
+    return cand, terms
 
 
 def _search_setup(seed=12):
@@ -113,7 +142,7 @@ def _search_setup(seed=12):
 def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
     d = oracles.penalty_diag(phi, w, 0.2, 0.1)
-    step = update_abundances(obj, phi, d, abundance_cross(y, phi))
+    step = update_abundances(obj, phi, w, d, None)
     cand = step[0]
     accepted, beta, cost, energy = line_search(
         obj, phi, w, step, "w", config, obj.total(phi, w),
@@ -130,14 +159,15 @@ def test_line_search_backs_off_or_stalls_on_bad_candidate():
     baseline = obj.total(phi, w)
     bad = w + 100.0  # big uphill move
     accepted, beta, cost, energy = line_search(
-        obj, phi, w, (bad, phi.T @ phi, y.T @ phi), "w", config, baseline,
-        oracles.column_energies(phi, w))
+        obj, phi, w, step_of(w, bad.copy(), phi.T @ phi, y.T @ phi, 0.01), "w",
+        config, baseline, oracles.column_energies(phi, w))
     assert cost <= baseline * (1 + 1e-12)
     if beta == 0.0:
         assert accepted is w
         assert cost == baseline
     else:
         assert beta < 1.0
+        assert np.array_equal(accepted, w + beta * (bad - w))
     assert np.array_equal(energy, (accepted * accepted).sum(axis=0))
 
 
@@ -147,7 +177,7 @@ def test_line_search_beta_zero_on_hopeless_candidate():
     bad = w + 1e9
     energies = oracles.column_energies(phi, w)
     accepted, beta, cost, energy = line_search(
-        obj, phi, w, (bad, phi.T @ phi, y.T @ phi), "w", config,
+        obj, phi, w, step_of(w, bad, phi.T @ phi, y.T @ phi, 0.01), "w", config,
         obj.total(phi, w), energies)
     assert beta == 0.0
     assert accepted is w
@@ -159,7 +189,7 @@ def test_line_search_searches_the_named_block():
     y, phi, w, obj, config = _search_setup()
     d = oracles.penalty_diag(phi, w, 0.2, 0.1)
     accepted, beta, cost, energy = line_search(
-        obj, phi, w, update_endmembers(obj, w, d), "phi", config,
+        obj, phi, w, update_endmembers(obj, phi, w, d), "phi", config,
         obj.total(phi, w), oracles.column_energies(phi, w))
     assert accepted.shape == phi.shape
     assert cost <= obj.total(phi, w)
@@ -167,18 +197,21 @@ def test_line_search_searches_the_named_block():
 
 
 def test_line_search_blends_at_a_backed_off_weight():
-    """Below beta = 1 the accepted block is prev + beta (cand - prev), with
-    the cost of that blend.  The Newton step taken five times over is
-    uphill at full weight; it is clipped at zero, because the search
-    prices nonnegative candidates only."""
+    """Below beta = 1 the accepted block is prev + beta (cand - prev),
+    bitwise, formed in the candidate's buffer, with the cost of that
+    blend.  The Newton step taken five times over is uphill at full
+    weight; it is clipped at zero, because the search prices nonnegative
+    candidates only."""
     y, phi, w, obj, config = _search_setup()
     d = oracles.penalty_diag(phi, w, 0.2, 0.1)
-    cand, gram, cross = update_abundances(obj, phi, d, abundance_cross(y, phi))
+    cand = update_abundances(obj, phi, w, d, None)[0]
     overshoot = np.maximum(w + 5.0 * (cand - w), 0.0)
+    step = step_of(w, overshoot.copy(), phi.T @ phi, (phi.T @ y).T, 0.01)
     accepted, beta, cost, energy = line_search(
-        obj, phi, w, (overshoot, gram, cross), "w", config, obj.total(phi, w),
+        obj, phi, w, step, "w", config, obj.total(phi, w),
         oracles.column_energies(phi, w))
     assert 0.0 < beta < 1.0
+    assert accepted is step[0]
     assert np.array_equal(accepted, w + beta * (overshoot - w))
     assert np.array_equal(energy, (accepted * accepted).sum(axis=0))
     assert cost == pytest.approx(obj.total(phi, accepted), rel=1e-13)
@@ -279,13 +312,16 @@ def random_spd(rng, r, kappa):
 
 @pytest.mark.parametrize("orientation", ["abundance", "endmember"])
 def test_spd_solve_matches_cholesky_solve(orientation):
-    """The inverse-factor solve agrees with LAPACK's Cholesky solve to
-    4 r u kappa ||x|| per column (see the ``_spd_solve`` docstring), up to
-    kappa = 1e10; the block steps of the VCA acceptance scenes reach 2e8.
+    """The block solve C M, M the inverse of the normal matrix through the
+    inverse Cholesky factor, agrees with LAPACK's Cholesky solve to
+    4 r u kappa ||x|| per column (see the ``_spd_inverse`` docstring), up
+    to kappa = 1e10; the block steps of the VCA acceptance scenes reach
+    2e8.
 
-    The abundance step passes a C-ordered r-by-K right-hand side, the
-    endmember step the F-ordered transpose of an L-by-r product.  Half of
-    the columns are a @ z, which load the large-eigenvalue directions.
+    The abundance step's C is the transpose of a C-ordered r-by-K
+    product, the endmember step's a C-ordered L-by-r product; either way
+    the solution comes back C-ordered.  Half of the columns of b = C^T
+    are a @ z, which load the large-eigenvalue directions.
     """
     rng = np.random.default_rng(0 if orientation == "abundance" else 1)
     eps = np.finfo(np.float64).eps
@@ -299,24 +335,22 @@ def test_spd_solve_matches_cholesky_solve(orientation):
                 else:
                     b = rng.standard_normal((60, r)).T
                 b[:, ::2] = a @ b[:, ::2]
-                x = _spd_solve(a, b, "test")
-                ref = oracles.direct_spd_solve(a, b, "test")
-                assert x.shape == b.shape
-                # same layout as dpotrs: the block steps' transposes are C-ordered
-                assert x.T.flags.c_contiguous
-                err = np.linalg.norm(x - ref, axis=0)
-                scale = r * eps * np.linalg.cond(a) * np.linalg.norm(ref, axis=0)
+                x = b.T @ _spd_inverse(a, "test")
+                ref = oracles.direct_spd_solve(a, b, "test").T
+                assert x.shape == b.T.shape
+                assert x.flags.c_contiguous
+                err = np.linalg.norm(x - ref, axis=1)
+                scale = r * eps * np.linalg.cond(a) * np.linalg.norm(ref, axis=1)
                 worst = max(worst, float((err / scale).max()))
     assert worst <= 4.0, worst
 
 
 def test_spd_solve_failure_names_smallest_pivot():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
-    b = np.ones((2, 3))
     with pytest.raises(np.linalg.LinAlgError) as ours:
-        _spd_solve(a, b, "abundance update")
+        _spd_inverse(a, "abundance update")
     with pytest.raises(np.linalg.LinAlgError) as ref:
-        oracles.direct_spd_solve(a, b, "abundance update")
+        oracles.direct_spd_inverse(a, "abundance update")
     assert str(ours.value) == str(ref.value)
     # eigenvalues -1 and 3
     assert str(ours.value) == ("abundance update: normal matrix is not positive "
