@@ -218,7 +218,7 @@ def cmd_unmix(args):
     y = _load(args.input, "observations", layout=args.layout,
               delimiter=args.delimiter, header=args.header)
     if clamp:
-        y = np.maximum(y, 0.0)
+        np.maximum(y, 0.0, out=y)
     elif y.min() < 0.0:
         raise ValueError(
             "%s contains negative entries; pass --clamp-negatives to zero them"

@@ -132,7 +132,9 @@ def _parse_numpy(path, delimiter, header):
                                 dtype=np.float64)
         except (ValueError, TypeError):
             return None
-    if matrix.size == 0 or not np.isfinite(matrix).all():
+    # NaN and +-inf reach the extremes, so no L-by-K mask is formed.
+    if matrix.size == 0 or not (np.isfinite(matrix.min())
+                                and np.isfinite(matrix.max())):
         return None
     return matrix
 

@@ -157,12 +157,22 @@ def mix_and_noise(truth, clamp=True):
     Negative entries produced by the noise are clamped to zero by
     default so Y satisfies the nonnegativity the solver expects; pass
     ``clamp=False`` to keep them.
+
+    The noise is added to the product in place, one band row of K draws
+    at a time, so the call holds one L-by-K array.  The draws are those of
+    one ``rng.normal(0, sigma, (L, K))``, which scales the same standard
+    normal stream in the same order, so Y is bitwise ``product +
+    rng.normal(0, sigma, product.shape)``.
     """
-    product = truth.phi_true @ truth.w_true.T
+    y = truth.phi_true @ truth.w_true.T
     if truth.sigma == 0.0:
-        return product
+        return y
     rng = np.random.default_rng(truth.seed)
-    y = product + rng.normal(0.0, truth.sigma, size=product.shape)
+    noise = np.empty(y.shape[1])
+    for row in y:
+        rng.standard_normal(out=noise)
+        noise *= truth.sigma
+        row += noise
     if clamp:
         np.maximum(y, 0.0, out=y)
     return y

@@ -150,15 +150,26 @@ def differences(records, expected):
 
 
 def largest_gaps(records, expected):
-    """The largest relative gap from ``expected`` of the recorded final
-    cost and of the mean SAM, over the scenes both hold."""
-    gaps = {"final_cost": 0.0, "mean_sam_deg": 0.0}
-    for name in records.keys() & expected.keys():
+    """The largest relative gaps from ``expected`` over the scenes both
+    hold, and how many scenes are not bitwise the record.
+
+    Returns (gaps, moved): ``gaps`` maps the final cost and the mean SAM
+    each to (largest relative gap, its scene), the scene None where no
+    gap is positive; ``moved`` counts the scenes whose cost or SAM is not
+    exactly the recorded one.
+    """
+    gaps = {"final_cost": (0.0, None), "mean_sam_deg": (0.0, None)}
+    moved = 0
+    for name in sorted(records.keys() & expected.keys()):
+        moved += any(records[name][field] != expected[name][field]
+                     for field in gaps)
         for field in gaps:
             got, want = records[name][field], expected[name][field]
             if None not in (got, want) and want != 0.0:
-                gaps[field] = max(gaps[field], abs(got - want) / abs(want))
-    return gaps
+                gap = abs(got - want) / abs(want)
+                if gap > gaps[field][0]:
+                    gaps[field] = (gap, name)
+    return gaps, moved
 
 
 def load():

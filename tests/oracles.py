@@ -121,6 +121,20 @@ def direct_line_search(objective, phi_hat, w_hat, step, which, config,
     return prev, 0.0, baseline_cost, (prev * prev).sum(axis=0)
 
 
+def mix_and_noise_whole(truth, clamp=True):
+    """``slrnmf.synth.mix_and_noise`` with the noise drawn as one L-by-K
+    array and added out of place, as the package did before it added
+    the noise one band row at a time."""
+    product = truth.phi_true @ truth.w_true.T
+    if truth.sigma == 0.0:
+        return product
+    rng = np.random.default_rng(truth.seed)
+    y = product + rng.normal(0.0, truth.sigma, size=product.shape)
+    if clamp:
+        np.maximum(y, 0.0, out=y)
+    return y
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central finite differences of a scalar function, entry by entry."""
     x = np.asarray(x, dtype=np.float64)

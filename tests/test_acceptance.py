@@ -90,8 +90,10 @@ def test_decisions_match_the_record():
     ``decision_record.json`` records: iterations, rank and trial traces,
     survivors and ``converged`` exactly, final cost and mean SAM within
     1e-12 relative.  The summary line carries the largest relative cost
-    and SAM gaps, to read against that tolerance, and a SHA-256 over all
-    factors, for bitwise comparison between two checkouts on one machine."""
+    and SAM gaps with their scenes, to read against that tolerance, the
+    number of scenes whose cost or SAM is not bitwise the record's, and a
+    SHA-256 over all factors, for bitwise comparison between two checkouts
+    on one machine."""
     runs = {kind: protocol(kind)[0] for kind in decision_record.KINDS}
     runs["stalls"] = decision_record.run_stalls()
     records = decision_record.records_of(runs)
@@ -102,12 +104,14 @@ def test_decisions_match_the_record():
         digest.update(w.tobytes())
     expected = decision_record.load()
     problems = decision_record.differences(records, expected)
-    gaps = decision_record.largest_gaps(records, expected)
+    gaps, moved = decision_record.largest_gaps(records, expected)
     ok = not problems
     detail = ("%d scenes, %d fields off the record; largest relative gaps: "
-              "cost %.1e, SAM %.1e (RTOL %.0e); factors sha256 %s"
-              % (len(records), len(problems), gaps["final_cost"],
-                 gaps["mean_sam_deg"], decision_record.RTOL, digest.hexdigest()))
+              "cost %.1e (%s), SAM %.1e (%s) (RTOL %.0e); %d scenes' cost or "
+              "SAM not bitwise the record's; factors sha256 %s"
+              % (len(records), len(problems), *gaps["final_cost"],
+                 *gaps["mean_sam_deg"], decision_record.RTOL, moved,
+                 digest.hexdigest()))
     record("decisions match tests/decision_record.json", ok, detail)
     assert ok, "\n".join(problems)
 

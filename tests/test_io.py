@@ -190,7 +190,9 @@ def test_load_peak_memory_stays_near_result_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.shape == (224, 5000)
-    assert peak < 2.0 * loaded.nbytes, peak / loaded.nbytes
+    # np.loadtxt grows its rows by a quarter at a time, which sets the
+    # peak: 1.19 here.
+    assert peak < 1.25 * loaded.nbytes, peak / loaded.nbytes
 
 
 def test_save_matrix_bytes_match_per_value_formatting(tmp_path):

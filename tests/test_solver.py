@@ -163,6 +163,15 @@ def test_all_zero_observations_degenerate_to_rank_zero():
             <= 1e-12 * max(report.initial_cost, 1.0)).all()
 
 
+def test_zero_pixels_run_one_iteration():
+    """A Y without pixels solves: the endmember step's sum over pixel
+    blocks starts from zero, so it has a value when there is no block."""
+    _, _, report = solve(np.zeros((5, 0)), np.ones((5, 2)), np.ones((0, 2)),
+                         SolverConfig(r=2, eta=0.1))
+    assert report.iterations == 1
+    assert report.final_cost == pytest.approx(2.4, rel=1e-12)
+
+
 def test_complex_input_is_rejected():
     phi_t, w_t = tiny_truth(0)
     y = phi_t @ w_t.T
@@ -743,7 +752,7 @@ def test_closed_form_search_matches_direct_form_in_pixel_blocks(monkeypatch, kin
 @given(l=st.integers(1, 12), k=st.integers(1, 40), r=st.integers(1, 5),
        block=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_pixel_blocks_keep_the_decisions(l, k, r, block, seed):
-    """A solve whose abundance steps, scan and initial cost run in pixel
+    """A solve whose block steps, scan and initial cost run in pixel
     blocks of ``block`` pixels makes the decisions of the one-block solve
     (iterations, step weights, ranks, survivors, ``converged``); its costs
     agree within ``BLOCKED_COST_RTOL`` and its factors within

@@ -1,10 +1,13 @@
 """Unit checks for the solver's building blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from slrnmf.model import Objective, SearchTerms, _column_dots
+import slrnmf.solver
+from slrnmf.model import Objective, SearchTerms, _column_dots, _pixel_block
 from slrnmf.solver import (
     _spd_inverse,
     SolverConfig,
@@ -119,6 +122,58 @@ def test_update_endmembers_solves_the_newton_system():
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10, atol=1e-12)
     assert out.flags.c_contiguous
     assert_terms_of(terms, phi, out, w.T @ w, y @ w, 0.0)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_endmember_step_forms_y_w_within_its_bound(monkeypatch, order):
+    """The C = Y W that the endmember step hands ``_candidate_rows``, summed
+    over pixel blocks, is within gamma_K sum_j |y_aj| |w_ji| of Y W, at
+    widths 1-10, on one block (K up to 4,681 at L = 224) and past it, for
+    C- and F-ordered Y.  The reference is Y W in long double, whose own
+    gamma_K is added to the bound."""
+    seen = []
+    inner = slrnmf.solver._candidate_rows
+
+    def spy(inverse, terms, cross, x, out):
+        seen.append(cross.copy())
+        return inner(inverse, terms, cross, x, out)
+
+    monkeypatch.setattr(slrnmf.solver, "_candidate_rows", spy)
+    rng = np.random.default_rng(24)
+    block = _pixel_block(224)
+    for k in (1, 500, block, block + 1, 2 * block + 1):
+        y = np.asarray(rng.uniform(0.0, 1.0, (224, k)), order=order)
+        w = rng.uniform(0.0, 1.0, (k, 10))
+        exact = y.astype(np.longdouble) @ w.astype(np.longdouble)
+        scale = y @ w  # sum_j |y_aj| |w_ji|: every entry is nonnegative
+        bound = sum(k * eps / (1.0 - k * eps) for eps in
+                    (np.finfo(np.float64).eps, np.finfo(np.longdouble).eps))
+        obj = Objective(y, 1.0, 0.0, 1.0)
+        for r in range(1, 11):
+            phi = rng.uniform(0.0, 1.0, (224, r))
+            update_endmembers(obj, phi, w[:, :r], np.full(r, 0.5))
+            cross = seen.pop()
+            assert cross.shape == (224, r)
+            gap = np.abs(cross - exact[:, :r]).astype(np.float64)
+            assert (gap <= bound * scale[:, :r]).all(), (k, r, order)
+
+
+def test_endmember_step_allocates_no_k_by_r_temporary():
+    # 224 x 40,000, r = 10: W is 3.2 MB.  The step copies one pixel
+    # block's rows of W (r x 4,681, 0.12 x w.nbytes) and sums r-by-L
+    # partials; a K-by-r temporary alone would be 1.0.
+    rng = np.random.default_rng(3)
+    y = rng.uniform(0.0, 1.0, (224, 40_000))
+    phi = rng.uniform(0.0, 1.0, (224, 10))
+    w = rng.uniform(0.0, 1.0, (40_000, 10))
+    obj = Objective(y, 1.0, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        update_endmembers(obj, phi, w, np.full(10, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * w.nbytes, peak / w.nbytes
 
 
 def step_of(x, cand, gram, cross, shift):

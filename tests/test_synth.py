@@ -1,5 +1,7 @@
 """Synthetic data generation: sparsity, determinism, noise, the library."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,30 @@ def test_mix_and_noise_moments():
     n = noise.size
     assert abs(noise.mean()) < 5 * 0.05 / np.sqrt(n)
     assert abs(noise.std() - 0.05) < 5 * 0.05 / np.sqrt(2 * n)
+
+
+@pytest.mark.parametrize("l, k, sigma, clamp", [
+    (224, 500, 1e-3, True), (224, 5000, 1e-3, False), (7, 3, 0.5, False),
+    (1, 1, 2.0, True), (30, 40, 0.0, True)])
+def test_mix_and_noise_matches_whole_array_noise(l, k, sigma, clamp):
+    """Noise added one band row at a time is bitwise the one L-by-K draw."""
+    rng = np.random.default_rng(l + k)
+    truth = GroundTruth(phi_true=rng.uniform(0, 1, (l, 3)),
+                        w_true=rng.uniform(0, 0.01, (k, 3)),
+                        sigma=sigma, seed=l * k)
+    got = mix_and_noise(truth, clamp=clamp)
+    want = oracles.mix_and_noise_whole(truth, clamp=clamp)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_simulate_holds_one_observation_array():
+    tracemalloc.start()
+    try:
+        y, _ = simulate(224, 5000, 4, 0.3, 1e-3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * y.nbytes, peak / y.nbytes
 
 
 def test_simulate_splits_seed_streams():
