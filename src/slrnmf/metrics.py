@@ -177,8 +177,14 @@ def abundance_rmse(estimated, reference, permutation):
     -------
     (rmse, scales) : (float, (m,) array)
     """
-    estimated = as_matrix(estimated, "estimated")
-    reference = as_matrix(reference, "reference")
+    return _abundance_rmse(as_matrix(estimated, "estimated"),
+                           as_matrix(reference, "reference"), permutation)
+
+
+def _abundance_rmse(estimated, reference, permutation):
+    """:func:`abundance_rmse` of two matrices that :func:`as_matrix` has
+    already returned: their entries are not scanned again, their shapes
+    and the permutation are still checked."""
     if estimated.shape[0] != reference.shape[0]:
         raise ValueError("row counts differ: estimated has %d, reference has %d"
                          % (estimated.shape[0], reference.shape[0]))
@@ -214,6 +220,6 @@ def evaluate_unmixing(phi_est, phi_ref, w_est=None, w_ref=None):
         check_dims(None, np.asarray(phi_est), w_est, ("phi_est", "w_est"))
         check_dims(None, np.asarray(phi_ref), w_ref, ("phi_ref", "w_ref"))
         if result.permutation.size:
-            result.abundance_rmse, result.abundance_scales = abundance_rmse(
+            result.abundance_rmse, result.abundance_scales = _abundance_rmse(
                 w_est, w_ref, result.permutation)
     return result

@@ -18,6 +18,13 @@ The middle term is a smoothed group penalty on the stacked columns of
 overestimated factorization rank into an estimate of the true number of
 endmembers.  All arithmetic is float64.
 
+Inside :func:`slrnmf.solver.solve` the factors are held component-major:
+Phi^T as an r-by-L array and W^T as an r-by-K one, one factor column per
+row.  The solver's helpers here take them so: :func:`_cross_block`,
+:func:`_scan_observations`, :class:`SearchTerms`,
+:meth:`Objective.total_gram` and :meth:`Objective.change_along`.
+:meth:`Objective.total` and :func:`cost_total` take (L, r) and (K, r).
+
 Each input rule of the package lives here once: :func:`as_matrix` for
 matrices (finite, and nonnegative where asked), which the solver's scan
 of ``y`` applies in the same blocked pass that forms its pixel norms and
@@ -153,6 +160,13 @@ def _pixel_block(l):
     return max(1, _RESIDUAL_BLOCK_BYTES // (8 * max(l, 1)))
 
 
+def _pixel_slices(l, k):
+    """The column slices of the pixel blocks of an L-by-K scene: at least
+    one, which is empty when K = 0."""
+    step = _pixel_block(l)
+    return [slice(j, j + step) for j in range(0, max(k, 1), step)]
+
+
 def _column_dots(a, b):
     """Per-column inner products <a_i, b_i>, without a full-size temporary.
 
@@ -168,54 +182,73 @@ def _column_dots(a, b):
     return np.einsum("ij,ij->j", a, b)
 
 
+def _row_dots(a, b):
+    """Per-row inner products <a_i, b_i> of two r-by-n factors held
+    component-major, without a full-size temporary.
+
+    Precision: each row's n products are summed in ``einsum``'s order,
+    which depends on the rows' stride (a unit stride takes its vector
+    kernel), so a caller that must not depend on a layout hands it rows of
+    one stride.  Any order is within gamma_n sum_j |a_ij b_ij| (gamma_n =
+    n eps / (1 - n eps)), the bound of :func:`_column_dots`.
+    """
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _c_ordered_blocks(x, l):
+    """(rows, copy) for each pixel block of the r-by-K ``x`` at L = ``l``
+    bands, the copy x[:, rows] in C order: whatever x's layout, the
+    reductions over the copies take the same path."""
+    return ((rows, x[:, rows].copy()) for rows in _pixel_slices(l, x.shape[1]))
+
+
 def _cross_block(phi, block, out=None):
-    """The rows of C = Y^T Phi of one pixel block, as (Phi^T Y_b)^T so that
-    their transpose is C-ordered; into ``out`` (r-by-B) when given.
+    """Phi^T Y_b, the r-by-B columns of C^T = Phi^T Y of one pixel block,
+    from Phi^T = ``phi`` (r-by-L, C-ordered); into ``out`` when given.
 
     On a scene of one block this is the whole product.  Past one, each
     entry is still the dot of one band vector with one pixel, but the
     BLAS may order its L products differently by block (measured at
     K = 2 x 4,681, r = 4: last-bit differences).
     """
-    return np.matmul(phi.T, block, out=out).T
+    return np.matmul(phi, block, out=out)
 
 
 def _scan_observations(y, phi):
-    """(Y, pixel norms, ||Y||^2, C) from one pass over y.
+    """(Y, pixel norms, ||Y||^2, C^T) from one pass over y.
 
-    Y is ``as_matrix(y, "y", nonneg=True)``, the norms are ||y_j||^2 and C
-    = Y^T Phi (K-by-r, the transpose of a C-ordered array).  The pass takes
-    y in the pixel blocks of :meth:`Objective.total` and reads each block's
-    min, column dots and rows of C while it is in cache.  A NaN or -inf
-    entry reaches the minimum and a +inf one the norms' sum, so y's
-    maximum is taken only when that sum is not finite, to tell a +inf
-    entry from squares that overflow: a finite y passes, however large.
-    The rules, messages and their precedence are :func:`as_matrix`'s.  The
-    norms are bitwise ``_column_dots(y, y)``, also for a one-pixel last
-    block: a block is a view into y, and a one-column view of a wider y
-    is either strided, which ``einsum`` sums in row order as it does the
-    whole, or (y Fortran-ordered) contiguous, as every column of the
-    whole is.
+    Y is ``as_matrix(y, "y", nonneg=True)``, the norms are ||y_j||^2 and
+    C^T = Phi^T Y (r-by-K, C-ordered) from Phi^T = ``phi`` (r-by-L).  The
+    pass takes y in the pixel blocks of :meth:`Objective.total` and reads
+    each block's min, column dots and columns of C^T while it is in cache.
+    A NaN or -inf entry reaches the minimum and a +inf one the norms' sum,
+    so y's maximum is taken only when that sum is not finite, to tell a
+    +inf entry from squares that overflow: a finite y passes, however
+    large.  The rules, messages and their precedence are
+    :func:`as_matrix`'s.  The norms are bitwise ``_column_dots(y, y)``,
+    also for a one-pixel last block: a block is a view into y, and a
+    one-column view of a wider y is either strided, which ``einsum`` sums
+    in row order as it does the whole, or (y Fortran-ordered) contiguous,
+    as every column of the whole is.
     """
     y = _real_matrix(y, "y")
     l, k = y.shape
     norms = np.zeros(k)
-    cross = np.zeros((phi.shape[1], k))
+    cross = np.zeros((phi.shape[0], k))
     low = 0.0
     if y.size:
         low = np.inf
-        step = _pixel_block(l)
-        for j in range(0, k, step):
-            block = y[:, j:j + step]
+        for rows in _pixel_slices(l, k):
+            block = y[:, rows]
             # np.minimum carries a NaN through.
             low = np.minimum(low, block.min())
-            norms[j:j + step] = _column_dots(block, block)
-            _cross_block(phi, block, cross[:, j:j + step])
+            norms[rows] = _column_dots(block, block)
+            _cross_block(phi, block, cross[:, rows])
     y_squared = float(norms.sum())
     # A finite sum of squares rules out a +inf entry.
     high = 0.0 if np.isfinite(y_squared) else y.max()
     _check_extremes("y", low, high, True)
-    return y, norms, y_squared, cross.T
+    return y, norms, y_squared, cross
 
 
 def _squared_residual(y, phi, w):
@@ -245,59 +278,76 @@ def cost_total(y, phi, w, delta, lambda1, eta):
 
 
 def _fit_gradient(x, gram, cross):
-    """X P - C, the gradient of 0.5 * ||Y - Phi W^T||_F^2 in the block X.
+    """P X^T - C^T, the gradient of 0.5 * ||Y - Phi W^T||_F^2 in the block
+    X, held component-major like X^T = ``x``.
 
-    P is the Gram matrix of the other block and C the product of Y with
-    it, oriented like X: P = Phi^T Phi and C = Y^T Phi for X = W;
-    P = W^T W and C = Y W for X = Phi.
+    P is the Gram matrix of the other block and C^T the product of Y with
+    it, oriented like X^T: P = Phi^T Phi and C^T = Phi^T Y for X = W;
+    P = W^T W and C^T = W^T Y^T for X = Phi.  P is symmetric, so this is
+    the transpose of X P - C entry for entry.
     """
-    return x @ gram - cross
+    gradient = gram @ x
+    gradient -= cross
+    return gradient
 
 
 class SearchTerms:
     """The r-sized reductions of one block step S = Z - X that price its
-    line search, summed over blocks of rows.
+    line search, summed over blocks of pixels (or bands).
 
     A block step makes one for its candidate Z: ``gram`` is P = F^T F, the
     Gram of the fixed block F, and ``shift`` the step's soft threshold
     (lambda1 for W, 0 for Phi), which weighs sum(S) in the slope.  Each
-    :meth:`add` takes one block of rows of X, of Z and of C, the product
-    of Y with F oriented like X, while they are in cache, and adds
+    :meth:`add` takes one block of X^T, of Z^T and of C^T, the product of
+    Y with F, all component-major (r-by-B), while they are in cache, and
+    adds
 
-    * ``slope``, the fit gradient along the step, <X P - C, S>;
+    * ``slope``, the fit gradient along the step, <P X^T - C^T, S^T>;
     * ``step_sum``, sum(S);
     * ``step_gram``, S^T S;
-    * ``xs``, the column dots <x_i, s_i>;
-    * ``zz``, the column dots ||z_i||^2: the block's energies at beta = 1.
+    * ``xs``, the row dots <x_i, s_i>;
+    * ``zz``, the row dots ||z_i||^2: the block's energies at beta = 1.
 
-    Precision: on a step of one block of rows each term is the one formed
-    over the whole block, bitwise.  Past one, a term is the sum of per-block
-    sums: a block of B rows sums its B r products (B for a column dot) and
-    the n / B block sums are added in turn, so the summation rounds at
+    The first block's terms are taken as they are, which is bitwise adding
+    them to zeros; a step adds at least one block, empty when Y has no
+    pixels.
+
+    Precision: on a step of one block each term is the one formed over the
+    whole block, bitwise.  Past one, a term is the sum of per-block sums:
+    a block of B pixels sums its B r products (B for a row dot) and the
+    n / B block sums are added in turn, so the summation rounds at
     gamma_{B r + n/B} of the terms' magnitudes, as :meth:`Objective.total`'s
-    fit does, against gamma_{n r} for one sum over all n rows: blocking
-    never loosens the bound.  The products X P - C and S^T S round as in
-    the one-block form.
+    fit does, against gamma_{n r} for one sum over all n: blocking never
+    loosens the bound.  The products P X^T - C^T and S^T S round as in the
+    one-block form.  Held pixel-major, the same terms were <X P - C, S>,
+    S^T S and column dots: P is symmetric, so each entry of P X^T is still
+    a sum of the same r products, and S^T S, the row dots, the slope and
+    sum(S) sum the same n products in another order, within the same
+    gamma bounds.
     """
 
     def __init__(self, gram, shift):
-        r = gram.shape[0]
         self.gram = gram
         self.shift = shift
-        self.slope = 0.0
-        self.step_sum = 0.0
-        self.step_gram = np.zeros((r, r))
-        self.xs = np.zeros(r)
-        self.zz = np.zeros(r)
+        self.zz = None
 
     def add(self, x, candidate, cross):
-        """Add the terms of one block of rows of X, Z = ``candidate`` and C."""
+        """Add the terms of one block of X^T, Z^T = ``candidate`` and C^T."""
         step = candidate - x
-        self.slope += float(np.vdot(_fit_gradient(x, self.gram, cross), step))
-        self.step_sum += float(step.sum())
-        self.step_gram += step.T @ step
-        self.xs += _column_dots(x, step)
-        self.zz += _column_dots(candidate, candidate)
+        slope = float(np.vdot(_fit_gradient(x, self.gram, cross), step))
+        step_sum = float(step.sum())
+        step_gram = step @ step.T
+        xs = _row_dots(x, step)
+        zz = _row_dots(candidate, candidate)
+        if self.zz is None:
+            self.slope, self.step_sum, self.step_gram, self.xs, self.zz = (
+                slope, step_sum, step_gram, xs, zz)
+            return
+        self.slope += slope
+        self.step_sum += step_sum
+        self.step_gram += step_gram
+        self.xs += xs
+        self.zz += zz
 
 
 class Objective:
@@ -346,9 +396,8 @@ class Objective:
         ||Phi W^T||), which is the same in either form.
         """
         y = self.y
-        step = _pixel_block(y.shape[0])
-        fit = 0.5 * sum(_squared_residual(y[:, j:j + step], phi, w[j:j + step])
-                        for j in range(0, y.shape[1], step))
+        fit = 0.5 * sum(_squared_residual(y[:, rows], phi, w[rows])
+                        for rows in _pixel_slices(*y.shape))
         penalty = float(np.sum(np.sqrt(_column_energy(phi, w) + self.eta * self.eta)))
         return fit + self.delta * penalty + self.lambda1 * float(np.abs(w).sum())
 
@@ -356,18 +405,22 @@ class Objective:
         """:meth:`total` at nonnegative (phi, w) from products that
         :func:`slrnmf.solver.solve` forms anyway, reading no Y.
 
-        ``cross`` is C = Y^T Phi (K-by-r), ``energies`` the column dots
+        The factors are component-major: ``phi`` is Phi^T (r-by-L) and
+        ``w`` W^T (r-by-K), which may be a view of any layout.  ``cross``
+        is C^T = Phi^T Y (r-by-K, C-ordered), ``energies`` the row dots
         (||phi_i||^2, ||w_i||^2) and ``y_squared`` ||Y||_F^2.  The fit is
         taken in Gram form, the penalty from the energies and the L1 term
         as lambda1 sum(W), which W >= 0 makes exact::
 
             fit = 0.5 (||Y||^2 - 2 <C, W> + <P, Q>),  P = Phi^T Phi, Q = W^T W
 
-        It costs O((L + K) r^2) besides C, against :meth:`total`'s pass
-        over Y and L-by-K-by-r product.  A non-finite result is returned
-        as inf: the expanded fit turns an overflow into inf - inf = nan.
-        So does a Y with ||Y||_F above about 1.3e154, where ||Y||^2
-        overflows although the direct form may not.
+        W is read one pixel block at a time, each block copied to C order,
+        so the cost does not depend on the layout of ``w``.  It costs
+        O((L + K) r^2) besides C, against :meth:`total`'s pass over Y and
+        L-by-K-by-r product.  A non-finite result is returned as inf: the
+        expanded fit turns an overflow into inf - inf = nan.  So does a Y
+        with ||Y||_F above about 1.3e154, where ||Y||^2 overflows although
+        the direct form may not.
 
         Precision: every entry is nonnegative, so each of the three fit
         terms, C's entries included, is a sum of nonnegative products
@@ -383,11 +436,15 @@ class Objective:
         and the stop rule compares differences.
         """
         e_phi, e_w = energies
-        inner = float(np.trace(w.T @ cross))
-        gram = float(np.vdot(phi.T @ phi, w.T @ w))
+        inner = w_sum = q = 0.0
+        for rows, block in _c_ordered_blocks(w, self.y.shape[0]):
+            inner += float(np.einsum("ij,ij->", block, cross[:, rows]))
+            w_sum += float(block.sum())
+            q = q + block @ block.T
+        gram = float(np.vdot(phi @ phi.T, q))
         fit = 0.5 * (y_squared - 2.0 * inner + gram)
         penalty = float(np.sum(np.sqrt(e_phi + e_w + self.eta * self.eta)))
-        cost = fit + self.delta * penalty + self.lambda1 * float(w.sum())
+        cost = fit + self.delta * penalty + self.lambda1 * w_sum
         return cost if np.isfinite(cost) else np.inf
 
     def change_along(self, terms, x, candidate, x_energy, fixed_energy):
@@ -395,8 +452,9 @@ class Objective:
 
         X is the searched block, S = ``candidate`` - X, and ``terms`` the
         :class:`SearchTerms` of that step; the other block F stays fixed.
-        ``x_energy`` and ``fixed_energy`` hold the column dots ||x_i||^2
-        and ||f_i||^2, as :func:`slrnmf.solver.solve` carries them.  X and
+        ``x`` and ``candidate`` hold X^T and Z^T component-major (r rows),
+        and ``x_energy`` and ``fixed_energy`` the row dots ||x_i||^2 and
+        ||f_i||^2, as :func:`slrnmf.solver.solve` carries them.  X and
         ``candidate`` must be nonnegative.  Setting up costs O(r^2) and
         reads neither block; the returned function of beta in (0, 1]
         costs O(r) per call and allocates nothing of size L-by-K::
@@ -415,15 +473,16 @@ class Objective:
         nonnegative, so it keeps full relative precision even when a
         column collapses to zero.  At beta = 1 the middle terms are +0.0
         for finite energies, so it is ||f_i||^2 + eta^2 + ||z_i||^2
-        exactly; the dots <x_i, z_i>, one pass over X and the candidate,
-        are formed only when a fractional beta is first priced.
+        exactly, and n_i is a_i + b_i, bitwise; the row dots <x_i, z_i>,
+        one pass over X and the candidate, are formed only when a
+        fractional beta is first priced.
 
         Precision: each term of f multiplies the step S by quantities at
         X, so f rounds at about n eps times the magnitude of its own terms
         (n = L + r for ``w``, K + r for ``phi``: the inner dimensions of
         the products behind C and G), which shrinks with the step and does
         not grow with the cost; :class:`SearchTerms` states what summing
-        them over row blocks adds.  The direct difference of two ``total``
+        them over pixel blocks adds.  The direct difference of two ``total``
         calls rounds at the scale of the costs: about eps (|total| +
         (r + 1) ||R|| (||Y|| + ||Phi W^T||)) per call, R = Y - Phi W^T.
         The expanded fit ||Y||^2 - 2 tr(Phi^T Y W) + tr(Phi^T Phi W^T W)
@@ -446,14 +505,15 @@ class Objective:
         def change(beta):
             nonlocal xz
             if beta == 1.0:
-                trial = rest + zz
+                trial, moved = rest + zz, a + b
             else:
                 if xz is None:
-                    xz = _column_dots(x, candidate)
+                    xz = _row_dots(x, candidate)
                 keep = 1.0 - beta
                 trial = (rest + keep * keep * x_energy
                          + 2.0 * beta * keep * xz + beta * beta * zz)
-            group = ((beta * a + beta * beta * b) / (np.sqrt(trial) + root)).sum()
+                moved = beta * a + beta * beta * b
+            group = (moved / (np.sqrt(trial) + root)).sum()
             return beta * slope + beta * beta * curvature + delta * float(group)
 
         return change

@@ -1,32 +1,39 @@
 """Alternating proximal Newton solver with reweighting and rank pruning.
 
+Inside :func:`solve` and the steps it calls, the factors are held
+component-major: Phi^T as an r-by-L array and W^T as an r-by-K one, both
+C-ordered, so that every product with Y takes contiguous operands and
+every per-column reduction of a factor runs along a contiguous row.
+:func:`solve` takes (L, r) and (K, r) factors and returns (L, n) and
+(K, n) ones, the transposes of what it holds.
+
 One outer iteration does:
 
 1. abundance block: one ridge-regularized Newton step, soft-thresholded
    and projected onto the nonnegative orthant, taken one pixel block of Y
-   at a time from the block's Gram P = Phi^T Phi and the rows of the
-   cross product C = Y^T Phi,
+   at a time from the block's Gram P = Phi^T Phi and the columns of the
+   cross product C^T = Phi^T Y,
 2. a backtracked extrapolation toward that target, priced from r-sized
    terms the step summed while each block was in cache, until the total
    cost stops increasing,
 3. endmember block: the same step without the soft-threshold, from
-   P = W^T W and C = Y W, as one block of L rows, and the same
-   backtracking; C is summed over the pixel blocks of Y, each block's
-   W_b^T Y_b^T from a C-ordered copy of its rows of W,
+   P = W^T W and C^T = W^T Y^T, as one block of L columns, and the same
+   backtracking; C^T is summed over the pixel blocks of Y, each block's
+   W_b^T Y_b^T straight from its columns of W^T,
 4. pruning: column pairs that are exactly zero are dropped, and those
    whose joint energy exceeds a relative tolerance are counted,
 5. refresh of the penalty diagonal from the working columns.
 
 There is one block path.  A step forms M = (P + D)^-1 once, and for each
-block of rows writes the candidate's rows max(C_b M - shift, 0) and adds
+block writes the candidate's columns max(M C_b^T - shift, 0) and adds
 their search terms (:class:`SearchTerms`): the slope, sum and Gram of the
-step and two column dots.  No step forms a residual, and the line search
+step and two row dots.  No step forms a residual, and the line search
 prices every trial from those terms (:meth:`Objective.change_along`).
 The full cost is evaluated once per solve, at the initial iterate, in
 Gram form (:meth:`Objective.total_gram`); every reported cost after it is
 the previous one plus the accepted changes.  Before it iterates, a solve
 reads Y once: one blocked scan checks it and forms the squared pixel
-norms, which give the default eta and ||Y||^2, and C = Y^T Phi, which
+norms, which give the default eta and ||Y||^2, and C^T = Phi^T Y, which
 prices the initial cost and serves the first abundance step.
 
 The column energies ||phi_i||^2 and ||w_i||^2, shared by the group
@@ -59,17 +66,21 @@ the working cost plus delta * eta per dropped column.
 Memory: besides Y and the initial factors, a solve holds two K-by-r
 arrays: the abundances and their step's candidate, into whose buffer a
 fractional step weight blends.  In the first abundance step the scan's
-C = Y^T Phi is the other one, and the abundances are still the caller's.
+C^T = Phi^T Y is the other one, and the abundances are still a view of
+the caller's W: the step reads C-ordered copies of its pixel blocks,
+which take their blocks' place in C's buffer as C is used up, so that
+buffer then holds W^T and no K-by-r copy of W is made (unless a column
+pair that starts at zero is dropped at entry, which copies the others).
 Later steps form C, and every step its step and gradient, one pixel
-block at a time.  The endmember step's C = Y W is one r-by-L sum of
-per-block partials, each from an r-by-B copy of the block's rows of W
-(B = 2^20 / L pixels, so r / L times 8 MiB: 374 KB at L = 224 and
-r = 10).  A solve allocates no L-by-K temporary and no residual block;
-at entry it also holds the K squared pixel norms of its scan.
-Pruning and reweighting work from the r carried energies and allocate no
-K-by-r temporary, and a callback's state pads its arrays to r columns
-only when they are read.  The inputs are never written, and the
-returned factors share no memory with them.
+block at a time.  The endmember step's C^T = W^T Y^T is one r-by-L sum
+of per-block partials, taken straight from the blocks' columns of W^T.
+A solve allocates no L-by-K temporary and no residual block; at entry
+it also holds the K squared pixel norms of its scan.  Pruning and
+reweighting work from the r carried energies and allocate no K-by-r
+temporary, and a callback's state pads its arrays to r columns only when
+they are read.  The inputs are never written, the returned factors share
+no memory with them, and they are transposed views of the arrays the
+solve held: F-ordered, not copied.
 """
 
 import math
@@ -82,10 +93,12 @@ import numpy as np
 from .model import (
     Objective,
     SearchTerms,
+    _c_ordered_blocks,
     _column_dots,
     _cross_block,
-    _pixel_block,
+    _pixel_slices,
     _real_matrix,
+    _row_dots,
     _scan_observations,
     as_integer,
     as_matrix,
@@ -171,19 +184,23 @@ class SolverConfig:
 class SolverState:
     """Per-iteration snapshot handed to the ``solve`` callback.
 
-    ``phi_hat`` / ``w_hat`` are the accepted (extrapolated) iterates,
-    ``d_hat`` the penalty diagonal consistent with them, ``beta_w`` /
-    ``beta_phi`` the step weights accepted by the line searches (0.0
-    means the block did not move), ``k`` the 1-based iteration counter
-    and ``last_cost`` the total cost at (phi_hat, w_hat).  The arrays have
-    all r columns; dropped ones are exactly zero, with ``d_hat`` = delta
-    / eta there.  They are padded to r columns when first read, so a
-    callback that reads only the scalars makes no r-wide copies.
+    ``phi_hat`` (L, r) / ``w_hat`` (K, r) are the accepted (extrapolated)
+    iterates, ``d_hat`` the penalty diagonal consistent with them,
+    ``beta_w`` / ``beta_phi`` the step weights accepted by the line
+    searches (0.0 means the block did not move), ``k`` the 1-based
+    iteration counter and ``last_cost`` the total cost at (phi_hat,
+    w_hat).  The arrays have all r columns; dropped ones are exactly
+    zero, with ``d_hat`` = delta / eta there.  They are padded to r
+    columns when first read, so a callback that reads only the scalars
+    makes no r-wide copies.  Unpadded, ``phi_hat`` and ``w_hat`` are
+    transposed views of the solver's own component-major arrays, so they
+    may be F-ordered: copy them before writing.
     """
 
     def __init__(self, working, alive, config, beta_w, beta_phi, k, last_cost):
         # (phi, w, d) on the working columns, which ``alive`` indexes
-        # into the initial r.
+        # into the initial r; phi and w component-major, as solve holds
+        # them.
         self._working = working
         self._alive = alive
         self._config = config
@@ -192,8 +209,8 @@ class SolverState:
         self.k = k
         self.last_cost = last_cost
 
-    def _padded(self, i, fill):
-        a, r = self._working[i], self._config.r
+    def _padded(self, a, fill):
+        r = self._config.r
         if self._alive.size == r:
             return a
         full = np.full(a.shape[:-1] + (r,), fill)
@@ -202,15 +219,15 @@ class SolverState:
 
     @cached_property
     def phi_hat(self):
-        return self._padded(0, 0.0)
+        return self._padded(self._working[0].T, 0.0)
 
     @cached_property
     def w_hat(self):
-        return self._padded(1, 0.0)
+        return self._padded(self._working[1].T, 0.0)
 
     @cached_property
     def d_hat(self):
-        return self._padded(2, self._config.delta / self._config.eta)
+        return self._padded(self._working[2], self._config.delta / self._config.eta)
 
 
 @dataclass
@@ -306,23 +323,25 @@ def _spd_inverse(a, context):
 
 def _block_step(fixed, d, shift, context):
     """The inverse M = (P + D)^-1 of a block's normal matrix, P = F^T F the
-    Gram of F = ``fixed``, D = diag(``d``), and the step's empty
+    Gram of F^T = ``fixed`` (r rows), D = diag(``d``), and the step's empty
     :class:`SearchTerms`, which carry P and the soft threshold ``shift``."""
-    gram = fixed.T @ fixed
+    gram = fixed @ fixed.T
     a = gram.copy()
-    a.flat[::a.shape[0] + 1] += d
+    a.ravel()[::a.shape[0] + 1] += d
     return _spd_inverse(a, context), SearchTerms(gram, shift)
 
 
 def _candidate_rows(inverse, terms, cross, x, out):
-    """One block of rows of a Newton step: writes the candidate's rows
-    max(C_b M - shift, 0) into ``out`` and adds their search terms.
+    """One block of a Newton step: writes the candidate's columns
+    max(M C_b^T - shift, 0) into ``out`` and adds their search terms.
 
-    C_b = ``cross`` holds the rows of the product of Y with the fixed
-    block and ``x`` those of the searched block.  The shift and the
-    projection run in place on ``out``, a C-ordered row block.
+    C_b^T = ``cross`` holds a block of the product of Y with the fixed
+    block and ``x`` the same block of the searched one, both r-by-B.  M
+    is symmetric, so each entry is a sum of the same r products as in
+    (C_b M)^T.  The shift and the projection run in place on ``out``, an
+    r-by-B block whose rows are contiguous.
     """
-    z = np.matmul(cross, inverse, out=out)
+    z = np.matmul(inverse, cross, out=out)
     z -= terms.shift
     np.maximum(z, 0.0, out=z)
     terms.add(x, z, cross)
@@ -331,46 +350,55 @@ def _candidate_rows(inverse, terms, cross, x, out):
 def update_abundances(objective, phi_hat, w_hat, d_hat, cross):
     """One inexact proximal Newton step for the abundance block.
 
-    Solves (Phi^T Phi + D) X = Phi^T Y, Y = ``objective.y``, for the r-by-K
-    Newton target, transposes to K-by-r, soft-thresholds at
-    ``objective.lambda1`` and projects onto the nonnegative orthant, which
-    together are max(x - lambda1, 0).  Expects ``phi_hat`` float64 (L, r),
-    ``w_hat`` float64 (K, r) and ``d_hat`` float64 (r,), as :func:`solve`
-    hands them.  ``cross`` is C = Y^T Phi when already formed (the scan's,
-    at the first step), else None, and each pixel block's rows of C are
-    formed from Y.  Returns the candidate and its :class:`SearchTerms`,
-    the step that :func:`line_search` takes.  The candidate, C-ordered,
-    is the one K-by-r array the step allocates: C, the step and the
-    gradient exist one pixel block at a time.
+    Solves (Phi^T Phi + D) X = Phi^T Y, Y = ``objective.y``, for the
+    r-by-K Newton target, soft-thresholds it at ``objective.lambda1`` and
+    projects it onto the nonnegative orthant, which together are
+    max(x - lambda1, 0).  The factors are component-major, as
+    :func:`solve` holds them: ``phi_hat`` is Phi^T, float64 (r, L),
+    C-ordered, ``w_hat`` W^T, float64 (r, K), and ``d_hat`` float64 (r,).
+    ``cross`` is C^T = Phi^T Y (r-by-K, C-ordered) when already formed
+    (the scan's, at the first step), else None, and each pixel block's
+    columns of C^T are formed from Y.  Returns the candidate Z^T (r-by-K,
+    C-ordered) and its :class:`SearchTerms`, the step that
+    :func:`line_search` takes.  The candidate is the one K-by-r array the
+    step allocates: C, the step and the gradient exist one pixel block at
+    a time.
+
+    A given ``cross`` is consumed.  ``w_hat`` is then the caller's W,
+    of any layout, and each block of it is copied to C order before the
+    step reads it, so that no result depends on that layout; the copy
+    then takes the block's place in ``cross``, which on return holds W^T
+    in C order, for :func:`solve` to carry instead of the caller's W.
     """
     inverse, terms = _block_step(phi_hat, d_hat, objective.lambda1,
                                  "abundance update")
     y = objective.y
     candidate = np.empty(w_hat.shape)
-    step = _pixel_block(y.shape[0])
-    for j in range(0, y.shape[1], step):
-        rows = slice(j, j + step)
-        block = _cross_block(phi_hat, y[:, rows]) if cross is None else cross[rows]
-        _candidate_rows(inverse, terms, block, w_hat[rows], candidate[rows])
+    for rows in _pixel_slices(*y.shape):
+        if cross is None:
+            _candidate_rows(inverse, terms, _cross_block(phi_hat, y[:, rows]),
+                            w_hat[:, rows], candidate[:, rows])
+        else:
+            x = w_hat[:, rows].copy()
+            _candidate_rows(inverse, terms, cross[:, rows], x, candidate[:, rows])
+            cross[:, rows] = x
     return candidate, terms
 
 
 def update_endmembers(objective, phi_hat, w_hat, d_hat):
     """One Newton step for the endmember block, projected onto the orthant.
 
-    Solves (W^T W + D) X = W^T Y^T, Y = ``objective.y``, and transposes
-    back to L-by-r, from C = Y W as one block of L rows.  Expects
-    ``phi_hat`` float64 (L, r), ``w_hat`` float64 (K, r) and ``d_hat``
-    float64 (r,), as :func:`solve` hands them.  Returns the candidate and
-    its :class:`SearchTerms`, the step that :func:`line_search` takes.
+    Solves (W^T W + D) X = W^T Y^T, Y = ``objective.y``, from C^T = W^T
+    Y^T as one block of L columns.  The factors are component-major, as
+    :func:`solve` holds them: ``phi_hat`` is Phi^T, float64 (r, L),
+    ``w_hat`` W^T, float64 (r, K), and ``d_hat`` float64 (r,).  Returns
+    the candidate Phi^T (r-by-L, C-ordered) and its :class:`SearchTerms`,
+    the step that :func:`line_search` takes.
 
-    C^T = W^T Y^T is summed over the pixel blocks of the abundance step:
-    each block adds W_b^T Y_b^T, from a C-ordered r-by-B copy of its rows
-    of W, into one r-by-L sum.  At large K this runs as fast as the
-    abundance step's Phi^T Y (measured at 224 x 100,000, r = 10, with one
-    OpenBLAS thread on an AVX-512 Xeon: 22-27 ms against 32-40 ms for
-    ``y @ w``), and it allocates the r-by-B copy and r-by-L partials, no
-    K-by-r temporary.
+    C^T is summed over the pixel blocks of the abundance step: each block
+    adds W_b^T Y_b^T, straight from the block's columns of W^T and Y, into
+    one r-by-L sum.  It allocates the r-by-L partials, no K-by-r
+    temporary.
 
     Precision: each entry of C is still a sum of the same K products
     y_aj w_ji.  A block sums its B products and the K / B block sums are
@@ -379,18 +407,13 @@ def update_endmembers(objective, phi_hat, w_hat, d_hat):
     gamma_K for one GEMM over all K pixels: blocking never loosens the
     bound.  The result is not bitwise ``y @ w``: past one block the
     additions are reordered, and within one the BLAS may pick another
-    kernel for the transposed product (measured at K = 500, widths 5-8
-    differ in the last bits).
+    kernel for the transposed product.
     """
     inverse, terms = _block_step(w_hat, d_hat, 0.0, "endmember update")
     y = objective.y
-    cross = np.zeros((w_hat.shape[1], y.shape[0]))
-    step = _pixel_block(y.shape[0])
-    for j in range(0, y.shape[1], step):
-        rows = slice(j, j + step)
-        cross += np.ascontiguousarray(w_hat[rows].T) @ y[:, rows].T
+    cross = sum(w_hat[:, rows] @ y[:, rows].T for rows in _pixel_slices(*y.shape))
     candidate = np.empty(phi_hat.shape)
-    _candidate_rows(inverse, terms, cross.T, phi_hat, candidate)
+    _candidate_rows(inverse, terms, cross, phi_hat, candidate)
     return candidate, terms
 
 
@@ -417,7 +440,8 @@ def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost,
     objective : Objective
         Bound cost evaluator.
     phi_hat, w_hat : arrays
-        Current iterates; the block not being searched is held fixed.
+        Current iterates Phi^T (r, L) and W^T (r, K), component-major; the
+        block not being searched is held fixed.
     step : (candidate, terms)
         The block step's return: the proposed nonnegative iterate for the
         searched block, whose buffer the search may overwrite, and its
@@ -429,12 +453,12 @@ def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost,
     baseline_cost : float
         Total cost at (phi_hat, w_hat).
     energies : (array, array)
-        The column dots (||phi_i||^2, ||w_i||^2) at (phi_hat, w_hat).
+        The row dots (||phi_i||^2, ||w_i||^2) at (phi_hat, w_hat).
 
     Returns
     -------
     (accepted, beta_used, cost, energy) : (array, float, float, array)
-        ``energy`` holds the accepted block's column dots.
+        ``energy`` holds the accepted block's row dots.
     """
     candidate, terms = step
     e_phi, e_w = energies
@@ -452,7 +476,7 @@ def line_search(objective, phi_hat, w_hat, step, which, config, baseline_cost,
             blend -= prev
             blend *= beta
             blend += prev
-            return blend, beta, baseline_cost + gain, _column_dots(blend, blend)
+            return blend, beta, baseline_cost + gain, _row_dots(blend, blend)
         beta *= config.shrink
     return prev, 0.0, baseline_cost, energy
 
@@ -479,20 +503,20 @@ def _prune_and_drop(phi, w, e_phi, e_w, alive, prune_tol):
     eta to the objective and nothing to any gradient, and every block step
     maps it to zero again, so dropping it changes no iterate.  A survivor
     has positive energy, so the zero scan runs only when some column fails
-    pruning.  ``e_phi`` and ``e_w`` are the column dots of ``phi`` and
-    ``w``, and ``alive`` indexes the working columns into the initial r.
-    Returns the new ``alive``, the survivors as indices into the returned
-    working columns, and the compacted (phi, w, e_phi, e_w).
+    pruning.  ``phi`` and ``w`` hold one column per row, ``e_phi`` and
+    ``e_w`` are their row dots, and ``alive`` indexes the working columns
+    into the initial r.  Returns the new ``alive``, the survivors as
+    indices into the returned working columns, and the compacted (phi, w,
+    e_phi, e_w).
     """
     kept = prune_and_report_rank(e_phi + e_w, prune_tol)
-    if kept.size == phi.shape[1]:
+    if kept.size == phi.shape[0]:
         return alive, kept, phi, w, e_phi, e_w
-    keep = np.flatnonzero(phi.any(axis=0) | w.any(axis=0))
-    if keep.size == phi.shape[1]:
+    keep = np.flatnonzero(phi.any(axis=1) | w.any(axis=1))
+    if keep.size == phi.shape[0]:
         return alive, kept, phi, w, e_phi, e_w
-    # ``np.take`` returns C-ordered copies; ``phi[:, keep]`` would be F-ordered.
     return (alive[keep], np.searchsorted(keep, kept),
-            np.take(phi, keep, axis=1), np.take(w, keep, axis=1),
+            np.take(phi, keep, axis=0), np.take(w, keep, axis=0),
             e_phi[keep], e_w[keep])
 
 
@@ -542,7 +566,8 @@ def solve(y, init_phi, init_w, config, callback=None):
     -------
     (phi, w, report)
         ``phi`` (L, n_eff) and ``w`` (K, n_eff) hold the surviving
-        columns; ``report`` carries the resolved config and the
+        columns, as transposed views of the solver's component-major
+        arrays (F-ordered); ``report`` carries the resolved config and the
         per-iteration traces.  Costs are those of the width-r iterate, so
         a column below ``prune_tol`` that is not yet zero at exit counts in
         ``final_cost`` but not in the returned factors; the cost trace is
@@ -566,14 +591,17 @@ def solve(y, init_phi, init_w, config, callback=None):
     """
     t0 = time.perf_counter()
     y = _real_matrix(y, "y")
-    # C order, which the block steps' candidates take, so that no result
-    # depends on the layout of the caller's arrays; those are not copied.
-    phi = np.ascontiguousarray(as_matrix(init_phi, "init_phi", nonneg=True))
-    w = np.ascontiguousarray(as_matrix(init_w, "init_w", nonneg=True))
+    phi = as_matrix(init_phi, "init_phi", nonneg=True)
+    w = as_matrix(init_w, "init_w", nonneg=True)
     check_dims(y, phi, w, ("init_phi", "init_w"))
     if phi.shape[1] != config.r:
         raise ValueError("init_phi has %d columns, expected r=%d"
                          % (phi.shape[1], config.r))
+    # Component-major: Phi^T copied to C order, W^T a view of the caller's
+    # W until the first abundance step hands back its C-ordered copy.
+    # Until then W is read in C-ordered copies of its pixel blocks, so
+    # that no result depends on the layout of the caller's arrays.
+    phi, w = np.ascontiguousarray(phi.T), w.T
 
     # ``alive`` indexes the working columns into the initial r and ``kept``
     # the working columns that survive pruning; ``pad`` is the cost of the
@@ -581,14 +609,15 @@ def solve(y, init_phi, init_w, config, callback=None):
     # compared include it, the line searches price the working problem
     # without it.  ``e_phi`` and ``e_w`` are the working columns' dots,
     # formed here and then carried: each line search returns its block's.
-    # The scan of ``y`` forms the first abundance step's C = Y^T Phi
+    # The scan of ``y`` forms the first abundance step's C^T = Phi^T Y
     # (``cross``), which prices the initial cost first; nothing reads ``y``
     # again before the products of the block steps.  An overflow here
     # raises SolverDiverged below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        e_w = sum(_row_dots(b, b) for _, b in _c_ordered_blocks(w, y.shape[0]))
         alive, kept, phi, w, e_phi, e_w = _prune_and_drop(
-            phi, w, _column_dots(phi, phi), _column_dots(w, w),
-            np.arange(config.r), config.prune_tol)
+            phi, w, _row_dots(phi, phi), e_w, np.arange(config.r),
+            config.prune_tol)
         y, pixel_norms, y_squared, cross = _scan_observations(y, phi)
         if config.eta is None:
             config = replace(config, eta=_eta_of(pixel_norms))
@@ -636,10 +665,15 @@ def solve(y, init_phi, init_w, config, callback=None):
             converged = True
             break
         try:
+            step = update_abundances(objective, phi, w, d, cross)
+            if cross is not None:
+                # The scan's C serves the first abundance step only, which
+                # leaves a C-ordered copy of W in its buffer.
+                w, cross = cross, None
             w, beta_w, cost_after_w, e_w = line_search(
-                objective, phi, w, update_abundances(objective, phi, w, d, cross),
-                "w", config, cost_prev - pad, (e_phi, e_w))
-            cross = None  # the scan's C serves the first abundance step only
+                objective, phi, w, step, "w", config, cost_prev - pad,
+                (e_phi, e_w))
+            del step  # a rejected candidate is not held through the next step
             phi, beta_phi, cost_k, e_phi = line_search(
                 objective, phi, w, update_endmembers(objective, phi, w, d),
                 "phi", config, cost_after_w, (e_phi, e_w))
@@ -674,9 +708,10 @@ def solve(y, init_phi, init_w, config, callback=None):
         cost_prev = cost_k
 
     if kept.size < alive.size:
-        phi, w = np.take(phi, kept, axis=1), np.take(w, kept, axis=1)
-    # A block that never moved is still the caller's array.
-    phi, w = (a.copy() if isinstance(given, np.ndarray)
-              and np.may_share_memory(a, given) else a
+        phi, w = np.take(phi, kept, axis=0), np.take(w, kept, axis=0)
+    # Transposed views, not copies.  A block that never moved may still be
+    # the caller's array.
+    phi, w = ((a.copy() if isinstance(given, np.ndarray)
+               and np.may_share_memory(a, given) else a).T
               for a, given in ((phi, init_phi), (w, init_w)))
     return phi, w, build_report()

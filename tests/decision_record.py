@@ -16,9 +16,15 @@ A change that moves results on purpose rewrites the record, from the
 repository root, with one BLAS thread (results differ bitwise between
 thread counts)::
 
-    PYTHONPATH=src python tests/decision_record.py
+    PYTHONPATH=src python tests/decision_record.py [--decisions]
+
+It prints every final cost and mean SAM that moved, with its recorded
+value, its new one and their relative gap.  When a decision moved (any
+other field, or the set of scenes) it prints those too and exits 1 with
+the record left as it is, unless ``--decisions`` allows the move.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -53,6 +59,8 @@ STALLS = {
 }
 # Relative tolerance on the recorded cost and SAM.
 RTOL = 1e-12
+# The recorded fields that are values, not decisions.
+VALUES = ("final_cost", "mean_sam_deg")
 
 
 def scene(kind, seed, k=500, scale=1.0):
@@ -172,31 +180,76 @@ def largest_gaps(records, expected):
     return gaps, moved
 
 
-def load():
-    with open(RECORD_PATH, encoding="utf-8") as fh:
+def moved_values(records, expected):
+    """One line per final cost or mean SAM of ``records`` that is not
+    bitwise the one ``expected`` holds: recorded value, new value and
+    their relative gap."""
+    lines = []
+    for name in sorted(records.keys() & expected.keys()):
+        for field in VALUES:
+            new, old = records[name][field], expected[name][field]
+            if new == old:
+                continue
+            gap = (abs(new - old) / abs(old)
+                   if None not in (new, old) and old != 0.0 else float("nan"))
+            lines.append("%s %s: %r -> %r, relative gap %.1e"
+                         % (name, field, old, new, gap))
+    return lines
+
+
+def moved_decisions(records, expected):
+    """:func:`differences` in the decisions alone: every field but the
+    final cost and mean SAM, and the set of scenes."""
+    def blind(recs):
+        return {name: {**record, **dict.fromkeys(VALUES)}
+                for name, record in recs.items()}
+    return differences(blind(records), blind(expected))
+
+
+def load(path=RECORD_PATH):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def write(records):
+def write(records, path=RECORD_PATH):
     """One field per line, so a diff of the file names the fields that moved."""
     lines = []
     for name, record in records.items():
         fields = ",\n".join('  "%s": %s' % (field, json.dumps(value))
                             for field, value in record.items())
         lines.append('%s: {\n%s\n }' % (json.dumps(name), fields))
-    with open(RECORD_PATH, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
-def main():
+def rewrite(records, path=RECORD_PATH, decisions=False):
+    """Write ``records`` over the record at ``path``, printing each moved
+    cost and SAM; returns the exit status.  If a decision moved, it is
+    printed too and, unless ``decisions``, the record is left as it is
+    and the status is 1."""
+    old = load(path) if path.exists() else {}
+    for line in moved_values(records, old):
+        print(line)
+    changed = moved_decisions(records, old)
+    for line in changed:
+        print("decision moved: " + line)
+    if changed and not decisions:
+        print("%s left as it is: %d decision fields moved (--decisions "
+              "allows that)" % (path, len(changed)))
+        return 1
+    write(records, path)
+    print("wrote %s: %d scenes" % (path, len(records)))
+    return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--decisions", action="store_true",
+                        help="rewrite the record even if a decision moved")
+    args = parser.parse_args(argv)
     runs = {kind: [run_scene(kind, seed) for seed in SEEDS] for kind in KINDS}
     records = records_of({**runs, "stalls": run_stalls()})
-    old = load() if RECORD_PATH.exists() else {}
-    write(records)
-    for line in differences(records, old):
-        print(line)
-    print("wrote %s: %d scenes" % (RECORD_PATH, len(records)))
-    return 0
+    return rewrite(records, decisions=args.decisions)
 
 
 if __name__ == "__main__":

@@ -94,16 +94,26 @@ def penalty_diag(phi, w, delta, eta):
     return update_penalty_diag(e_phi + e_w, delta, eta)
 
 
+def row_energies(x):
+    """Per-row ||x_i||^2 of a component-major factor (one column per row),
+    by ``einsum`` on a C-ordered copy: the arithmetic of the package's row
+    dots on its C-ordered arrays, so bitwise theirs, formed here from the
+    factor itself rather than carried."""
+    x = np.ascontiguousarray(x)
+    return np.einsum("ij,ij->i", x, x)
+
+
 def direct_line_search(objective, phi_hat, w_hat, step, which, config,
                        baseline_cost, energies):
     """The backtracking line search priced directly: one full cost per trial.
 
     Same schedule, accept rule (relative slack 1e-12) and blend as
-    ``slrnmf.solver.line_search``, with the same signature; of the block
-    step (candidate, terms) only the candidate is used, and of the
-    carried ``energies`` nothing: the accepted block's column energies
-    are squared and summed from the block itself.  The blend is a new
-    array; the candidate is not written.
+    ``slrnmf.solver.line_search``, with the same signature and the same
+    component-major factors; of the block step (candidate, terms) only the
+    candidate is used, and of the carried ``energies`` nothing: the
+    accepted block's energies are formed from the block itself
+    (:func:`row_energies`).  The blend is a new array; the candidate is
+    not written.
     """
     candidate = step[0]
     prev = w_hat if which == "w" else phi_hat
@@ -112,13 +122,34 @@ def direct_line_search(objective, phi_hat, w_hat, step, which, config,
     for _ in range(config.max_backtracks):
         trial = candidate if beta == 1.0 else prev + beta * (candidate - prev)
         if which == "w":
-            cost = objective.total(phi_hat, trial)
+            cost = objective.total(phi_hat.T, trial.T)
         else:
-            cost = objective.total(trial, w_hat)
+            cost = objective.total(trial.T, w_hat.T)
         if cost <= bound:
-            return trial, beta, cost, (trial * trial).sum(axis=0)
+            return trial, beta, cost, row_energies(trial)
         beta *= config.shrink
-    return prev, 0.0, baseline_cost, (prev * prev).sum(axis=0)
+    return prev, 0.0, baseline_cost, row_energies(prev)
+
+
+def pixel_major_candidate(inverse, shift, cross):
+    """One block of rows of a Newton step held pixel-major, as the package
+    formed it before it held the factors component-major: the candidate's
+    rows max(C_b M - shift, 0), C_b = ``cross`` (B-by-r)."""
+    z = np.matmul(cross, inverse)
+    z -= shift
+    np.maximum(z, 0.0, out=z)
+    return z
+
+
+def pixel_major_terms(gram, x, candidate, cross):
+    """The search terms of one block of rows of a step held pixel-major,
+    (slope, step_sum, step_gram, xs, zz) in the arithmetic the package used
+    before it held the factors component-major: <X P - C, S>, sum(S),
+    S^T S and column dots, S = ``candidate`` - ``x``, all B-by-r."""
+    step = candidate - x
+    return (float(np.vdot(x @ gram - cross, step)), float(step.sum()),
+            step.T @ step, np.einsum("ij,ij->j", x, step),
+            np.einsum("ij,ij->j", candidate, candidate))
 
 
 def mix_and_noise_whole(truth, clamp=True):
@@ -154,10 +185,11 @@ def fd_gradient(f, x, h=1e-6):
 
 def solver_gradients(y, phi, w, delta, eta):
     """Gradients of the smooth objective (lambda1 = 0) in w and phi, as
-    ``solve`` forms them: X P - C + X diag(d), the fit gradient whose
-    slope along a step ``SearchTerms`` sums, P the Gram each block step
-    carries in its terms, C = Y^T Phi or Y W in the orientation the steps
-    form it, and d the penalty diagonal.  Not an oracle: this is the code
+    ``solve`` forms them: P X^T - C^T + diag(d) X^T, the fit gradient
+    whose slope along a step ``SearchTerms`` sums, P the Gram each block
+    step carries in its terms, C^T = Phi^T Y or W^T Y^T in the
+    orientation the steps form it, and d the penalty diagonal; returned
+    transposed, as (K, r) and (L, r).  Not an oracle: this is the code
     that ``fd_gradient`` checks.
     """
     from slrnmf.model import Objective, _cross_block, _fit_gradient
@@ -165,10 +197,11 @@ def solver_gradients(y, phi, w, delta, eta):
 
     objective = Objective(y, delta, 0.0, eta)
     d = penalty_diag(phi, w, delta, eta)
-    gram_w = update_abundances(objective, phi, w, d, None)[1].gram
-    gram_phi = update_endmembers(objective, phi, w, d)[1].gram
-    return (_fit_gradient(w, gram_w, _cross_block(phi, y)) + w * d,
-            _fit_gradient(phi, gram_phi, y @ w) + phi * d)
+    phi_t, w_t = np.ascontiguousarray(phi.T), np.ascontiguousarray(w.T)
+    gram_w = update_abundances(objective, phi_t, w_t, d, None)[1].gram
+    gram_phi = update_endmembers(objective, phi_t, w_t, d)[1].gram
+    return ((_fit_gradient(w_t, gram_w, _cross_block(phi_t, y)) + d[:, None] * w_t).T,
+            (_fit_gradient(phi_t, gram_phi, w_t @ y.T) + d[:, None] * phi_t).T)
 
 
 def prox_l1_grid(z, lam, lo=-8.0, hi=8.0, step=1e-4):
@@ -280,7 +313,8 @@ def full_width_solve(y, init_phi, init_w, config):
     iterating, every cost is one of the width-r problem, and the factors
     are compacted to the surviving columns at termination.  This is the
     reference for dropping pruned columns during the solve; it shares the
-    block steps with the package on purpose.  Returns (phi, w, report).
+    block steps with the package on purpose, and holds the factors
+    component-major as they do.  Returns (phi, w, report).
     """
     from slrnmf.model import Objective
     from slrnmf.solver import (SolverReport, line_search,
@@ -290,11 +324,11 @@ def full_width_solve(y, init_phi, init_w, config):
 
     config = with_defaults(config, y)
     objective = Objective(y, config.delta, config.lambda1, config.eta)
-    phi = np.array(init_phi, dtype=np.float64)
-    w = np.array(init_w, dtype=np.float64)
-    e_phi, e_w = column_energies(phi, w)
+    phi = np.array(np.transpose(init_phi), dtype=np.float64, order="C")
+    w = np.array(np.transpose(init_w), dtype=np.float64, order="C")
+    e_phi, e_w = row_energies(phi), row_energies(w)
     d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
-    initial_cost = cost_prev = objective.total(phi, w)
+    initial_cost = cost_prev = objective.total(phi.T, w.T)
     costs, ranks, betas_w, betas_phi = [], [], [], []
     converged = False
     for _ in range(config.max_iter):
@@ -324,7 +358,7 @@ def full_width_solve(y, init_phi, init_w, config):
         final_effective_rank=surviving.size, surviving_columns=surviving,
         converged=converged, rank_degenerate=surviving.size == 0,
         wall_time=0.0)
-    return phi[:, surviving], w[:, surviving], report
+    return phi[surviving].T, w[surviving].T, report
 
 
 def direct_spd_solve(a, b, context):

@@ -116,6 +116,37 @@ def test_decisions_match_the_record():
     assert ok, "\n".join(problems)
 
 
+def test_record_rewrite_cannot_move_decisions_silently(tmp_path, capsys):
+    """The record's rewrite lists each moved cost and SAM with its old
+    value, new value and relative gap, and writes; when a decision moved
+    it lists that, exits 1 and leaves the file as it is, unless
+    ``decisions`` allows the move."""
+    records = decision_record.load()
+    path = tmp_path / "record.json"
+    old = {name: dict(rec) for name, rec in records.items()}
+    old["vca-2"]["final_cost"] = records["vca-2"]["final_cost"] * (1 + 1e-13)
+    decision_record.write(old, path)
+    assert decision_record.rewrite(records, path) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "vca-2 final_cost: %r -> %r, relative gap 1.0e-13" % (
+        old["vca-2"]["final_cost"], records["vca-2"]["final_cost"])
+    assert out[1:] == ["wrote %s: 27 scenes" % path]
+    assert decision_record.load(path) == records
+
+    old["uniform-3"]["iterations"] += 1
+    decision_record.write(old, path)
+    before = path.read_bytes()
+    assert decision_record.rewrite(records, path) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("vca-2 final_cost: ")
+    assert out[1] == "decision moved: uniform-3 iterations: %d, recorded %d" % (
+        records["uniform-3"]["iterations"], old["uniform-3"]["iterations"])
+    assert "left as it is" in out[2] and len(out) == 3
+    assert path.read_bytes() == before
+    assert decision_record.rewrite(records, path, decisions=True) == 0
+    assert decision_record.load(path) == records
+
+
 def test_monotone_descent_on_random_instances():
     worst_rise = 0.0
     for t in range(50):
@@ -214,13 +245,15 @@ def test_block_updates_near_subproblem_oracles():
         d = oracles.penalty_diag(phi_hat, w_hat, delta, eta)
 
         objective = Objective(y, 1.0, lam, 1.0)
-        w_step = update_abundances(objective, phi_hat, w_hat, d, None)[0]
+        # The steps take the factors component-major and return them so.
+        phi_c, w_c = np.ascontiguousarray(phi_hat.T), np.ascontiguousarray(w_hat.T)
+        w_step = update_abundances(objective, phi_c, w_c, d, None)[0].T
         m_step = oracles.subproblem_w_value(y, phi_hat, d, lam, w_step)
         m_opt = oracles.subproblem_w_value(
             y, phi_hat, d, lam, oracles.cd_w_oracle(y, phi_hat, d, lam))
         worst_w = max(worst_w, m_step / m_opt)
 
-        phi_step = update_endmembers(objective, phi_hat, w_hat, d)[0]
+        phi_step = update_endmembers(objective, phi_c, w_c, d)[0].T
         p_step = oracles.subproblem_phi_value(y, w_hat, d, phi_step)
         p_opt = oracles.subproblem_phi_value(
             y, w_hat, d, oracles.pg_phi_oracle(y, w_hat, d))

@@ -7,6 +7,7 @@ import pytest
 import scipy.optimize
 
 import oracles
+import slrnmf.metrics
 from slrnmf.metrics import (
     _angle_matrix,
     _assignment,
@@ -216,6 +217,30 @@ def test_evaluate_unmixing_fills_abundance_fields():
     assert result.abundance_rmse == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(result.abundance_scales, 1 / 1.7)
     assert result.rank_correct
+
+
+def test_evaluate_unmixing_scans_each_matrix_once(monkeypatch):
+    """Each of the four matrices passes the input rules once: the scored
+    abundances are not scanned again by the RMSE, whose value and scales
+    are those of the public ``abundance_rmse``."""
+    rng = np.random.default_rng(11)
+    phi_ref = rng.uniform(0.1, 1.0, size=(20, 3))
+    w_ref = rng.uniform(0.0, 1.0, size=(25, 3))
+    phi_est = phi_ref[:, [1, 2, 0]] + 0.01
+    w_est = w_ref[:, [1, 2, 0]] * 0.8
+    seen = []
+    as_matrix = slrnmf.metrics.as_matrix
+
+    def counting(a, name="matrix", **kwargs):
+        seen.append(name)
+        return as_matrix(a, name, **kwargs)
+
+    monkeypatch.setattr(slrnmf.metrics, "as_matrix", counting)
+    result = evaluate_unmixing(phi_est, phi_ref, w_est, w_ref)
+    assert sorted(seen) == ["estimated", "reference", "w_est", "w_ref"]
+    rmse, scales = abundance_rmse(w_est, w_ref, result.permutation)
+    assert result.abundance_rmse == rmse
+    assert np.array_equal(result.abundance_scales, scales)
 
 
 def test_evaluate_unmixing_without_abundances():

@@ -115,7 +115,7 @@ def test_scan_keeps_the_rules_of_as_matrix(monkeypatch, bad):
     with pytest.raises(ValueError) as expected:
         as_matrix(bad, "y", nonneg=True)
     with pytest.raises(ValueError, match="^%s$" % re.escape(str(expected.value))):
-        _scan_observations(bad, np.ones((1, 2)))
+        _scan_observations(bad, np.ones((2, 1)))
 
 
 def test_scan_passes_a_finite_y_whose_squares_overflow():
@@ -123,7 +123,7 @@ def test_scan_passes_a_finite_y_whose_squares_overflow():
     y's maximum, which is finite, and passes y as ``as_matrix`` does."""
     y = np.full((2, 3), 1e160)
     with np.errstate(over="ignore"):
-        checked, norms, y_squared, _ = _scan_observations(y, np.ones((2, 1)))
+        checked, norms, y_squared, _ = _scan_observations(y, np.ones((1, 2)))
     assert checked is as_matrix(y, "y", nonneg=True)
     assert np.isinf(norms).all() and y_squared == np.inf
 
@@ -133,11 +133,11 @@ def test_scan_norms_are_column_dots(monkeypatch, layout):
     """The scan returns ``y`` as ``as_matrix`` does, its pixel norms
     bitwise as ``_column_dots(y, y)`` and their sum, for each memory
     layout, in blocks of 3 pixels; at 1, 4 and 7 pixels the last block is
-    one pixel wide.  Its C = Y^T Phi is the transpose of a C-ordered
-    array, and on one block bitwise (Phi^T Y)^T."""
+    one pixel wide.  Its C^T = Phi^T Y, from the component-major Phi^T,
+    is C-ordered, and on one block bitwise Phi^T Y."""
     monkeypatch.setattr(slrnmf.model, "_RESIDUAL_BLOCK_BYTES", 8 * 5 * 3)
     rng = np.random.default_rng(4)
-    phi = rng.uniform(0.0, 1.0, (5, 2))
+    phi = rng.uniform(0.0, 1.0, (2, 5))
     for k in (0, 1, 2, 3, 4, 6, 7, 8, 11):
         y = rng.uniform(0.0, 1.0, (5, 2 * k))
         y = {"C": y[:, :k].copy(), "F": np.asfortranarray(y[:, :k]),
@@ -146,13 +146,13 @@ def test_scan_norms_are_column_dots(monkeypatch, layout):
         assert checked is as_matrix(y)
         assert np.array_equal(norms, _column_dots(y, y)), k
         assert y_squared == float(norms.sum())
-        assert cross.T.flags.c_contiguous
-        assert np.allclose(cross, y.T @ phi, rtol=1e-14, atol=0.0), k
+        assert cross.flags.c_contiguous
+        assert np.allclose(cross, phi @ y, rtol=1e-14, atol=0.0), k
         if k <= 3:
-            assert np.array_equal(cross, (phi.T @ y).T), k
-    empty, norms, y_squared, cross = _scan_observations(np.zeros((0, 4)), phi[:0])
+            assert np.array_equal(cross, phi @ y), k
+    empty, norms, y_squared, cross = _scan_observations(np.zeros((0, 4)), phi[:, :0])
     assert empty.shape == (0, 4) and np.array_equal(norms, np.zeros(4))
-    assert y_squared == 0.0 and np.array_equal(cross, np.zeros((4, 2)))
+    assert y_squared == 0.0 and np.array_equal(cross, np.zeros((2, 4)))
 
 
 def test_check_dims_messages():
@@ -361,7 +361,7 @@ def test_gram_total_reads_an_overflow_as_inf():
     y, phi, w = (1e160 * m for m in random_instance(5))
     obj = Objective(y, 0.5, 0.01, 0.1)
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = obj.total_gram(phi, w, (phi.T @ y).T, oracles.column_energies(phi, w),
+        cost = obj.total_gram(phi.T, w.T, phi.T @ y, oracles.column_energies(phi, w),
                               float(np.sum(_column_dots(y, y))))
         assert np.isinf(obj.total(phi, w))
     assert cost == np.inf
@@ -403,43 +403,45 @@ def _worst_change_error(obj, phi, w, d, collapse=False, block=None):
     dimension of the products they come from.
 
     f is priced from ``SearchTerms`` of the step from each block to its
-    Newton candidate (column 0 zeroed where ``collapse``), summed in row
-    blocks of ``block`` rows (all rows at once by default).
+    Newton candidate (column 0 zeroed where ``collapse``), summed in blocks
+    of ``block`` pixels or bands (all at once by default).  ``phi`` and
+    ``w`` are (L, r) and (K, r); the steps take them component-major.
     """
     worst = 0.0
     energy = (phi * phi).sum(axis=0) + (w * w).sum(axis=0) + obj.eta ** 2
     e_phi, e_w = oracles.column_energies(phi, w)
     base = obj.total(phi, w)
     base_scale = _total_rounding_scale(obj, phi, w)
+    phi_t, w_t = np.ascontiguousarray(phi.T), np.ascontiguousarray(w.T)
     for which in ("w", "phi"):
         if which == "w":
-            x, fixed, x_energy, fixed_energy = w, phi, e_w, e_phi
-            cand = update_abundances(obj, phi, w, d, None)[0]
-            cross, shift = (phi.T @ obj.y).T, obj.lambda1
+            x, fixed, x_energy, fixed_energy = w_t, phi_t, e_w, e_phi
+            cand = update_abundances(obj, phi_t, w_t, d, None)[0]
+            cross, shift = phi.T @ obj.y, obj.lambda1
         else:
-            x, fixed, x_energy, fixed_energy = phi, w, e_phi, e_w
-            cand = update_endmembers(obj, phi, w, d)[0]
-            cross, shift = obj.y @ w, 0.0
+            x, fixed, x_energy, fixed_energy = phi_t, w_t, e_phi, e_w
+            cand = update_endmembers(obj, phi_t, w_t, d)[0]
+            cross, shift = w.T @ obj.y.T, 0.0
         if collapse:
-            cand[:, 0] = 0.0
-        terms = SearchTerms(fixed.T @ fixed, shift)
-        rows = block or x.shape[0]
-        for j in range(0, x.shape[0], rows):
-            terms.add(x[j:j + rows], cand[j:j + rows], cross[j:j + rows])
-        assert np.allclose(terms.zz, (cand * cand).sum(axis=0), rtol=1e-14, atol=0.0)
+            cand[0] = 0.0
+        terms = SearchTerms(fixed @ fixed.T, shift)
+        cols = block or x.shape[1]
+        for j in range(0, x.shape[1], cols):
+            terms.add(x[:, j:j + cols], cand[:, j:j + cols], cross[:, j:j + cols])
+        assert np.allclose(terms.zz, (cand * cand).sum(axis=1), rtol=1e-14, atol=0.0)
         if block is None:
-            assert np.array_equal(terms.zz, (cand * cand).sum(axis=0))
+            assert np.array_equal(terms.zz, oracles.row_energies(cand))
         change = obj.change_along(terms, x, cand, x_energy, fixed_energy)
         step = np.abs(cand - x)
-        a = np.abs(2.0 * (x * (cand - x)).sum(axis=0))
-        b = (step * step).sum(axis=0)
+        a = np.abs(2.0 * (x * (cand - x)).sum(axis=1))
+        b = (step * step).sum(axis=1)
         for k in range(20):
             beta = 0.5 ** k
             trial = cand if beta == 1.0 else x + beta * (cand - x)
-            pair = (phi, trial) if which == "w" else (trial, w)
+            pair = (phi, trial.T) if which == "w" else (trial.T, w)
             direct = obj.total(*pair) - base
-            terms_scale = (beta * np.vdot(x @ terms.gram + np.abs(cross), step)
-                           + beta * beta * np.vdot(step @ terms.gram, step)
+            terms_scale = (beta * np.vdot(terms.gram @ x + np.abs(cross), step)
+                           + beta * beta * np.vdot(terms.gram @ step, step)
                            + obj.lambda1 * beta * step.sum()
                            + obj.delta * ((beta * a + beta * beta * b)
                                           / np.sqrt(energy)).sum())

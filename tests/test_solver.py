@@ -13,7 +13,7 @@ import slrnmf.model
 import slrnmf.solver
 from slrnmf.initializers import init_uniform, init_vca
 from slrnmf.metrics import match_columns
-from slrnmf.model import Objective, _column_dots, _pixel_block
+from slrnmf.model import Objective, _pixel_block
 from slrnmf.solver import (
     DEFAULT_DELTA,
     DEFAULT_LAMBDA1,
@@ -427,6 +427,7 @@ def test_line_search_allocates_no_residual():
     d = oracles.penalty_diag(phi, w, config.delta, config.eta)
     energies = oracles.column_energies(phi, w)
     baseline = obj.total(phi, w)
+    phi, w = np.ascontiguousarray(phi.T), np.ascontiguousarray(w.T)
     steps = {"w": update_abundances(obj, phi, w, d, None),
              "phi": update_endmembers(obj, phi, w, d)}
     for which, step in steps.items():
@@ -444,8 +445,8 @@ def test_carried_energies_never_drift(kind):
     """The column energies ``solve`` carries out of the line searches and
     through column drops equal fresh ones: at every iteration the penalty
     diagonal on the alive columns is, bitwise, the one formed from the
-    column dots of the accepted factors.  Each scene has iterations with a
-    fractional step weight and with a column drop."""
+    row dots of the accepted component-major factors.  Each scene has
+    iterations with a fractional step weight and with a column drop."""
     y, phi0, w0, config = protocol_scene(kind, 0)
     states = []
     _, _, report = solve(y, phi0, w0, config, callback=states.append)
@@ -453,7 +454,7 @@ def test_carried_energies_never_drift(kind):
     width, fractional, drops = c.r, 0, 0
     for s in states:
         alive = s.phi_hat.any(axis=0) | s.w_hat.any(axis=0)
-        energy = _column_dots(s.phi_hat, s.phi_hat) + _column_dots(s.w_hat, s.w_hat)
+        energy = oracles.row_energies(s.phi_hat.T) + oracles.row_energies(s.w_hat.T)
         fresh = c.delta / np.sqrt(energy + c.eta * c.eta)
         assert np.array_equal(s.d_hat[alive], fresh[alive]), s.k
         fractional += 0.0 < s.beta_w < 1.0 or 0.0 < s.beta_phi < 1.0
@@ -464,20 +465,22 @@ def test_carried_energies_never_drift(kind):
 
 @pytest.mark.parametrize("kind", ["uniform", "vca", "dead-column"])
 def test_column_energies_are_formed_once_per_block_update(monkeypatch, kind):
-    """Entry forms each block's column dots once, and the scan of ``y``
-    one per pixel block (each scene is one block); nothing forms a
-    ``_column_energy``.  An iteration takes the two column dots of each
-    block step's search terms, one <x_i, z_i> per line search that tries
-    a fractional step weight, and one more per search that accepts one,
-    for the blend."""
+    """Entry forms each block's row dots once (one per pixel block of W,
+    each scene being one block), and the scan of ``y`` one column dot per
+    pixel block; nothing forms a ``_column_energy``.  An iteration takes
+    the two row dots of each block step's search terms, one <x_i, z_i>
+    per line search that tries a fractional step weight, and one more per
+    search that accepts one, for the blend.  Row and column dots are
+    counted together."""
     y, phi0, w0, config = protocol_scene(kind, 0)
     config = with_defaults(config, y)
     assert config.beta_init == 1.0 and config.max_backtracks > 1
-    counts = {"_column_dots": 0, "_column_energy": 0}
-    for module, name in ((slrnmf.model, "_column_dots"),
-                         (slrnmf.solver, "_column_dots"),
-                         (slrnmf.model, "_column_energy")):
-        def counting(*args, _name=name, _original=getattr(module, name)):
+    counts = {"dots": 0, "_column_energy": 0}
+    for module, name, key in ((slrnmf.model, "_column_dots", "dots"),
+                              (slrnmf.model, "_row_dots", "dots"),
+                              (slrnmf.solver, "_row_dots", "dots"),
+                              (slrnmf.model, "_column_energy", "_column_energy")):
+        def counting(*args, _name=key, _original=getattr(module, name)):
             counts[_name] += 1
             return _original(*args)
 
@@ -485,14 +488,14 @@ def test_column_energies_are_formed_once_per_block_update(monkeypatch, kind):
     seen = []
     solve(y, phi0, w0, config,
           callback=lambda state: seen.append((state, dict(counts))))
-    before = {"_column_dots": 2 + 1, "_column_energy": 0}
+    before = {"dots": 2 + 1, "_column_energy": 0}
     fractional = full = 0
     for state, after in seen:
         betas = (state.beta_w, state.beta_phi)
         tried = sum(beta != 1.0 for beta in betas)
         blends = sum(0.0 < beta < 1.0 for beta in betas)
         assert after["_column_energy"] == before["_column_energy"], state.k
-        assert after["_column_dots"] - before["_column_dots"] == 4 + tried + blends, state.k
+        assert after["dots"] - before["dots"] == 4 + tried + blends, state.k
         fractional += blends
         full += 2 - tried
         before = after
@@ -702,15 +705,51 @@ def test_solve_leaves_its_inputs_alone(kind):
         assert not any(np.shares_memory(out, a) for a in (phi0, w0))
 
 
-def test_results_do_not_depend_on_the_layout_of_the_initial_factors():
-    """Fortran-ordered initial factors give the C-ordered ones' factors and
-    costs bitwise: ``solve`` takes them in C order, as its steps write."""
-    y, phi0, w0, config = protocol_scene("uniform", 1)
-    phi_a, w_a, rep_a = solve(y, phi0, w0, config)
-    phi_b, w_b, rep_b = solve(y, np.asfortranarray(phi0), np.asfortranarray(w0),
-                              config)
-    assert np.array_equal(rep_a.cost_trace, rep_b.cost_trace)
-    assert np.array_equal(phi_a, phi_b) and np.array_equal(w_a, w_b)
+def _layouts(phi0, w0):
+    """The initial factors C-ordered, Fortran-ordered, as strided column
+    views of wider arrays and as transposes of component-major arrays."""
+    def strided(a):
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+
+    return [(np.ascontiguousarray(phi0), np.ascontiguousarray(w0)),
+            (np.asfortranarray(phi0), np.asfortranarray(w0)),
+            (strided(phi0), strided(w0)),
+            (np.ascontiguousarray(phi0.T).T, np.ascontiguousarray(w0.T).T)]
+
+
+def test_results_do_not_depend_on_the_layout_of_the_initial_factors(monkeypatch):
+    """C-ordered initial factors, Fortran-ordered ones, strided column views
+    of wider arrays and transposes of component-major arrays give the same
+    factors, initial cost and cost trace, bitwise, in one pixel block and
+    in blocks of 97 pixels: ``solve`` copies Phi^T to C order, and reads W
+    through C-ordered copies of its pixel blocks until the first abundance
+    step hands back its C-ordered W^T.  Also on a solve whose first
+    iteration moves neither block (restarted from the iterate before stall
+    scene 31's stall), where W^T is never replaced by a candidate."""
+    scenes = {}
+    for kind in ("converging", "stall"):
+        y, phi0, w0, config = protocol_scene("uniform", 31 if kind == "stall" else 1)
+        if kind == "stall":
+            states = []
+            solve(y, phi0, w0, replace(config, max_iter=1), callback=states.append)
+            phi0, w0 = states[0].phi_hat.copy(), states[0].w_hat.copy()
+        scenes[kind] = y, _layouts(phi0, w0), config
+    assert not (scenes["stall"][1][2][1].flags.c_contiguous
+                or scenes["stall"][1][2][1].flags.f_contiguous)
+    for block in (None, 97):
+        if block:
+            monkeypatch.setattr(slrnmf.model, "_RESIDUAL_BLOCK_BYTES", 8 * 224 * block)
+        for kind, (y, layouts, config) in scenes.items():
+            phi_a, w_a, rep_a = solve(y, *layouts[0], config)
+            if kind == "stall":
+                assert rep_a.iterations == 1 and rep_a.beta_w_trace[0] == 0.0
+            for phi_init, w_init in layouts[1:]:
+                phi_b, w_b, rep_b = solve(y, phi_init, w_init, config)
+                assert rep_a.initial_cost == rep_b.initial_cost, (kind, block)
+                assert np.array_equal(rep_a.cost_trace, rep_b.cost_trace), (kind, block)
+                assert np.array_equal(phi_a, phi_b) and np.array_equal(w_a, w_b), (kind, block)
 
 
 # Bounds for a solve whose sums run over other pixel blocks.  A blocked

@@ -53,22 +53,30 @@ def test_update_penalty_diag_bounds_and_zero_columns():
 
 def assert_terms_of(terms, x, cand, gram, cross, shift):
     """``terms`` are the search terms of the step from ``x`` to ``cand``,
-    each within 1e-13 relative of its direct form."""
+    each within 1e-13 relative of its direct form; the factors and the
+    cross product are component-major (r rows)."""
     s = cand - x
     assert terms.gram is gram or np.array_equal(terms.gram, gram)
     assert terms.shift == shift
-    assert terms.slope == pytest.approx(float(np.sum((x @ gram - cross) * s)),
+    assert terms.slope == pytest.approx(float(np.sum((gram @ x - cross) * s)),
                                         rel=1e-13, abs=1e-15)
     assert terms.step_sum == pytest.approx(float(s.sum()), rel=1e-13, abs=1e-15)
-    for got, want in ((terms.step_gram, s.T @ s), (terms.xs, (x * s).sum(axis=0)),
-                      (terms.zz, (cand * cand).sum(axis=0))):
+    for got, want in ((terms.step_gram, s @ s.T), (terms.xs, (x * s).sum(axis=1)),
+                      (terms.zz, (cand * cand).sum(axis=1))):
         assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
+def c_ordered(*factors):
+    """(L, r) / (K, r) factors as the component-major, C-ordered (r, L) /
+    (r, K) arrays the block steps take."""
+    return tuple(np.ascontiguousarray(f.T) for f in factors)
+
+
 def test_update_abundances_solves_the_newton_system():
-    """The step forms the rows of C = Y^T Phi from Y, or takes them from
-    the C it is given, with the same candidate; its search terms are
-    those of the step from w to the candidate."""
+    """The step forms the columns of C^T = Phi^T Y from Y, or takes them
+    from the C^T it is given, with the same candidate; its search terms
+    are those of the step from w to the candidate.  A given C^T is
+    consumed: it comes back holding W^T, in C order."""
     rng = np.random.default_rng(7)
     y = rng.uniform(0, 1, size=(8, 11))
     phi = rng.uniform(0, 1, size=(8, 3))
@@ -76,17 +84,20 @@ def test_update_abundances_solves_the_newton_system():
     d = rng.uniform(0.1, 1.0, size=3)
     lam = 0.02
     obj = Objective(y, 1.0, lam, 1.0)
-    out, terms = update_abundances(obj, phi, w, d, None)
-    given, given_terms = update_abundances(obj, phi, w, d, (phi.T @ y).T)
-    assert np.array_equal(terms.gram, phi.T @ phi)
+    phi_t, w_t = c_ordered(phi, w)
+    out, terms = update_abundances(obj, phi_t, w_t, d, None)
+    cross = phi.T @ y
+    given, given_terms = update_abundances(obj, phi_t, w.T, d, cross)
+    assert np.array_equal(terms.gram, phi_t @ phi_t.T)
     assert np.array_equal(out, given)
     assert out.flags.c_contiguous
-    target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
+    assert np.array_equal(cross, w_t) and cross.flags.c_contiguous
+    target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y)
     expected = np.maximum(np.sign(target) * np.maximum(np.abs(target) - lam, 0.0), 0.0)
     assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
     assert (out >= 0.0).all()
     for t in (terms, given_terms):
-        assert_terms_of(t, w, out, phi.T @ phi, y.T @ phi, lam)
+        assert_terms_of(t, w_t, out, phi_t @ phi_t.T, phi.T @ y, lam)
 
 
 def test_update_abundances_zero_l1_is_projected_ridge():
@@ -94,17 +105,17 @@ def test_update_abundances_zero_l1_is_projected_ridge():
     y = rng.uniform(0, 1, size=(6, 9))
     phi = rng.uniform(0, 1, size=(6, 2))
     d = np.array([0.3, 0.7])
-    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros((9, 2)),
-                            d, None)[0]
-    target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
+    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), *c_ordered(phi),
+                            np.zeros((2, 9)), d, None)[0]
+    target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y)
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10)
 
 
 def test_update_abundances_reports_bad_pivot():
     y = np.ones((4, 5))
-    phi = np.ones((4, 2))  # duplicate columns, singular normal matrix
+    phi = np.ones((2, 4))  # duplicate columns, singular normal matrix
     with pytest.raises(np.linalg.LinAlgError) as err:
-        update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros((5, 2)),
+        update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros((2, 5)),
                           np.zeros(2), None)
     assert "abundance update" in str(err.value)
     assert "smallest eigenvalue" in str(err.value)
@@ -116,21 +127,22 @@ def test_update_endmembers_solves_the_newton_system():
     phi = rng.uniform(0, 1, size=(7, 3))
     w = rng.uniform(0, 1, size=(10, 3))
     d = rng.uniform(0.05, 0.5, size=3)
-    out, terms = update_endmembers(Objective(y, 1.0, 0.0, 1.0), phi, w, d)
-    assert np.array_equal(terms.gram, w.T @ w)
-    target = np.linalg.solve(w.T @ w + np.diag(d), w.T @ y.T).T
+    phi_t, w_t = c_ordered(phi, w)
+    out, terms = update_endmembers(Objective(y, 1.0, 0.0, 1.0), phi_t, w_t, d)
+    assert np.array_equal(terms.gram, w_t @ w_t.T)
+    target = np.linalg.solve(w.T @ w + np.diag(d), w.T @ y.T)
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10, atol=1e-12)
     assert out.flags.c_contiguous
-    assert_terms_of(terms, phi, out, w.T @ w, y @ w, 0.0)
+    assert_terms_of(terms, phi_t, out, w_t @ w_t.T, w.T @ y.T, 0.0)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_endmember_step_forms_y_w_within_its_bound(monkeypatch, order):
-    """The C = Y W that the endmember step hands ``_candidate_rows``, summed
-    over pixel blocks, is within gamma_K sum_j |y_aj| |w_ji| of Y W, at
-    widths 1-10, on one block (K up to 4,681 at L = 224) and past it, for
-    C- and F-ordered Y.  The reference is Y W in long double, whose own
-    gamma_K is added to the bound."""
+    """The C^T = W^T Y^T that the endmember step hands ``_candidate_rows``,
+    summed over pixel blocks, is within gamma_K sum_j |y_aj| |w_ji| of
+    (Y W)^T, at widths 1-10, on one block (K up to 4,681 at L = 224) and
+    past it, for C- and F-ordered Y.  The reference is Y W in long double,
+    whose own gamma_K is added to the bound."""
     seen = []
     inner = slrnmf.solver._candidate_rows
 
@@ -143,29 +155,30 @@ def test_endmember_step_forms_y_w_within_its_bound(monkeypatch, order):
     block = _pixel_block(224)
     for k in (1, 500, block, block + 1, 2 * block + 1):
         y = np.asarray(rng.uniform(0.0, 1.0, (224, k)), order=order)
-        w = rng.uniform(0.0, 1.0, (k, 10))
-        exact = y.astype(np.longdouble) @ w.astype(np.longdouble)
-        scale = y @ w  # sum_j |y_aj| |w_ji|: every entry is nonnegative
+        w = rng.uniform(0.0, 1.0, (10, k))
+        exact = (w.astype(np.longdouble) @ y.T.astype(np.longdouble))
+        scale = w @ y.T  # sum_j |y_aj| |w_ji|: every entry is nonnegative
         bound = sum(k * eps / (1.0 - k * eps) for eps in
                     (np.finfo(np.float64).eps, np.finfo(np.longdouble).eps))
         obj = Objective(y, 1.0, 0.0, 1.0)
         for r in range(1, 11):
-            phi = rng.uniform(0.0, 1.0, (224, r))
-            update_endmembers(obj, phi, w[:, :r], np.full(r, 0.5))
+            phi = rng.uniform(0.0, 1.0, (r, 224))
+            update_endmembers(obj, phi, w[:r], np.full(r, 0.5))
             cross = seen.pop()
-            assert cross.shape == (224, r)
-            gap = np.abs(cross - exact[:, :r]).astype(np.float64)
-            assert (gap <= bound * scale[:, :r]).all(), (k, r, order)
+            assert cross.shape == (r, 224)
+            gap = np.abs(cross - exact[:r]).astype(np.float64)
+            assert (gap <= bound * scale[:r]).all(), (k, r, order)
 
 
 def test_endmember_step_allocates_no_k_by_r_temporary():
-    # 224 x 40,000, r = 10: W is 3.2 MB.  The step copies one pixel
-    # block's rows of W (r x 4,681, 0.12 x w.nbytes) and sums r-by-L
-    # partials; a K-by-r temporary alone would be 1.0.
+    # 224 x 40,000, r = 10: W is 3.2 MB.  The step sums r-by-L partials
+    # straight from the pixel blocks' columns of W^T (measured peak: 0.023
+    # x w.nbytes); a K-by-r temporary alone would be 1.0, and one pixel
+    # block's r-by-B copy of W's rows 0.12 (0.130 measured with it).
     rng = np.random.default_rng(3)
     y = rng.uniform(0.0, 1.0, (224, 40_000))
-    phi = rng.uniform(0.0, 1.0, (224, 10))
-    w = rng.uniform(0.0, 1.0, (40_000, 10))
+    phi = rng.uniform(0.0, 1.0, (10, 224))
+    w = rng.uniform(0.0, 1.0, (10, 40_000))
     obj = Objective(y, 1.0, 0.0, 1.0)
     tracemalloc.start()
     try:
@@ -173,49 +186,115 @@ def test_endmember_step_allocates_no_k_by_r_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * w.nbytes, peak / w.nbytes
+    assert peak < 0.05 * w.nbytes, peak / w.nbytes
+
+
+def _gamma(n):
+    eps = np.finfo(np.float64).eps
+    return n * eps / (1.0 - n * eps)
+
+
+def test_component_major_step_matches_the_pixel_major_oracle(monkeypatch):
+    """Each block of both block steps, held component-major, against the
+    pixel-major arithmetic it replaced (``oracles.pixel_major_candidate``
+    and ``oracles.pixel_major_terms``), on the same M, C and X: at widths
+    1-10 and K = 1, 500, 4,681 and 4,682 pixels (two blocks at L = 224).
+
+    The candidate agrees entrywise within 2 gamma_{r+1} (sum_k |c_k| |m_k|
+    + shift): each side sums the same r products in its own order and
+    subtracts the shift.  Each search term, priced on the same candidate,
+    agrees within 2 gamma_{n r + r + 2} of its own magnitude: the sum of
+    the absolute values of what it adds.
+    """
+    seen = []
+    inner = slrnmf.solver._candidate_rows
+
+    def spy(inverse, terms, cross, x, out):
+        block = SearchTerms(terms.gram, terms.shift)
+        inner(inverse, block, cross, x, out)
+        seen.append((inverse, block, cross.copy(), x.copy(), out.copy()))
+
+    monkeypatch.setattr(slrnmf.solver, "_candidate_rows", spy)
+    rng = np.random.default_rng(25)
+    for k in (1, 500, 4681, 4682):
+        y = rng.uniform(0.0, 1.0, (224, k))
+        obj = Objective(y, 1.0, 0.01, 1.0)
+        for r in range(1, 11):
+            phi = rng.uniform(0.0, 1.0, (r, 224))
+            w = rng.uniform(0.0, 0.2, (r, k))
+            d = rng.uniform(0.1, 1.0, r)
+            update_abundances(obj, phi, w, d, None)
+            update_endmembers(obj, phi, w, d)
+            assert len(seen) == (1 if k <= 4681 else 2) + 1
+            for inverse, terms, cross, x, z in seen:
+                n = x.shape[1]
+                want = oracles.pixel_major_candidate(inverse, terms.shift, cross.T)
+                scale = np.abs(cross.T) @ np.abs(inverse) + terms.shift
+                assert (np.abs(z.T - want) <= 2 * _gamma(r + 1) * scale).all(), (k, r)
+                slope, step_sum, step_gram, xs, zz = oracles.pixel_major_terms(
+                    terms.gram, x.T, z.T, cross.T)
+                s = np.abs(z - x)
+                g = np.abs(terms.gram) @ np.abs(x) + np.abs(cross)
+                bound = 2 * _gamma(n * r + r + 2)
+                for got, want, size in (
+                        (terms.slope, slope, np.sum(g * s)),
+                        (terms.step_sum, step_sum, s.sum()),
+                        (terms.step_gram, step_gram, s @ s.T),
+                        (terms.xs, xs, (np.abs(x) * s).sum(axis=1)),
+                        (terms.zz, zz, (z * z).sum(axis=1))):
+                    assert (np.abs(got - want) <= bound * size).all(), (k, r)
+            seen.clear()
 
 
 def step_of(x, cand, gram, cross, shift):
     """A block step (candidate, terms) to ``cand`` from ``x``, its terms
-    summed in one block."""
+    summed in one block; component-major, as the line search takes them."""
     terms = SearchTerms(gram, shift)
     terms.add(x, cand, cross)
     return cand, terms
 
 
 def _search_setup(seed=12):
+    """(y, phi, w, obj, config) with phi and w component-major (r, n)."""
     rng = np.random.default_rng(seed)
     y = rng.uniform(0, 1, size=(6, 8))
     phi = rng.uniform(0, 1, size=(6, 3))
     w = rng.uniform(0, 1, size=(8, 3))
     obj = Objective(y, 0.2, 0.01, 0.1)
     config = SolverConfig(r=3, delta=0.2, lambda1=0.01, eta=0.1)
-    return y, phi, w, obj, config
+    return (y, *c_ordered(phi, w), obj, config)
+
+
+def _total(obj, phi, w):
+    """``obj.total`` at component-major (phi, w)."""
+    return obj.total(phi.T, w.T)
+
+
+def _energies(phi, w):
+    return oracles.row_energies(phi), oracles.row_energies(w)
 
 
 def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
-    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
+    d = oracles.penalty_diag(phi.T, w.T, 0.2, 0.1)
     step = update_abundances(obj, phi, w, d, None)
     cand = step[0]
     accepted, beta, cost, energy = line_search(
-        obj, phi, w, step, "w", config, obj.total(phi, w),
-        oracles.column_energies(phi, w))
+        obj, phi, w, step, "w", config, _total(obj, phi, w), _energies(phi, w))
     assert beta == 1.0
     assert accepted is cand
-    assert np.array_equal(energy, (cand * cand).sum(axis=0))
-    assert cost == pytest.approx(obj.total(phi, cand), rel=1e-14)
-    assert cost <= obj.total(phi, w)
+    assert np.array_equal(energy, oracles.row_energies(cand))
+    assert cost == pytest.approx(_total(obj, phi, cand), rel=1e-14)
+    assert cost <= _total(obj, phi, w)
 
 
 def test_line_search_backs_off_or_stalls_on_bad_candidate():
     y, phi, w, obj, config = _search_setup()
-    baseline = obj.total(phi, w)
+    baseline = _total(obj, phi, w)
     bad = w + 100.0  # big uphill move
     accepted, beta, cost, energy = line_search(
-        obj, phi, w, step_of(w, bad.copy(), phi.T @ phi, y.T @ phi, 0.01), "w",
-        config, baseline, oracles.column_energies(phi, w))
+        obj, phi, w, step_of(w, bad.copy(), phi @ phi.T, phi @ y, 0.01), "w",
+        config, baseline, _energies(phi, w))
     assert cost <= baseline * (1 + 1e-12)
     if beta == 0.0:
         assert accepted is w
@@ -223,32 +302,32 @@ def test_line_search_backs_off_or_stalls_on_bad_candidate():
     else:
         assert beta < 1.0
         assert np.array_equal(accepted, w + beta * (bad - w))
-    assert np.array_equal(energy, (accepted * accepted).sum(axis=0))
+    assert np.array_equal(energy, oracles.row_energies(accepted))
 
 
 def test_line_search_beta_zero_on_hopeless_candidate():
     y, phi, w, obj, config = _search_setup()
     # So large that every shrunken blend is still uphill.
     bad = w + 1e9
-    energies = oracles.column_energies(phi, w)
+    energies = _energies(phi, w)
     accepted, beta, cost, energy = line_search(
-        obj, phi, w, step_of(w, bad, phi.T @ phi, y.T @ phi, 0.01), "w", config,
-        obj.total(phi, w), energies)
+        obj, phi, w, step_of(w, bad, phi @ phi.T, phi @ y, 0.01), "w", config,
+        _total(obj, phi, w), energies)
     assert beta == 0.0
     assert accepted is w
-    assert cost == obj.total(phi, w)
+    assert cost == _total(obj, phi, w)
     assert energy is energies[1]
 
 
 def test_line_search_searches_the_named_block():
     y, phi, w, obj, config = _search_setup()
-    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
+    d = oracles.penalty_diag(phi.T, w.T, 0.2, 0.1)
     accepted, beta, cost, energy = line_search(
         obj, phi, w, update_endmembers(obj, phi, w, d), "phi", config,
-        obj.total(phi, w), oracles.column_energies(phi, w))
+        _total(obj, phi, w), _energies(phi, w))
     assert accepted.shape == phi.shape
-    assert cost <= obj.total(phi, w)
-    assert np.array_equal(energy, (accepted * accepted).sum(axis=0))
+    assert cost <= _total(obj, phi, w)
+    assert np.array_equal(energy, oracles.row_energies(accepted))
 
 
 def test_line_search_blends_at_a_backed_off_weight():
@@ -258,18 +337,17 @@ def test_line_search_blends_at_a_backed_off_weight():
     weight; it is clipped at zero, because the search prices nonnegative
     candidates only."""
     y, phi, w, obj, config = _search_setup()
-    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
+    d = oracles.penalty_diag(phi.T, w.T, 0.2, 0.1)
     cand = update_abundances(obj, phi, w, d, None)[0]
     overshoot = np.maximum(w + 5.0 * (cand - w), 0.0)
-    step = step_of(w, overshoot.copy(), phi.T @ phi, (phi.T @ y).T, 0.01)
+    step = step_of(w, overshoot.copy(), phi @ phi.T, phi @ y, 0.01)
     accepted, beta, cost, energy = line_search(
-        obj, phi, w, step, "w", config, obj.total(phi, w),
-        oracles.column_energies(phi, w))
+        obj, phi, w, step, "w", config, _total(obj, phi, w), _energies(phi, w))
     assert 0.0 < beta < 1.0
     assert accepted is step[0]
     assert np.array_equal(accepted, w + beta * (overshoot - w))
-    assert np.array_equal(energy, (accepted * accepted).sum(axis=0))
-    assert cost == pytest.approx(obj.total(phi, accepted), rel=1e-13)
+    assert np.array_equal(energy, oracles.row_energies(accepted))
+    assert cost == pytest.approx(_total(obj, phi, accepted), rel=1e-13)
 
 
 def test_prune_keeps_columns_above_relative_cutoff():
