@@ -31,7 +31,10 @@ of ``y`` applies in the same blocked pass that forms its pixel norms and
 its first product with the endmembers, :func:`as_integer` for sizes and
 counts, :func:`as_weight` for delta, lambda1 and eta,
 :func:`check_interval` for the other real-valued solver settings, and
-:func:`check_dims` for the shapes of y, phi and w.
+:func:`check_dims` for the shapes of y, phi and w.  :class:`Objective`
+has one constructor, which checks the weights and binds ``y`` coerced to
+float64 but unscanned: :func:`cost_total` validates ``y`` before it binds
+it, and :func:`slrnmf.solver.solve` binds the ``y`` its scan checked.
 
 Nothing here allocates an array of the size of ``y``.  The direct cost
 (:meth:`Objective.total`) forms its residual one block of pixels at a
@@ -274,7 +277,7 @@ def cost_total(y, phi, w, delta, lambda1, eta):
     phi = as_matrix(phi, "phi")
     w = as_matrix(w, "w")
     check_dims(y, phi, w)
-    return Objective._of_checked(y, delta, lambda1, eta).total(phi, w)
+    return Objective(y, delta, lambda1, eta).total(phi, w)
 
 
 def _fit_gradient(x, gram, cross):
@@ -353,28 +356,16 @@ class SearchTerms:
 class Objective:
     """Cost evaluator with the observation matrix bound once per solve.
 
-    The solver's inner loop evaluates costs many times per iteration;
-    binding ``y`` and the weights here avoids re-validating or copying
-    the data on every call.  Instances are immutable in practice: no
-    method mutates the bound arrays.
+    The constructor coerces ``y`` to a real float64 2-D array (a list
+    works) and checks the three weights by :func:`as_weight`; it trusts
+    the entries of ``y`` and makes no pass over them, so a caller with
+    unchecked data validates it first, as :func:`cost_total` and
+    :func:`slrnmf.solver.solve` do.  Instances are immutable in practice:
+    no method mutates the bound arrays.
     """
 
     def __init__(self, y, delta, lambda1, eta):
-        self._bind(as_matrix(y, "y"), delta, lambda1, eta)
-
-    @classmethod
-    def _of_checked(cls, y, delta, lambda1, eta):
-        """Bind a ``y`` that :func:`as_matrix` has already returned.
-
-        Skips the constructor's finite-entry scan of ``y``, a full L-by-K
-        pass; the weights are still checked.
-        """
-        objective = cls.__new__(cls)
-        objective._bind(y, delta, lambda1, eta)
-        return objective
-
-    def _bind(self, y, delta, lambda1, eta):
-        self.y = y
+        self.y = _real_matrix(y, "y")
         self.delta = as_weight(delta, "delta")
         self.lambda1 = as_weight(lambda1, "lambda1")
         self.eta = as_weight(eta, "eta")

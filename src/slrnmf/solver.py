@@ -114,7 +114,6 @@ __all__ = [
     "SolverDiverged",
     "solve",
     "with_defaults",
-    "default_eta",
     "DEFAULT_DELTA",
     "DEFAULT_LAMBDA1",
 ]
@@ -520,27 +519,24 @@ def _prune_and_drop(phi, w, e_phi, e_w, alive, prune_tol):
             e_phi[keep], e_w[keep])
 
 
-def default_eta(y):
-    """Smoothing floor: 1e-2 times the mean pixel (column) norm of ``y``.
-
-    :func:`solve` takes it from the squared pixel norms its scan of ``y``
-    forms, which are bitwise ``_column_dots(y, y)``, so both give the
-    same eta.
-    """
-    return _eta_of(_column_dots(y, y))
-
-
 def _eta_of(pixel_norms):
-    """:func:`default_eta` from the squared pixel norms ||y_j||^2."""
+    """The default eta from the squared pixel norms ||y_j||^2: 1e-2 times
+    the mean pixel norm, floored at ``_ETA_FLOOR``."""
     scale = float(np.sqrt(pixel_norms).mean()) if pixel_norms.size else 0.0
     return max(1e-2 * scale, _ETA_FLOOR)
 
 
 def with_defaults(config, y):
-    """Fill an ``eta`` of ``None`` from ``y``; the choice is echoed in reports."""
+    """Fill an ``eta`` of ``None`` from ``y``: 1e-2 times the mean pixel
+    (column) norm of ``y``; the choice is echoed in reports.
+
+    :func:`solve` takes the same eta from the squared pixel norms its
+    scan of ``y`` forms, which are bitwise ``_column_dots(y, y)``.
+    """
     if config.eta is not None:
         return config
-    return replace(config, eta=default_eta(as_matrix(y, "y")))
+    y = as_matrix(y, "y")
+    return replace(config, eta=_eta_of(_column_dots(y, y)))
 
 
 def solve(y, init_phi, init_w, config, callback=None):
@@ -622,8 +618,7 @@ def solve(y, init_phi, init_w, config, callback=None):
         if config.eta is None:
             config = replace(config, eta=_eta_of(pixel_norms))
         del pixel_norms  # K floats, not held while iterating
-        objective = Objective._of_checked(y, config.delta, config.lambda1,
-                                          config.eta)
+        objective = Objective(y, config.delta, config.lambda1, config.eta)
         pad = (config.r - alive.size) * config.delta * config.eta
         d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
         initial_cost = cost_prev = pad + objective.total_gram(

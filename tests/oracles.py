@@ -94,15 +94,6 @@ def penalty_diag(phi, w, delta, eta):
     return update_penalty_diag(e_phi + e_w, delta, eta)
 
 
-def row_energies(x):
-    """Per-row ||x_i||^2 of a component-major factor (one column per row),
-    by ``einsum`` on a C-ordered copy: the arithmetic of the package's row
-    dots on its C-ordered arrays, so bitwise theirs, formed here from the
-    factor itself rather than carried."""
-    x = np.ascontiguousarray(x)
-    return np.einsum("ij,ij->i", x, x)
-
-
 def direct_line_search(objective, phi_hat, w_hat, step, which, config,
                        baseline_cost, energies):
     """The backtracking line search priced directly: one full cost per trial.
@@ -112,8 +103,8 @@ def direct_line_search(objective, phi_hat, w_hat, step, which, config,
     component-major factors; of the block step (candidate, terms) only the
     candidate is used, and of the carried ``energies`` nothing: the
     accepted block's energies are formed from the block itself
-    (:func:`row_energies`).  The blend is a new array; the candidate is
-    not written.
+    (:func:`carried_energies`).  The blend is a new array; the candidate
+    is not written.
     """
     candidate = step[0]
     prev = w_hat if which == "w" else phi_hat
@@ -126,9 +117,101 @@ def direct_line_search(objective, phi_hat, w_hat, step, which, config,
         else:
             cost = objective.total(trial.T, w_hat.T)
         if cost <= bound:
-            return trial, beta, cost, row_energies(trial)
+            return trial, beta, cost, carried_energies(trial.T)
         beta *= config.shrink
-    return prev, 0.0, baseline_cost, row_energies(prev)
+    return prev, 0.0, baseline_cost, carried_energies(prev.T)
+
+
+# --- The block steps on pixel-major factors ---------------------------------
+# ``solve`` and its steps hold the factors component-major: Phi^T r-by-L and
+# W^T r-by-K, C-ordered.  The functions down to ``pixel_major_terms`` are the
+# tests' one translation of that layout: they take and return pixel-major
+# (n, r) factors, candidates and products C with Y (Y^T Phi, or Y W), and
+# check the steps' layout contract on every call.
+
+
+def component_major(a):
+    """A pixel-major (n, r) array as the C-ordered (r, n) one the steps
+    take: no copy when ``a`` is already the transpose of one."""
+    return np.ascontiguousarray(np.transpose(a), dtype=np.float64)
+
+
+def carried_energies(f):
+    """||f_i||^2 per column of a pixel-major factor, bitwise as ``solve``
+    carries them: ``einsum`` along the rows of its component-major form."""
+    t = component_major(f)
+    return np.einsum("ij,ij->i", t, t)
+
+
+def gram(f):
+    """F^T F of a pixel-major factor, bitwise the P a block step forms."""
+    t = component_major(f)
+    return t @ t.T
+
+
+def abundance_step(objective, phi, w, d, cross=None):
+    """``update_abundances`` at pixel-major (phi, w): (candidate, terms).
+    A given C is handed over as ``solve`` hands the scan's, with W^T a view
+    of the caller's W; the step consumes it, leaving W^T in it, C-ordered."""
+    from slrnmf.solver import update_abundances
+
+    phi_t = component_major(phi)
+    if cross is None:
+        candidate, terms = update_abundances(objective, phi_t, component_major(w), d, None)
+    else:
+        held = component_major(cross)
+        candidate, terms = update_abundances(objective, phi_t, np.transpose(w), d, held)
+        assert held.flags.c_contiguous and np.array_equal(held, component_major(w))
+    assert candidate.flags.c_contiguous
+    return candidate.T, terms
+
+
+def endmember_step(objective, phi, w, d):
+    """``update_endmembers`` at pixel-major (phi, w): (candidate, terms)."""
+    from slrnmf.solver import update_endmembers
+
+    candidate, terms = update_endmembers(objective, component_major(phi),
+                                         component_major(w), d)
+    assert candidate.flags.c_contiguous
+    return candidate.T, terms
+
+
+def step_to(x, candidate, gram, cross, shift, block=None):
+    """The step (candidate, terms) from pixel-major ``x``: ``SearchTerms``
+    summed over blocks of ``block`` rows (default: one block), and the
+    candidate as a view of the array the line search will take."""
+    from slrnmf.model import SearchTerms
+
+    terms = SearchTerms(gram, shift)
+    x, candidate, cross = (component_major(a) for a in (x, candidate, cross))
+    cols = block or max(x.shape[1], 1)
+    for j in range(0, x.shape[1], cols):
+        terms.add(x[:, j:j + cols], candidate[:, j:j + cols], cross[:, j:j + cols])
+    return candidate.T, terms
+
+
+def search(objective, phi, w, step, which, config, baseline_cost, energies):
+    """``line_search`` at pixel-major (phi, w) and a step made here:
+    (accepted, beta, cost, energy).  Where the search returns an array it
+    was handed, or the blend it forms in the candidate's buffer,
+    ``accepted`` is the caller's own array, so ``is`` reads as on the
+    search."""
+    from slrnmf.solver import line_search
+
+    candidate, terms = step
+    phi_t, w_t, cand_t = (component_major(a) for a in (phi, w, candidate))
+    assert np.shares_memory(cand_t, candidate), "not a step made here"
+    accepted, beta, cost, energy = line_search(
+        objective, phi_t, w_t, (cand_t, terms), which, config, baseline_cost,
+        energies)
+    given = {id(phi_t): phi, id(w_t): w, id(cand_t): candidate}
+    return given.get(id(accepted), accepted.T), beta, cost, energy
+
+
+def cost_change(objective, terms, x, candidate, x_energy, fixed_energy):
+    """``Objective.change_along`` at pixel-major ``x`` and ``candidate``."""
+    return objective.change_along(terms, component_major(x), component_major(candidate),
+                                  x_energy, fixed_energy)
 
 
 def pixel_major_candidate(inverse, shift, cross):
@@ -193,13 +276,12 @@ def solver_gradients(y, phi, w, delta, eta):
     that ``fd_gradient`` checks.
     """
     from slrnmf.model import Objective, _cross_block, _fit_gradient
-    from slrnmf.solver import update_abundances, update_endmembers
 
     objective = Objective(y, delta, 0.0, eta)
     d = penalty_diag(phi, w, delta, eta)
-    phi_t, w_t = np.ascontiguousarray(phi.T), np.ascontiguousarray(w.T)
-    gram_w = update_abundances(objective, phi_t, w_t, d, None)[1].gram
-    gram_phi = update_endmembers(objective, phi_t, w_t, d)[1].gram
+    phi_t, w_t = component_major(phi), component_major(w)
+    gram_w = abundance_step(objective, phi, w, d)[1].gram
+    gram_phi = endmember_step(objective, phi, w, d)[1].gram
     return ((_fit_gradient(w_t, gram_w, _cross_block(phi_t, y)) + d[:, None] * w_t).T,
             (_fit_gradient(phi_t, gram_phi, w_t @ y.T) + d[:, None] * phi_t).T)
 
@@ -326,7 +408,7 @@ def full_width_solve(y, init_phi, init_w, config):
     objective = Objective(y, config.delta, config.lambda1, config.eta)
     phi = np.array(np.transpose(init_phi), dtype=np.float64, order="C")
     w = np.array(np.transpose(init_w), dtype=np.float64, order="C")
-    e_phi, e_w = row_energies(phi), row_energies(w)
+    e_phi, e_w = carried_energies(phi.T), carried_energies(w.T)
     d = update_penalty_diag(e_phi + e_w, config.delta, config.eta)
     initial_cost = cost_prev = objective.total(phi.T, w.T)
     costs, ranks, betas_w, betas_phi = [], [], [], []

@@ -4,6 +4,7 @@ modules, and the names the benchmark traces stay where it looks for them."""
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -21,8 +22,22 @@ STEP_INTERNALS = {
     "slrnmf.model": ["Objective", "cost_total"],
     "slrnmf.solver": ["update_abundances", "update_endmembers",
                       "update_penalty_diag", "line_search",
-                      "prune_and_report_rank", "default_eta"],
+                      "prune_and_report_rank"],
 }
+
+# The block steps' internals, whose layout (component-major factors) and
+# signatures follow the solver's internals.  Tests reach them through the
+# pixel-major adapter in ``tests/oracles.py``; only the tests whose subject
+# is the layout itself name them, and each is listed here by name.
+STEP_LAYOUT = {"update_abundances", "update_endmembers", "line_search",
+               "SearchTerms", "_candidate_rows", "_block_step", "change_along"}
+LAYOUT_TESTS = (
+    "test_solver.py::test_line_search_prices_the_gram_of_the_block_step",
+    "test_solver.py::test_line_search_allocates_no_residual",
+    "test_solver_ops.py::test_component_major_step_matches_the_pixel_major_oracle",
+    "test_solver_ops.py::test_endmember_step_allocates_no_k_by_r_temporary",
+    "test_solver_ops.py::test_endmember_step_forms_y_w_within_its_bound",
+)
 
 # (module, attribute) pairs that the benchmark's traced runs replace by name
 # with timing wrappers (perfbench/tracing.py); renaming one silently drops
@@ -95,3 +110,22 @@ def test_solve_calls_its_steps_through_module_globals(monkeypatch):
     slrnmf.solver.solve(y, phi0, w0, slrnmf.SolverConfig(r=2, max_iter=1))
     assert set(calls) == {attr for module, attr in TRACED
                           if module == "slrnmf.solver" and attr != "solve"}
+
+
+def test_only_layout_tests_name_the_step_internals():
+    """No function in ``tests/test_*.py`` outside ``LAYOUT_TESTS`` names a
+    step internal (as a name, an attribute or an import), and each listed
+    one does, so the list holds no stale entry.  A name passed as a
+    string, as in swapping ``line_search`` for a drop-in with its
+    signature, reads no layout and is not counted."""
+    naming = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     or getattr(n, "name", None) for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            if names & STEP_LAYOUT:
+                naming.append("%s::%s" % (path.name, node.name))
+    assert sorted(naming) == sorted(LAYOUT_TESTS)

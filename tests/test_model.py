@@ -12,7 +12,6 @@ import oracles
 import slrnmf.model
 from slrnmf.model import (
     Objective,
-    SearchTerms,
     _column_dots,
     _pixel_block,
     _scan_observations,
@@ -24,10 +23,7 @@ from slrnmf.model import (
 from slrnmf.initializers import init_uniform, init_vca, nnls_abundances
 from slrnmf.solver import (
     SolverConfig,
-    default_eta,
     solve,
-    update_abundances,
-    update_endmembers,
     with_defaults,
 )
 from slrnmf.synth import simulate
@@ -250,6 +246,23 @@ def test_objective_validates_weights():
         Objective(y, 0.0, 0.0, 0.0)
 
 
+def test_objective_constructor_makes_no_scan_of_y(monkeypatch):
+    """The one constructor coerces ``y`` (a list works; complex and 1-D
+    input raise) and trusts its entries: it never judges their extremes,
+    a full pass over y.  ``cost_total`` and ``solve`` validate first."""
+    judged = []
+    monkeypatch.setattr(slrnmf.model, "_check_extremes",
+                        lambda *args: judged.append(args))
+    y, _, _ = random_instance(0)
+    assert Objective(y, 0.5, 0.01, 0.1).y is y
+    listed = Objective([[1, -2], [3, 4]], 0.5, 0.01, 0.1).y
+    assert listed.dtype == np.float64 and listed.shape == (2, 2)
+    for bad, rule in ((y + 0j, "real"), (y[0], "2-D")):
+        with pytest.raises(ValueError, match=rule):
+            Objective(bad, 0.5, 0.01, 0.1)
+    assert judged == []
+
+
 def _total_rounding_scale(obj, phi, w):
     """Absolute rounding scale of ``obj.total(phi, w)``.
 
@@ -383,16 +396,17 @@ def test_objective_total_holds_one_residual_block():
 
 @pytest.mark.parametrize("k", [500, 900, 5000, 4681 + 1, 2 * 4681 + 1])
 def test_default_eta_matches_squared_form(k):
-    """``default_eta`` against the squared form, and the eta that ``solve``
-    resolves from its scan's norms against ``default_eta``, bitwise; at
-    4,681 + 1 and 2 x 4,681 + 1 pixels the scan's last block is one pixel
-    wide."""
+    """The default eta of ``with_defaults`` against the squared form, and
+    the eta that ``solve`` resolves from its scan's norms against it,
+    bitwise; at 4,681 + 1 and 2 x 4,681 + 1 pixels the scan's last block
+    is one pixel wide."""
     y, _ = simulate(l=224, k=k, n=4, density=0.3, sigma=1e-3, seed=k)
     scale = float(np.sqrt((y * y).sum(axis=0)).mean())
-    assert default_eta(y) == max(1e-2 * scale, 1e-12)
+    eta = with_defaults(SolverConfig(r=1), y).eta
+    assert eta == max(1e-2 * scale, 1e-12)
     phi0, w0 = init_uniform(224, k, 2, seed=0)
     _, _, report = solve(y, phi0, w0, SolverConfig(r=2, max_iter=0))
-    assert report.config.eta == default_eta(y)
+    assert report.config.eta == eta
 
 
 def _worst_change_error(obj, phi, w, d, collapse=False, block=None):
@@ -402,46 +416,43 @@ def _worst_change_error(obj, phi, w, d, collapse=False, block=None):
     scales plus n times the magnitude of f's own terms, n the inner
     dimension of the products they come from.
 
-    f is priced from ``SearchTerms`` of the step from each block to its
+    f is priced from the search terms of the step from each block to its
     Newton candidate (column 0 zeroed where ``collapse``), summed in blocks
     of ``block`` pixels or bands (all at once by default).  ``phi`` and
-    ``w`` are (L, r) and (K, r); the steps take them component-major.
+    ``w`` are (L, r) and (K, r), and so is everything here.
     """
     worst = 0.0
     energy = (phi * phi).sum(axis=0) + (w * w).sum(axis=0) + obj.eta ** 2
     e_phi, e_w = oracles.column_energies(phi, w)
     base = obj.total(phi, w)
     base_scale = _total_rounding_scale(obj, phi, w)
-    phi_t, w_t = np.ascontiguousarray(phi.T), np.ascontiguousarray(w.T)
     for which in ("w", "phi"):
         if which == "w":
-            x, fixed, x_energy, fixed_energy = w_t, phi_t, e_w, e_phi
-            cand = update_abundances(obj, phi_t, w_t, d, None)[0]
-            cross, shift = phi.T @ obj.y, obj.lambda1
+            x, fixed, x_energy, fixed_energy = w, phi, e_w, e_phi
+            cand = oracles.abundance_step(obj, phi, w, d)[0]
+            cross, shift = obj.y.T @ phi, obj.lambda1
         else:
-            x, fixed, x_energy, fixed_energy = phi_t, w_t, e_phi, e_w
-            cand = update_endmembers(obj, phi_t, w_t, d)[0]
-            cross, shift = w.T @ obj.y.T, 0.0
+            x, fixed, x_energy, fixed_energy = phi, w, e_phi, e_w
+            cand = oracles.endmember_step(obj, phi, w, d)[0]
+            cross, shift = obj.y @ w, 0.0
         if collapse:
-            cand[0] = 0.0
-        terms = SearchTerms(fixed @ fixed.T, shift)
-        cols = block or x.shape[1]
-        for j in range(0, x.shape[1], cols):
-            terms.add(x[:, j:j + cols], cand[:, j:j + cols], cross[:, j:j + cols])
-        assert np.allclose(terms.zz, (cand * cand).sum(axis=1), rtol=1e-14, atol=0.0)
+            cand[:, 0] = 0.0
+        cand, terms = oracles.step_to(x, cand, oracles.gram(fixed), cross, shift,
+                                      block)
+        assert np.allclose(terms.zz, (cand * cand).sum(axis=0), rtol=1e-14, atol=0.0)
         if block is None:
-            assert np.array_equal(terms.zz, oracles.row_energies(cand))
-        change = obj.change_along(terms, x, cand, x_energy, fixed_energy)
+            assert np.array_equal(terms.zz, oracles.carried_energies(cand))
+        change = oracles.cost_change(obj, terms, x, cand, x_energy, fixed_energy)
         step = np.abs(cand - x)
-        a = np.abs(2.0 * (x * (cand - x)).sum(axis=1))
-        b = (step * step).sum(axis=1)
+        a = np.abs(2.0 * (x * (cand - x)).sum(axis=0))
+        b = (step * step).sum(axis=0)
         for k in range(20):
             beta = 0.5 ** k
             trial = cand if beta == 1.0 else x + beta * (cand - x)
-            pair = (phi, trial.T) if which == "w" else (trial.T, w)
+            pair = (phi, trial) if which == "w" else (trial, w)
             direct = obj.total(*pair) - base
-            terms_scale = (beta * np.vdot(terms.gram @ x + np.abs(cross), step)
-                           + beta * beta * np.vdot(terms.gram @ step, step)
+            terms_scale = (beta * np.vdot(x @ terms.gram + np.abs(cross), step)
+                           + beta * beta * np.vdot(step @ terms.gram, step)
                            + obj.lambda1 * beta * step.sum()
                            + obj.delta * ((beta * a + beta * beta * b)
                                           / np.sqrt(energy)).sum())

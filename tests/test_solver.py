@@ -19,7 +19,6 @@ from slrnmf.solver import (
     DEFAULT_LAMBDA1,
     SolverConfig,
     SolverDiverged,
-    default_eta,
     line_search,
     solve,
     update_abundances,
@@ -145,7 +144,7 @@ def test_unresolved_config_is_filled_and_echoed():
     y = phi_t @ w_t.T
     phi0, w0 = init_uniform(6, 8, 4, 0)
     _, _, report = solve(y, phi0, w0, SolverConfig(r=4, max_iter=3))
-    assert report.config.eta == default_eta(y)
+    assert report.config.eta == with_defaults(SolverConfig(r=1), y).eta
     assert report.config.delta == DEFAULT_DELTA
     assert report.config.lambda1 == DEFAULT_LAMBDA1
     assert report.config.eta > 0
@@ -445,8 +444,9 @@ def test_carried_energies_never_drift(kind):
     """The column energies ``solve`` carries out of the line searches and
     through column drops equal fresh ones: at every iteration the penalty
     diagonal on the alive columns is, bitwise, the one formed from the
-    row dots of the accepted component-major factors.  Each scene has
-    iterations with a fractional step weight and with a column drop."""
+    accepted factors' energies (``oracles.carried_energies``).  Each
+    scene has iterations with a fractional step weight and with a column
+    drop."""
     y, phi0, w0, config = protocol_scene(kind, 0)
     states = []
     _, _, report = solve(y, phi0, w0, config, callback=states.append)
@@ -454,7 +454,7 @@ def test_carried_energies_never_drift(kind):
     width, fractional, drops = c.r, 0, 0
     for s in states:
         alive = s.phi_hat.any(axis=0) | s.w_hat.any(axis=0)
-        energy = oracles.row_energies(s.phi_hat.T) + oracles.row_energies(s.w_hat.T)
+        energy = oracles.carried_energies(s.phi_hat) + oracles.carried_energies(s.w_hat)
         fresh = c.delta / np.sqrt(energy + c.eta * c.eta)
         assert np.array_equal(s.d_hat[alive], fresh[alive]), s.k
         fractional += 0.0 < s.beta_w < 1.0 or 0.0 < s.beta_phi < 1.0

@@ -11,8 +11,6 @@ from slrnmf.model import Objective, SearchTerms, _column_dots, _pixel_block
 from slrnmf.solver import (
     _spd_inverse,
     SolverConfig,
-    default_eta,
-    line_search,
     prune_and_report_rank,
     update_abundances,
     update_endmembers,
@@ -53,30 +51,21 @@ def test_update_penalty_diag_bounds_and_zero_columns():
 
 def assert_terms_of(terms, x, cand, gram, cross, shift):
     """``terms`` are the search terms of the step from ``x`` to ``cand``,
-    each within 1e-13 relative of its direct form; the factors and the
-    cross product are component-major (r rows)."""
-    s = cand - x
+    each within 1e-13 relative of its direct form
+    (``oracles.pixel_major_terms``); all of it pixel-major (n, r)."""
     assert terms.gram is gram or np.array_equal(terms.gram, gram)
     assert terms.shift == shift
-    assert terms.slope == pytest.approx(float(np.sum((gram @ x - cross) * s)),
-                                        rel=1e-13, abs=1e-15)
-    assert terms.step_sum == pytest.approx(float(s.sum()), rel=1e-13, abs=1e-15)
-    for got, want in ((terms.step_gram, s @ s.T), (terms.xs, (x * s).sum(axis=1)),
-                      (terms.zz, (cand * cand).sum(axis=1))):
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
-
-
-def c_ordered(*factors):
-    """(L, r) / (K, r) factors as the component-major, C-ordered (r, L) /
-    (r, K) arrays the block steps take."""
-    return tuple(np.ascontiguousarray(f.T) for f in factors)
+    for got, want in zip((terms.slope, terms.step_sum, terms.step_gram, terms.xs,
+                          terms.zz), oracles.pixel_major_terms(gram, x, cand, cross)):
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
 def test_update_abundances_solves_the_newton_system():
-    """The step forms the columns of C^T = Phi^T Y from Y, or takes them
-    from the C^T it is given, with the same candidate; its search terms
-    are those of the step from w to the candidate.  A given C^T is
-    consumed: it comes back holding W^T, in C order."""
+    """The step forms the columns of C = Y^T Phi from Y, or takes them
+    from the C it is given, with the same candidate; its search terms
+    are those of the step from w to the candidate.  A given C is
+    consumed: ``oracles.abundance_step`` checks that it comes back
+    holding W^T in C order, and that each candidate is C-ordered."""
     rng = np.random.default_rng(7)
     y = rng.uniform(0, 1, size=(8, 11))
     phi = rng.uniform(0, 1, size=(8, 3))
@@ -84,20 +73,16 @@ def test_update_abundances_solves_the_newton_system():
     d = rng.uniform(0.1, 1.0, size=3)
     lam = 0.02
     obj = Objective(y, 1.0, lam, 1.0)
-    phi_t, w_t = c_ordered(phi, w)
-    out, terms = update_abundances(obj, phi_t, w_t, d, None)
-    cross = phi.T @ y
-    given, given_terms = update_abundances(obj, phi_t, w.T, d, cross)
-    assert np.array_equal(terms.gram, phi_t @ phi_t.T)
+    out, terms = oracles.abundance_step(obj, phi, w, d)
+    given, given_terms = oracles.abundance_step(obj, phi, w, d, (phi.T @ y).T)
+    assert np.array_equal(terms.gram, oracles.gram(phi))
     assert np.array_equal(out, given)
-    assert out.flags.c_contiguous
-    assert np.array_equal(cross, w_t) and cross.flags.c_contiguous
-    target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y)
+    target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     expected = np.maximum(np.sign(target) * np.maximum(np.abs(target) - lam, 0.0), 0.0)
     assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
     assert (out >= 0.0).all()
     for t in (terms, given_terms):
-        assert_terms_of(t, w_t, out, phi_t @ phi_t.T, phi.T @ y, lam)
+        assert_terms_of(t, w, out, oracles.gram(phi), y.T @ phi, lam)
 
 
 def test_update_abundances_zero_l1_is_projected_ridge():
@@ -105,18 +90,18 @@ def test_update_abundances_zero_l1_is_projected_ridge():
     y = rng.uniform(0, 1, size=(6, 9))
     phi = rng.uniform(0, 1, size=(6, 2))
     d = np.array([0.3, 0.7])
-    out = update_abundances(Objective(y, 1.0, 0.0, 1.0), *c_ordered(phi),
-                            np.zeros((2, 9)), d, None)[0]
-    target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y)
+    out = oracles.abundance_step(Objective(y, 1.0, 0.0, 1.0), phi,
+                                 np.zeros((9, 2)), d)[0]
+    target = np.linalg.solve(phi.T @ phi + np.diag(d), phi.T @ y).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10)
 
 
 def test_update_abundances_reports_bad_pivot():
     y = np.ones((4, 5))
-    phi = np.ones((2, 4))  # duplicate columns, singular normal matrix
+    phi = np.ones((4, 2))  # duplicate columns, singular normal matrix
     with pytest.raises(np.linalg.LinAlgError) as err:
-        update_abundances(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros((2, 5)),
-                          np.zeros(2), None)
+        oracles.abundance_step(Objective(y, 1.0, 0.0, 1.0), phi, np.zeros((5, 2)),
+                               np.zeros(2))
     assert "abundance update" in str(err.value)
     assert "smallest eigenvalue" in str(err.value)
 
@@ -127,13 +112,11 @@ def test_update_endmembers_solves_the_newton_system():
     phi = rng.uniform(0, 1, size=(7, 3))
     w = rng.uniform(0, 1, size=(10, 3))
     d = rng.uniform(0.05, 0.5, size=3)
-    phi_t, w_t = c_ordered(phi, w)
-    out, terms = update_endmembers(Objective(y, 1.0, 0.0, 1.0), phi_t, w_t, d)
-    assert np.array_equal(terms.gram, w_t @ w_t.T)
-    target = np.linalg.solve(w.T @ w + np.diag(d), w.T @ y.T)
+    out, terms = oracles.endmember_step(Objective(y, 1.0, 0.0, 1.0), phi, w, d)
+    assert np.array_equal(terms.gram, oracles.gram(w))
+    target = np.linalg.solve(w.T @ w + np.diag(d), w.T @ y.T).T
     assert np.allclose(out, np.maximum(target, 0.0), rtol=1e-10, atol=1e-12)
-    assert out.flags.c_contiguous
-    assert_terms_of(terms, phi_t, out, w_t @ w_t.T, w.T @ y.T, 0.0)
+    assert_terms_of(terms, phi, out, oracles.gram(w), y @ w, 0.0)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -246,55 +229,42 @@ def test_component_major_step_matches_the_pixel_major_oracle(monkeypatch):
             seen.clear()
 
 
-def step_of(x, cand, gram, cross, shift):
-    """A block step (candidate, terms) to ``cand`` from ``x``, its terms
-    summed in one block; component-major, as the line search takes them."""
-    terms = SearchTerms(gram, shift)
-    terms.add(x, cand, cross)
-    return cand, terms
-
-
 def _search_setup(seed=12):
-    """(y, phi, w, obj, config) with phi and w component-major (r, n)."""
+    """(y, phi, w, obj, config), pixel-major."""
     rng = np.random.default_rng(seed)
     y = rng.uniform(0, 1, size=(6, 8))
     phi = rng.uniform(0, 1, size=(6, 3))
     w = rng.uniform(0, 1, size=(8, 3))
     obj = Objective(y, 0.2, 0.01, 0.1)
     config = SolverConfig(r=3, delta=0.2, lambda1=0.01, eta=0.1)
-    return (y, *c_ordered(phi, w), obj, config)
-
-
-def _total(obj, phi, w):
-    """``obj.total`` at component-major (phi, w)."""
-    return obj.total(phi.T, w.T)
+    return y, phi, w, obj, config
 
 
 def _energies(phi, w):
-    return oracles.row_energies(phi), oracles.row_energies(w)
+    return oracles.carried_energies(phi), oracles.carried_energies(w)
 
 
 def test_line_search_accepts_improving_candidate_at_full_step():
     y, phi, w, obj, config = _search_setup()
-    d = oracles.penalty_diag(phi.T, w.T, 0.2, 0.1)
-    step = update_abundances(obj, phi, w, d, None)
+    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
+    step = oracles.abundance_step(obj, phi, w, d)
     cand = step[0]
-    accepted, beta, cost, energy = line_search(
-        obj, phi, w, step, "w", config, _total(obj, phi, w), _energies(phi, w))
+    accepted, beta, cost, energy = oracles.search(
+        obj, phi, w, step, "w", config, obj.total(phi, w), _energies(phi, w))
     assert beta == 1.0
     assert accepted is cand
-    assert np.array_equal(energy, oracles.row_energies(cand))
-    assert cost == pytest.approx(_total(obj, phi, cand), rel=1e-14)
-    assert cost <= _total(obj, phi, w)
+    assert np.array_equal(energy, oracles.carried_energies(cand))
+    assert cost == pytest.approx(obj.total(phi, cand), rel=1e-14)
+    assert cost <= obj.total(phi, w)
 
 
 def test_line_search_backs_off_or_stalls_on_bad_candidate():
     y, phi, w, obj, config = _search_setup()
-    baseline = _total(obj, phi, w)
+    baseline = obj.total(phi, w)
     bad = w + 100.0  # big uphill move
-    accepted, beta, cost, energy = line_search(
-        obj, phi, w, step_of(w, bad.copy(), phi @ phi.T, phi @ y, 0.01), "w",
-        config, baseline, _energies(phi, w))
+    accepted, beta, cost, energy = oracles.search(
+        obj, phi, w, oracles.step_to(w, bad, oracles.gram(phi), y.T @ phi, 0.01),
+        "w", config, baseline, _energies(phi, w))
     assert cost <= baseline * (1 + 1e-12)
     if beta == 0.0:
         assert accepted is w
@@ -302,7 +272,7 @@ def test_line_search_backs_off_or_stalls_on_bad_candidate():
     else:
         assert beta < 1.0
         assert np.array_equal(accepted, w + beta * (bad - w))
-    assert np.array_equal(energy, oracles.row_energies(accepted))
+    assert np.array_equal(energy, oracles.carried_energies(accepted))
 
 
 def test_line_search_beta_zero_on_hopeless_candidate():
@@ -310,24 +280,24 @@ def test_line_search_beta_zero_on_hopeless_candidate():
     # So large that every shrunken blend is still uphill.
     bad = w + 1e9
     energies = _energies(phi, w)
-    accepted, beta, cost, energy = line_search(
-        obj, phi, w, step_of(w, bad, phi @ phi.T, phi @ y, 0.01), "w", config,
-        _total(obj, phi, w), energies)
+    accepted, beta, cost, energy = oracles.search(
+        obj, phi, w, oracles.step_to(w, bad, oracles.gram(phi), y.T @ phi, 0.01),
+        "w", config, obj.total(phi, w), energies)
     assert beta == 0.0
     assert accepted is w
-    assert cost == _total(obj, phi, w)
+    assert cost == obj.total(phi, w)
     assert energy is energies[1]
 
 
 def test_line_search_searches_the_named_block():
     y, phi, w, obj, config = _search_setup()
-    d = oracles.penalty_diag(phi.T, w.T, 0.2, 0.1)
-    accepted, beta, cost, energy = line_search(
-        obj, phi, w, update_endmembers(obj, phi, w, d), "phi", config,
-        _total(obj, phi, w), _energies(phi, w))
+    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
+    accepted, beta, cost, energy = oracles.search(
+        obj, phi, w, oracles.endmember_step(obj, phi, w, d), "phi", config,
+        obj.total(phi, w), _energies(phi, w))
     assert accepted.shape == phi.shape
-    assert cost <= _total(obj, phi, w)
-    assert np.array_equal(energy, oracles.row_energies(accepted))
+    assert cost <= obj.total(phi, w)
+    assert np.array_equal(energy, oracles.carried_energies(accepted))
 
 
 def test_line_search_blends_at_a_backed_off_weight():
@@ -337,17 +307,17 @@ def test_line_search_blends_at_a_backed_off_weight():
     weight; it is clipped at zero, because the search prices nonnegative
     candidates only."""
     y, phi, w, obj, config = _search_setup()
-    d = oracles.penalty_diag(phi.T, w.T, 0.2, 0.1)
-    cand = update_abundances(obj, phi, w, d, None)[0]
+    d = oracles.penalty_diag(phi, w, 0.2, 0.1)
+    cand = oracles.abundance_step(obj, phi, w, d)[0]
     overshoot = np.maximum(w + 5.0 * (cand - w), 0.0)
-    step = step_of(w, overshoot.copy(), phi @ phi.T, phi @ y, 0.01)
-    accepted, beta, cost, energy = line_search(
-        obj, phi, w, step, "w", config, _total(obj, phi, w), _energies(phi, w))
+    step = oracles.step_to(w, overshoot, oracles.gram(phi), y.T @ phi, 0.01)
+    accepted, beta, cost, energy = oracles.search(
+        obj, phi, w, step, "w", config, obj.total(phi, w), _energies(phi, w))
     assert 0.0 < beta < 1.0
     assert accepted is step[0]
     assert np.array_equal(accepted, w + beta * (overshoot - w))
-    assert np.array_equal(energy, oracles.row_energies(accepted))
-    assert cost == pytest.approx(_total(obj, phi, accepted), rel=1e-13)
+    assert np.array_equal(energy, oracles.carried_energies(accepted))
+    assert cost == pytest.approx(obj.total(phi, accepted), rel=1e-13)
 
 
 def test_prune_keeps_columns_above_relative_cutoff():
@@ -366,8 +336,8 @@ def test_prune_all_zero_reports_rank_zero():
 
 def test_default_eta_scales_with_column_norms():
     y = np.full((4, 3), 2.0)  # every column norm is 4
-    assert default_eta(y) == pytest.approx(0.04, rel=1e-12)
-    assert default_eta(np.zeros((3, 3))) == 1e-12
+    assert with_defaults(SolverConfig(r=1), y).eta == pytest.approx(0.04, rel=1e-12)
+    assert with_defaults(SolverConfig(r=1), np.zeros((3, 3))).eta == 1e-12
 
 
 def test_with_defaults_fills_only_missing_entries():
